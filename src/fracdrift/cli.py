@@ -391,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--format", choices=["csv", "json", "both"], default="both")
-        p.add_argument("--threads", type=int, default=1)
         if with_seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the seed in the config")
@@ -414,6 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "rosenblatt", "degenerate_projection",
     ])
     common(p_exp)
+    p_exp.add_argument("--threads", type=int, default=1)
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

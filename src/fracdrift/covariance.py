@@ -20,20 +20,35 @@ separately); the time integrals are computed exactly through Parseval in the
 frequency domain, where the squared Hilbert-Schmidt norms collapse to smooth
 one-dimensional integrals.
 
-Two independent evaluation routes are provided and cross-checked in the test
-suite:
+Production evaluates every autocovariance in closed form, for every
+``H in (0,1)``.  Partial fractions split the spectral integrand,
 
-* ``spectral_cross_autocov`` -- the frequency-domain integral
-  ``phi_k phi_l c_H int e^{iwt} |w|^{1-2H} / ((a_k+iw)(a_l-iw)) dw`` with
-  ``c_H = Gamma(2H+1) sin(pi H) / (2 pi)``, valid for every ``H in (0,1)``.
-  It is evaluated after rotating the contour onto the imaginary axis, which
-  trades the oscillatory integrand for a principal-value integral plus an
-  explicit pole term; adaptive QAWS/Cauchy-weight quadrature then converges to
-  near machine precision.
-* ``kernel_autocov`` -- the moving-average kernel form (valid representation
-  for ``H > 1/2``): ``r_kl(t) = r_kl(0) e^{-a_k t} + phi_k phi_l H(2H-1)
-  int_0^t int_{-inf}^0 e^{a_l r} e^{-a_k(t-s)} (s-r)^{2H-2} dr ds``, with the
-  inner integral reduced to a scaled upper incomplete gamma function.
+    1/((a_k+iw)(a_l-iw)) = [1/(a_k+iw) + 1/(a_l-iw)] / (a_k+a_l),
+
+so each cross term reduces to one function of a single rate
+(Cheridito, Kawaguchi & Maejima, EJP 8, 2003):
+
+    r_kl(t) = phi_k phi_l [g_{a_k}(t) + g_{a_l}(-t)] / (a_k + a_l),
+    g_a(t)  = H(2H-1) int_0^inf e^{-a s} |t-s|^{2H-2} ds,
+
+which is the analytic evaluation of the moving-average kernel form.  With
+``p = 2H-1``, Kummer's function ``M`` (DLMF 13.2) and the scaled upper
+incomplete gamma ``G_p(x) = e^x Gamma(p, x)`` (DLMF 8.2), for ``t > 0``
+
+    g_a(t)  = H t^p M(1, p+1, -a t) + H Gamma(p+1) a^{-p} e^{-a t},
+    g_a(-t) = H p a^{-p} G_p(a t),
+
+and ``g_a(0) = H Gamma(p+1) a^{-p}``.  Analytic continuation in ``p`` covers
+``H < 1/2``; ``H = 1/2`` is the exponential limit.  A lag table therefore
+needs ``2N`` single-rate vectors and one broadcast outer sum.
+
+The independent test oracle is ``spectral_cross_autocov``: the
+frequency-domain integral
+``phi_k phi_l c_H int e^{iwt} |w|^{1-2H} / ((a_k+iw)(a_l-iw)) dw`` with
+``c_H = Gamma(2H+1) sin(pi H) / (2 pi)``, evaluated after rotating the
+contour onto the imaginary axis, which trades the oscillatory integrand for a
+principal-value integral plus an explicit pole term; adaptive
+QAWS/Cauchy-weight quadrature then converges to near machine precision.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc, zeta
+from scipy.special import gammaincc, hyp1f1, zeta
 
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
@@ -162,10 +177,6 @@ def _incgamma_scaled(p: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _incgamma_scaled_scalar(p: float, x: float) -> float:
-    return float(_incgamma_scaled(p, np.array([x]))[0])
-
-
 def _quad_with_error(func, a, b, **kw):
     """scipy quad returning (value, error estimate, worst-subinterval text)."""
     out = quad(func, a, b, epsabs=1e-15, epsrel=1e-10, limit=200, full_output=1, **kw)
@@ -180,7 +191,7 @@ def _quad_with_error(func, a, b, **kw):
 
 
 # --------------------------------------------------------------------------
-# Route 1: frequency-domain evaluator (all H), contour-rotated.
+# Test oracle: frequency-domain evaluator (all H), contour-rotated.
 # --------------------------------------------------------------------------
 
 def _unit_spectral(ak: float, al: float, h: float, t: float, rtol: float = QUAD_RTOL) -> float:
@@ -269,9 +280,10 @@ def spectral_cross_autocov(
 ) -> float:
     """Cross autocovariance of two modes sharing one driving noise.
 
-    Valid for every ``H in (0, 1)``; the universal evaluator.  ``t`` may be
-    negative (``r_kl(-t) = r_lk(t)``).  Raises :class:`QuadratureError` when
-    the adaptive quadrature cannot certify the requested relative tolerance.
+    Valid for every ``H in (0, 1)``; the independent oracle of the closed form
+    used in production.  ``t`` may be negative (``r_kl(-t) = r_lk(t)``).
+    Raises :class:`QuadratureError` when the adaptive quadrature cannot
+    certify the requested relative tolerance.
     """
     if a_k <= 0 or a_l <= 0:
         raise ValueError("mode rates must be positive")
@@ -279,61 +291,53 @@ def spectral_cross_autocov(
 
 
 # --------------------------------------------------------------------------
-# Route 2: kernel form, H > 1/2 public surface.
+# Closed form (production, all H).
 # --------------------------------------------------------------------------
 
-def _unit_q0_regular(ak: float, al: float, h: float) -> float:
-    """Closed-form lag-0 cross covariance for H > 1/2 and unit loadings:
-    ``H(2H-1) Gamma(2H-1) (a_k^{1-2H} + a_l^{1-2H}) / (a_k + a_l)``."""
-    return h * (2.0 * h - 1.0) * gamma_fn(2.0 * h - 1.0) \
-        * (ak ** (1.0 - 2.0 * h) + al ** (1.0 - 2.0 * h)) / (ak + al)
+def _rate_terms(a: np.ndarray, h: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(g_a(t), g_a(-t))`` for rates ``a`` on lags ``ts >= 0``, shape (N, len(ts)).
 
-
-def _unit_kernel_correction(ak: float, al: float, h: float, t: float) -> float:
-    """``H(2H-1) a_l^{1-2H} int_0^t e^{-a_k u} G_p(a_l (t-u)) du``, p = 2H-1.
-
-    This is the covariance between the stochastic convolution on (0, t) and
-    the state at time 0; combined with ``r(0) e^{-a_k t}`` it gives the full
-    autocovariance.  Works for any H != 1/2 (the integrand has an
-    integrable ``(t-u)^{2H-1}`` endpoint singularity when H < 1/2).
+    At ``t = 0`` both sides take ``H Gamma(p+1) a^{-p}``: for ``H < 1/2`` the
+    one-sided limits also carry ``+H t^p`` and ``-H t^p``, which cancel in
+    every pairwise sum ``g_{a_k}(t) + g_{a_l}(-t)``.
     """
+    a = np.asarray(a, dtype=float)[:, None]
+    ts = np.asarray(ts, dtype=float)[None, :]
+    if h == 0.5:
+        return np.exp(-a * ts), np.zeros((a.shape[0], ts.shape[1]))
     p = 2.0 * h - 1.0
-    u_cut = 45.0 / ak
-    # Absolute floor at the lag-0 covariance scale: a vanishingly small
-    # short-lag correction needs no relative resolution of its own.
-    coef = abs(h * (2.0 * h - 1.0)) * al ** (1.0 - 2.0 * h)
-    scale = math.sqrt(
-        stationary_variance_mode(ak, 1.0, h) * stationary_variance_mode(al, 1.0, h)
-    )
-    atol = 1e-12 * scale / coef
+    g0 = h * gamma_fn(p + 1.0) * a ** (-p)
+    pos = ts > 0
+    tp = np.where(pos, ts, 1.0)
+    x = a * tp
+    fwd = h * tp**p * hyp1f1(1.0, p + 1.0, -x) + g0 * np.exp(-x)
+    bwd = h * p * a ** (-p) * _incgamma_scaled(p, x)
+    return np.where(pos, fwd, g0), np.where(pos, bwd, g0)
 
-    def integrand(u):
-        return math.exp(-ak * u) * _incgamma_scaled_scalar(p, al * (t - u))
 
-    if t > 2.0 * u_cut:
-        # Singular end u = t is far outside the mass of e^{-a_k u}.
-        val = quad(integrand, 0.0, u_cut, epsabs=atol, epsrel=1e-9, limit=200)[0]
-    elif p > 0:
-        # G_p stays bounded at the endpoint (only its derivative blows up).
-        val = quad(integrand, 0.0, t, epsabs=atol, epsrel=1e-9, limit=200)[0]
-    else:
-        # H < 1/2: substituting y = (t-u)^{2H} absorbs the (t-u)^{2H-1}
-        # endpoint singularity, leaving a bounded integrand.
-        two_h = 2.0 * h
+def _lag_table(a: np.ndarray, phi: np.ndarray, h: float, diagonal: bool,
+               lags: np.ndarray) -> np.ndarray:
+    """``r_kl`` on lags ``>= 0``: shape (N, L) of ``r_kk`` for diagonal noise,
+    (N, N, L) with ``[k, l, i] = r_kl(lags[i])`` for rank-one noise."""
+    fwd, bwd = _rate_terms(a, h, lags)
+    if diagonal:
+        return (phi**2 / (2.0 * a))[:, None] * (fwd + bwd)
+    table = fwd[:, None, :] + bwd[None, :, :]
+    table *= (np.outer(phi, phi) / np.add.outer(a, a))[:, :, None]
+    return table
 
-        def transformed(y):
-            w = y ** (1.0 / two_h)
-            if w == 0.0:
-                return -(al**p) / p / two_h * math.exp(-ak * t)
-            return (
-                math.exp(-ak * (t - w))
-                * _incgamma_scaled_scalar(p, al * w)
-                * w ** (1.0 - two_h)
-                / two_h
-            )
 
-        val = quad(transformed, 0.0, t**two_h, epsabs=atol, epsrel=1e-9, limit=200)[0]
-    return h * (2.0 * h - 1.0) * al ** (1.0 - 2.0 * h) * val
+def _unit_autocov_grid(ak: float, al: float, h: float, ts: np.ndarray) -> np.ndarray:
+    """Unit-loading ``E[x_k(t) x_l(0)]`` on a grid of lags of either sign."""
+    ts = np.asarray(ts, dtype=float)
+    fwd, bwd = _rate_terms(np.array([ak, al]), h, np.abs(ts).ravel())
+    out = np.where(ts.ravel() >= 0, fwd[0] + bwd[1], fwd[1] + bwd[0]) / (ak + al)
+    return out.reshape(ts.shape)
+
+
+def _unit_autocov(ak: float, al: float, h: float, t: float) -> float:
+    """Scalar ``_unit_autocov_grid``."""
+    return float(_unit_autocov_grid(ak, al, h, np.array([t]))[0])
 
 
 def kernel_autocov(
@@ -344,103 +348,22 @@ def kernel_autocov(
     hurst: float,
     t: float,
 ) -> float:
-    """Cross autocovariance via the moving-average kernel (requires H > 1/2).
+    """Cross autocovariance from the moving-average kernel (requires H > 1/2).
 
-    Cross-check partner of :func:`spectral_cross_autocov`; the two must agree
-    to quadrature accuracy wherever both are defined.
+    ``r_kl(t) = r_kl(0) e^{-a_k t} + phi_k phi_l H(2H-1) int_0^t int_{-inf}^0
+    e^{a_l r} e^{-a_k(t-s)} (s-r)^{2H-2} dr ds`` is a convergent integral only
+    for ``H > 1/2``; it is evaluated analytically by the closed form.  Must
+    agree with :func:`spectral_cross_autocov` wherever both are defined.
     """
     h = float(hurst)
     if h <= 0.5:
         raise ValueError("kernel form requires H > 1/2; use spectral_cross_autocov")
     if a_k <= 0 or a_l <= 0:
         raise ValueError("mode rates must be positive")
-    ak, al, t = float(a_k), float(a_l), float(t)
-    if t < 0:
-        ak, al, t = al, ak, -t
-    q0 = _unit_q0_regular(ak, al, h)
-    if t == 0:
-        return phi_k * phi_l * q0
-    return phi_k * phi_l * (q0 * math.exp(-ak * t) + _unit_kernel_correction(ak, al, h, t))
-
-
-# --------------------------------------------------------------------------
-# Production dispatch with caching.
-# --------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _unit_q0(ak: float, al: float, h: float) -> float:
-    if h == 0.5:
-        return 1.0 / (ak + al)
-    if h > 0.5:
-        return _unit_q0_regular(ak, al, h)
-    return _unit_spectral(ak, al, h, 0.0)
-
-
-@lru_cache(maxsize=None)
-def _unit_autocov(ak: float, al: float, h: float, t: float) -> float:
-    """Unit-loading E[x_k(t) x_l(0)]; fastest valid route per regime."""
-    if t < 0:
-        return _unit_autocov(al, ak, h, -t)
-    if h == 0.5:
-        return math.exp(-ak * t) / (ak + al)
-    q0 = _unit_q0(ak, al, h)
-    if t == 0.0:
-        return q0
-    return q0 * math.exp(-ak * t) + _unit_kernel_correction(ak, al, h, t)
-
-
-#: Above ``a_k * t >= _FAR_LAG``, the kernel-correction integrand is smooth on
-#: all of [0, 45/a_k] and fixed Gauss-Legendre panels evaluate it to ~1e-10;
-#: below, scalar adaptive quadrature handles the (t-u) endpoint behaviour.
-_FAR_LAG = 60.0
-
-_FAR_PANEL_EDGES = np.array([0.0, 2.0, 8.0, 20.0, 45.0])
-_FAR_PANEL_ORDER = 24
-
-
-@lru_cache(maxsize=1)
-def _far_panel_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on the panels of [0, 45] (unit rate)."""
-    base_x, base_w = np.polynomial.legendre.leggauss(_FAR_PANEL_ORDER)
-    nodes, weights = [], []
-    for lo, hi in zip(_FAR_PANEL_EDGES[:-1], _FAR_PANEL_EDGES[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (base_x + 1.0))
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _unit_autocov_grid(ak: float, al: float, h: float, ts: np.ndarray) -> np.ndarray:
-    """Vectorized ``_unit_autocov`` over a grid of nonnegative lags."""
-    ts = np.asarray(ts, dtype=float)
-    if h == 0.5:
-        return np.exp(-ak * ts) / (ak + al)
-    out = np.empty_like(ts)
-    near = ak * ts < _FAR_LAG
-    for idx in np.nonzero(near)[0]:
-        out[idx] = _unit_autocov(ak, al, h, float(ts[idx]))
-    n_far = int(np.count_nonzero(~near))
-    if n_far:
-        p = 2.0 * h - 1.0
-        q0 = _unit_q0(ak, al, h)
-        u, w = _far_panel_nodes()
-        u = u / ak
-        weights = (w / ak) * np.exp(-ak * u)
-        t_far = ts[~near]
-        far_vals = np.empty(n_far)
-        chunk = max(1, 2**22 // len(u))
-        for lo in range(0, n_far, chunk):
-            tc = t_far[lo : lo + chunk]
-            g = _incgamma_scaled(p, al * (tc[:, None] - u[None, :]))
-            far_vals[lo : lo + chunk] = g @ weights
-        out[~near] = q0 * np.exp(-ak * t_far) \
-            + h * (2.0 * h - 1.0) * al ** (1.0 - 2.0 * h) * far_vals
-    return out
+    return phi_k * phi_l * _unit_autocov(float(a_k), float(a_l), h, float(t))
 
 
 def clear_caches() -> None:
-    _unit_q0.cache_clear()
-    _unit_autocov.cache_clear()
     _mode_lag_table.cache_clear()
     _hs_norm_lag_table.cache_clear()
 
@@ -466,20 +389,12 @@ class AutoCovMatrix:
 
 def autocov_matrix(model: ModelConfig, t: float, rtol: float = QUAD_RTOL) -> AutoCovMatrix:
     """Assemble ``R(t)``.  Negative ``t`` uses ``r_kl(-t) = r_lk(t)``."""
-    a = model.rates
-    phi = model.noise.loadings
-    h = model.hurst
-    if model.noise.kind == DIAGONAL:
-        diag = np.array(
-            [phi[k] ** 2 * _unit_autocov(float(a[k]), float(a[k]), h, float(t)) for k in range(model.n_modes)]
-        )
-        return AutoCovMatrix(t=float(t), entries=diag, is_diagonal=True)
-    n = model.n_modes
-    full = np.empty((n, n))
-    for k in range(n):
-        for l in range(n):
-            full[k, l] = phi[k] * phi[l] * _unit_autocov(float(a[k]), float(a[l]), h, float(t))
-    return AutoCovMatrix(t=float(t), entries=full, is_diagonal=False)
+    diagonal = model.noise.kind == DIAGONAL
+    entries = _lag_table(model.rates, model.noise.loadings, model.hurst, diagonal,
+                         np.array([abs(float(t))]))[..., 0]
+    if t < 0 and not diagonal:
+        entries = entries.T
+    return AutoCovMatrix(t=float(t), entries=entries, is_diagonal=diagonal)
 
 
 def hs_norm(acm: AutoCovMatrix) -> float:
@@ -499,20 +414,8 @@ def _mode_lag_table(key: tuple, dt: float, n_lags: int) -> np.ndarray:
     Rank-one noise: shape (N, N, n_lags) with [k, l, i] = r_kl(i*dt).
     """
     alpha, h, kind, eigs, loadings = key
-    a = alpha * np.asarray(eigs)
-    phi = np.asarray(loadings)
-    n = len(a)
-    lags = np.arange(n_lags) * dt
-    if kind == DIAGONAL:
-        out = np.empty((n, n_lags))
-        for k in range(n):
-            out[k] = phi[k] ** 2 * _unit_autocov_grid(float(a[k]), float(a[k]), h, lags)
-        return out
-    out = np.empty((n, n, n_lags))
-    for k in range(n):
-        for l in range(n):
-            out[k, l] = phi[k] * phi[l] * _unit_autocov_grid(float(a[k]), float(a[l]), h, lags)
-    return out
+    return _lag_table(alpha * np.asarray(eigs), np.asarray(loadings), h,
+                      kind == DIAGONAL, np.arange(n_lags) * dt)
 
 
 def mode_lag_table(model: ModelConfig, dt: float, n_lags: int) -> np.ndarray:

@@ -108,23 +108,39 @@ def sample_circulant(eigs: np.ndarray, n: int, rng: np.random.Generator) -> np.n
     return x[:n]
 
 
+def jittered_cholesky(cov: np.ndarray, first: float, limit: float) -> np.ndarray | None:
+    """Lower Cholesky factor of ``cov``, retrying with diagonal jitter.
+
+    The first attempt factors ``cov`` itself.  After a failure, jitter
+    ``first, 100 first, ...`` is added to the diagonal of a single copy while
+    it stays within ``limit``; returns None when every attempt fails.
+    """
+    from scipy.linalg import cholesky
+
+    jittered, jitter = cov, 0.0
+    while True:
+        try:
+            return cholesky(jittered, lower=True)
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 100.0, first)
+            if jitter > limit:
+                return None
+            if jittered is cov:
+                jittered = cov.copy()
+            np.fill_diagonal(jittered, cov.diagonal() + jitter)
+
+
 def _cholesky_toeplitz_sample(autocov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    from scipy.linalg import cholesky, toeplitz
+    from scipy.linalg import toeplitz
 
     cov = toeplitz(autocov[:n])
     scale = float(np.mean(np.diag(cov)))
-    jitter = 0.0
-    while True:
-        try:
-            lower = cholesky(cov + jitter * np.eye(n), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
-            if jitter > TOL_JITTER * scale:
-                raise np.linalg.LinAlgError(
-                    "covariance is not positive definite beyond jitter tolerance; "
-                    "the requested (h, n) combination is numerically invalid"
-                )
+    lower = jittered_cholesky(cov, 1e-14 * scale, TOL_JITTER * scale)
+    if lower is None:
+        raise np.linalg.LinAlgError(
+            "covariance is not positive definite beyond jitter tolerance; "
+            "the requested (h, n) combination is numerically invalid"
+        )
     return lower @ rng.standard_normal(n)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import substream
 from .covariance import mode_lag_table
-from .fgn import TOL_EIG, circulant_embedding_eigs, sample_fgn, validate_hurst
+from .fgn import TOL_EIG, circulant_embedding_eigs, jittered_cholesky, sample_fgn, validate_hurst
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
 __all__ = [
@@ -206,28 +206,22 @@ def integrate_path(
 # --------------------------------------------------------------------------
 
 def _toeplitz_factor(autocov: np.ndarray, what: str) -> np.ndarray:
-    from scipy.linalg import cholesky, toeplitz
+    from scipy.linalg import toeplitz
 
     cov = toeplitz(autocov)
     return _dense_factor(cov, what)
 
 
 def _dense_factor(cov: np.ndarray, what: str) -> np.ndarray:
-    from scipy.linalg import cholesky
-
     trace = float(np.trace(cov))
-    jitter = 0.0
-    while True:
-        try:
-            return cholesky(cov + jitter * np.eye(len(cov)), lower=True)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-16 * trace)
-            if jitter * len(cov) > 1e-10 * trace:
-                raise np.linalg.LinAlgError(
-                    f"stationary covariance of {what} is not positive definite "
-                    "beyond jitter tolerance; autocovariance quadrature may be "
-                    "inaccurate for this model"
-                )
+    lower = jittered_cholesky(cov, 1e-16 * trace, 1e-10 * trace / len(cov))
+    if lower is None:
+        raise np.linalg.LinAlgError(
+            f"stationary covariance of {what} is not positive definite "
+            "beyond jitter tolerance; autocovariance quadrature may be "
+            "inaccurate for this model"
+        )
+    return lower
 
 
 class StationaryModeSampler:

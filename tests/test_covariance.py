@@ -8,6 +8,7 @@ from conftest import assert_close
 from fracdrift.covariance import (
     AutoCovMatrix,
     QuadratureError,
+    _c_spectral,
     _unit_autocov,
     _unit_autocov_grid,
     _unit_spectral,
@@ -18,6 +19,7 @@ from fracdrift.covariance import (
     hs_norm,
     hs_norm_lags,
     kernel_autocov,
+    mode_lag_table,
     qww,
     r_z,
     r_z_integral,
@@ -38,6 +40,18 @@ from fracdrift.models import (
 )
 
 PI2 = np.pi**2
+
+
+def lag0_scale(ak, al, h):
+    """Pole-term magnitude at lag 0: the scale of the floor ``_unit_spectral`` certifies."""
+    return _c_spectral(h) * 2.0 * np.pi * ak ** (1.0 - 2.0 * h) / (ak + al)
+
+
+def assert_close_floored(actual, expected, scale, what=""):
+    """rtol 1e-8 with an absolute floor at 1e-12 of ``scale``."""
+    err = abs(actual - expected)
+    assert err <= max(1e-8 * abs(expected), 1e-12 * scale), \
+        f"{what}: {actual!r} vs {expected!r} (abs err {err:.3g})"
 
 
 class TestStationaryVariance:
@@ -135,6 +149,37 @@ class TestDualRoutes:
                 for t, g in zip(ts, grid):
                     assert_close(g, _unit_autocov(ak, al, h, float(t)), 1e-8,
                                  f"grid vs scalar H={h}")
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("h", [0.3, 0.45, 0.5 - 1e-6, 0.5 + 1e-6, 0.55, 0.7, 0.9])
+    def test_grid_matches_spectral_oracle(self, h):
+        ts = np.array([1e-6, 1e-3, 1.0, 50.0, 1e3, 1e5])
+        for (ak, al) in [(1.0, 1.0), (0.25, 4.0), (4.0, 0.25), (PI2, 4 * PI2)]:
+            grid = _unit_autocov_grid(ak, al, h, ts)
+            for t, g in zip(ts, grid):
+                assert_close_floored(g, _unit_spectral(ak, al, h, float(t)),
+                                     lag0_scale(ak, al, h),
+                                     f"closed form vs spectral H={h} a=({ak},{al}) t={t}")
+
+    def test_rank_one_table_matches_pairwise_spectral(self, pointwise8):
+        table = mode_lag_table(pointwise8, 0.5, 64)
+        a, phi, h = pointwise8.rates, pointwise8.noise.loadings, pointwise8.hurst
+        for i in (0, 1, 7, 63):
+            for k in range(pointwise8.n_modes):
+                for l in range(pointwise8.n_modes):
+                    expected = spectral_cross_autocov(a[k], a[l], phi[k], phi[l], h, 0.5 * i)
+                    assert_close_floored(table[k, l, i], expected,
+                                         abs(phi[k] * phi[l]) * lag0_scale(a[k], a[l], h),
+                                         f"table[{k},{l},{i}]")
+
+    def test_negative_lag_matrix_is_transpose(self):
+        model = build_pointwise_model(0.3, 6, 1.0, 0.55)
+        for t in (0.7, 3.0):
+            forward = autocov_matrix(model, t).entries
+            assert not np.allclose(forward, forward.T)
+            np.testing.assert_allclose(autocov_matrix(model, -t).entries, forward.T,
+                                       rtol=1e-13, atol=0.0)
 
 
 class TestDecay:

@@ -11,6 +11,7 @@ from fracdrift.fgn import (
     circulant_embedding_eigs,
     fgn_autocov,
     fgn_path,
+    jittered_cholesky,
     sample_fbm,
     sample_fgn,
     validate_hurst,
@@ -106,6 +107,28 @@ class TestSampling:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample_fgn(0.5, 0, seed=1)
+
+
+class TestJitteredCholesky:
+    def test_positive_definite_factor_is_plain_cholesky(self):
+        from scipy.linalg import cholesky, toeplitz
+
+        cov = toeplitz(fgn_autocov(0.7, np.arange(16)))
+        np.testing.assert_array_equal(jittered_cholesky(cov, 1e-14, 1e-8),
+                                      cholesky(cov, lower=True))
+
+    def test_jitter_rescues_singular_matrix_and_leaves_input(self):
+        v = np.arange(1.0, 5.0)
+        cov = np.outer(v, v)
+        before = cov.copy()
+        lower = jittered_cholesky(cov, 1e-14, 1e-2)
+        np.testing.assert_array_equal(cov, before)
+        added = lower @ lower.T - cov
+        assert 0.0 < added[0, 0] <= 1e-2
+        assert np.allclose(added, added[0, 0] * np.eye(4), rtol=0.0, atol=1e-12)
+
+    def test_gives_up_beyond_limit(self):
+        assert jittered_cholesky(np.diag([1.0, -1.0]), 1e-14, 1e-8) is None
 
 
 class TestFbm:
