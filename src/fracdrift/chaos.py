@@ -11,6 +11,25 @@ so its cumulants are exact trace identities of the stacked covariance S:
     kappa_3(F_n) = 8 Tr(S^3) / (2 Tr(S^2))^{3/2},
     kappa_4(F_n) = 48 Tr(S^4) / (2 Tr(S^2))^2,      n s_n = 2 Tr(S^2).
 
+``S`` is block-Toeplitz, ``S_ij = R(i-j)`` with ``R(-t) = R(t)^T``: N scalar
+sequences for diagonal noise, one sequence of N x N blocks for rank-one noise.
+The traces come from the lag table alone, without building ``S``.  The blocks
+of ``M = S^2`` obey the displacement recurrence
+
+    M_0j = sum_k R(-k) R(k-j)                    (one FFT block convolution),
+    M_i0 = M_0i^T,
+    M_ij = M_(i-1)(j-1) + R(i) R(-j) - R(i-n) R(n-j),
+
+so each block row follows from the one before with one block product, and
+
+    Tr S^2 = sum_{|t|<n} (n-|t|) ||R(t)||_F^2,
+    Tr S^3 = sum_ij <M_ij, R(i-j)>_F,     Tr S^4 = sum_ij ||M_ij||_F^2.
+
+That costs O(n^2 p^3) time and O(n p^2) memory for p x p blocks; a scalar
+sequence is persymmetric, so rows i and n-1-i give equal sums and half the
+rows suffice.  Eigenvalues of dense blocks (``eigvalsh``) serve only as the
+test oracle.
+
 Alongside the exact values, ``cumulant_bound_shapes`` evaluates the structural
 upper-bound expressions (with their unspecified absolute constants stripped):
 
@@ -25,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .covariance import block_covariance, hs_norm_lags, s_n as s_n_series
+from .covariance import hs_norm_lags, mode_lag_table, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
 
 __all__ = [
@@ -43,10 +62,6 @@ __all__ = [
 #: by the exact-cumulant trace computation.
 CUMULANT_DENSE_GUARD = 8192
 
-#: Total stacked dimension up to which the symmetric eigendecomposition route
-#: is used; beyond it, traces come from repeated matrix multiplication.
-EIG_ROUTE_LIMIT = 4000
-
 
 @dataclass(frozen=True)
 class CumulantReport:
@@ -60,43 +75,76 @@ class CumulantReport:
     s_n: float
 
 
-def _traces_from_block(block: np.ndarray, use_eig: bool) -> tuple[float, float, float]:
-    """(Tr B^2, Tr B^3, Tr B^4) of a symmetric block."""
-    if use_eig:
-        lam = np.linalg.eigvalsh(block)
-        return float(np.sum(lam**2)), float(np.sum(lam**3)), float(np.sum(lam**4))
-    sq = block @ block
-    tr2 = float(np.sum(block * block))
-    tr3 = float(np.sum(sq * block))
-    tr4 = float(np.sum(sq * sq))
+def _power_traces(lags: np.ndarray) -> tuple[float, float, float]:
+    """(Tr S^2, Tr S^3, Tr S^4) summed over independent block-Toeplitz matrices.
+
+    ``lags[b, t] = R_b(t)``, shape (B, n, p, p); matrix b has blocks
+    ``S_ij = R_b(i-j)`` with ``R_b(-t) = R_b(t)^T``.  Blocks are kept side by
+    side, shape (B, p, K p).  Both ``S`` and ``M = S^2`` live in buffers of
+    2n-1 blocks whose block s starts as the entry at displacement n-1-s of the
+    first block row and column; row i is the window of blocks n-1-i .. 2n-2-i,
+    so the recurrence's shift ``M_(i-1)(j-1) -> M_ij`` leaves every block
+    where it is and only the rank-2p correction is added in place.
+    """
+    nb, n, p, _ = lags.shape
+    lags_t = lags.swapaxes(-1, -2)  # R(-t)
+
+    def side_by_side(blocks: np.ndarray) -> np.ndarray:
+        return blocks.transpose(0, 2, 1, 3).reshape(nb, p, -1)
+
+    sq_norms = np.einsum("btij,btij->t", lags, lags)
+    weights = 2.0 * (n - np.arange(n))
+    weights[0] = n
+    tr2 = float(weights @ sq_norms)
+
+    # Row 0, M_0j = sum_k A_k B_(j-k) with A_k = R(-k) and B_m = R(-m): the
+    # circular convolution is exact for j < n once the length is >= 2n-1.
+    size = 1 << (2 * n - 2).bit_length()
+    head = np.zeros((nb, size, p, p))
+    head[:, :n] = lags_t
+    full = head.copy()
+    full[:, size - n + 1:] = lags[:, :0:-1]
+    spectrum = np.fft.rfft(head, axis=1) @ np.fft.rfft(full, axis=1)
+    first = np.fft.irfft(spectrum, n=size, axis=1)[:, :n]
+    # M_i0 = M_0i^T for i = n-1 .. 1, then M_0j for j = 0 .. n-1.
+    buf = np.concatenate(
+        [side_by_side(first[:, :0:-1].swapaxes(-1, -2)), side_by_side(first)], axis=-1)
+
+    back = side_by_side(lags[:, :0:-1])                              # R(n-1) .. R(1)
+    lagged = np.concatenate([back, side_by_side(lags_t)], axis=-1)   # block s: R(n-1-s)
+    right = np.concatenate([side_by_side(lags_t[:, 1:]), back], axis=1)
+    left = np.concatenate([lags[:, 1:], -lags_t[:, :0:-1]], axis=-1)  # [R(i), -R(i-n)]
+
+    tr3 = tr4 = 0.0
+    for i in range((n + 1) // 2 if p == 1 else n):
+        lo = (n - 1 - i) * p
+        if i:
+            buf[..., lo + p:lo + n * p] += left[:, i - 1] @ right
+        row = buf[..., lo:lo + n * p]
+        weight = 1.0 if p > 1 or 2 * i == n - 1 else 2.0
+        tr3 += weight * float(np.einsum("bij,bij->", row, lagged[..., lo:lo + n * p]))
+        tr4 += weight * float(np.einsum("bij,bij->", row, row))
     return tr2, tr3, tr4
 
 
-def exact_cumulants(
-    model: ModelConfig,
-    n: int,
-    dt: float = 1.0,
-    dense_guard: int = CUMULANT_DENSE_GUARD,
-) -> CumulantReport:
+def exact_cumulants(model: ModelConfig, n: int, dt: float = 1.0) -> CumulantReport:
     """Exact third/fourth cumulants of F_n from stacked-covariance traces."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    stacked_dim = n * model.n_modes
-    dense_dim = n if model.noise.kind == DIAGONAL else stacked_dim
-    if dense_dim > dense_guard:
+    diagonal = model.noise.kind == DIAGONAL
+    dense_dim = n if diagonal else n * model.n_modes
+    if dense_dim > CUMULANT_DENSE_GUARD:
         raise ValueError(
-            f"dense dimension {dense_dim} exceeds guard {dense_guard}; "
+            f"dense dimension {dense_dim} exceeds guard {CUMULANT_DENSE_GUARD}; "
             "use Monte Carlo k-statistics for cumulants at this size"
         )
-    use_eig = stacked_dim <= EIG_ROUTE_LIMIT
-    blocks = block_covariance(model, n, dt)
-    if model.noise.kind != DIAGONAL:
-        blocks = [blocks]
-    tr2 = tr3 = tr4 = 0.0
-    for block in blocks:
-        b2, b3, b4 = _traces_from_block(block, use_eig)
-        tr2, tr3, tr4 = tr2 + b2, tr3 + b3, tr4 + b4
+    table = mode_lag_table(model, dt, n)
+    if diagonal:
+        lags = table[:, :, None, None]                 # N sequences of 1 x 1 blocks
+    else:
+        lags = np.moveaxis(table, -1, 0)[None]         # one sequence of N x N blocks
+    tr2, tr3, tr4 = _power_traces(lags)
     kappa3 = 8.0 * tr3 / (2.0 * tr2) ** 1.5
     kappa4 = 48.0 * tr4 / (2.0 * tr2) ** 2
     b3_shape, b4_shape = cumulant_bound_shapes(model, n, dt)

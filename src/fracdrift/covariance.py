@@ -723,12 +723,10 @@ def block_covariance(model: ModelConfig, n: int, dt: float = 1.0):
     if model.noise.kind == DIAGONAL:
         return [toeplitz(table[k]) for k in range(model.n_modes)]
     nm = model.n_modes
-    full = np.empty((nm * n, nm * n))
-    ii, jj = np.indices((n, n))
-    diff = ii - jj
-    pos = np.abs(diff)
-    for k in range(nm):
-        for l in range(nm):
-            block = np.where(diff >= 0, table[k, l, pos], table[l, k, pos])
-            full[k * n : (k + 1) * n, l * n : (l + 1) * n] = block
-    return full
+    # lags[k, l, n-1+d] = r_kl(d dt) for |d| < n, using r_kl(-t) = r_lk(t).
+    lags = np.concatenate([table.swapaxes(0, 1)[:, :, :0:-1], table], axis=2)
+    modes = np.arange(nm)
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
+    # One gather laid out as (k, i, l, j), so the reshape is a view.
+    full = lags[modes[:, None, None, None], modes[:, None], diff[:, None, :]]
+    return full.reshape(nm * n, nm * n)

@@ -48,7 +48,7 @@ from .estimators import (
     trace_q1,
 )
 from .models import DIAGONAL, ModelConfig, ProjectionVector
-from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, _dense_factor
+from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, _rank_one_factor
 
 __all__ = [
     "ExperimentSpec",
@@ -248,11 +248,8 @@ def _stationary_moment_samples(
         return sq, proj
 
     # Rank-one noise: factor the stacked covariance once, then draw batches.
-    from .covariance import block_covariance
-
     nm = model.n_modes
-    cov = block_covariance(model, n, spec.dt)
-    lower = _dense_factor(cov, f"rank-one stationary block of {model.operator.basis_id}")
+    lower = _rank_one_factor(model, n, spec.dt)
     for b in range(len(sizes)):
         rng = substream(spec.seed, tag, grid_index, b, 0)
         z = lower @ rng.standard_normal((n * nm, sizes[b]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import substream
-from .covariance import mode_lag_table
+from .covariance import block_covariance, mode_lag_table
 from .fgn import TOL_EIG, circulant_embedding_eigs, jittered_cholesky, sample_fgn, validate_hurst
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
@@ -212,6 +212,21 @@ def _toeplitz_factor(autocov: np.ndarray, what: str) -> np.ndarray:
     return _dense_factor(cov, what)
 
 
+def _rank_one_factor(model: ModelConfig, n: int, dt: float) -> np.ndarray:
+    """Lower Cholesky factor of the stacked ``nN x nN`` rank-one covariance.
+
+    Refuses before any allocation when ``n*N`` exceeds :data:`DENSE_GUARD`.
+    """
+    dim = n * model.n_modes
+    if dim > DENSE_GUARD:
+        raise ValueError(
+            f"stacked dimension n*N = {dim} exceeds the dense "
+            f"factorization guard {DENSE_GUARD}; reduce n or raise the guard"
+        )
+    cov = block_covariance(model, n, dt)
+    return _dense_factor(cov, f"rank-one stationary block of {model.operator.basis_id}")
+
+
 def _dense_factor(cov: np.ndarray, what: str) -> np.ndarray:
     trace = float(np.trace(cov))
     lower = jittered_cholesky(cov, 1e-16 * trace, 1e-10 * trace / len(cov))
@@ -279,12 +294,11 @@ def sample_stationary_sequence(
     n: int,
     dt: float,
     seed: int,
-    dense_guard: int = DENSE_GUARD,
 ) -> Trajectory:
     """Exact draw of the stationary solution at ``t = dt, 2 dt, ..., n dt``.
 
     Diagonal models factor per mode; rank-one models factor the full stacked
-    ``nN x nN`` covariance (guarded by ``dense_guard``).
+    ``nN x nN`` covariance (:func:`_rank_one_factor`).
     """
     n = int(n)
     if n < 1:
@@ -295,17 +309,7 @@ def sample_stationary_sequence(
         for k in range(model.n_modes):
             modes[k] = sampler.draw(k, substream(seed, _STATIONARY_STREAM, k), 1)[:, 0]
     else:
-        if n * model.n_modes > dense_guard:
-            raise ValueError(
-                f"stacked dimension n*N = {n * model.n_modes} exceeds the dense "
-                f"factorization guard {dense_guard}; reduce n or raise the guard"
-            )
-        from .covariance import block_covariance
-
-        cov = block_covariance(model, n, dt)
-        lower = _dense_factor(
-            cov, f"rank-one stationary block of {model.operator.basis_id}"
-        )
+        lower = _rank_one_factor(model, n, dt)
         z = lower @ substream(seed, _STATIONARY_STREAM, 0).standard_normal(n * model.n_modes)
         modes = z.reshape(model.n_modes, n)
     return Trajectory(

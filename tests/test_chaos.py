@@ -17,7 +17,7 @@ from fracdrift.chaos import (
 )
 from fracdrift.covariance import s_n as s_n_series
 from fracdrift.covariance import trace_q
-from fracdrift.models import build_distributed_model, custom_model
+from fracdrift.models import DIAGONAL, build_distributed_model, custom_model
 from fracdrift.simulate import StationaryModeSampler
 
 
@@ -49,18 +49,39 @@ class TestExactCumulants:
                 rep = exact_cumulants(model, n)
                 assert_close(rep.s_n, s_n_series(model, n), 1e-8, f"s_n routes n={n}")
 
-    def test_eig_and_matmul_routes_agree(self, heat3):
-        import fracdrift.chaos as chaos
+    @pytest.mark.parametrize("name", ["heat3", "pointwise8"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41])
+    def test_matches_eigvalsh_oracle(self, request, name, n):
+        # Oracle: eigenvalues of the dense blocks of the stacked covariance.
+        from fracdrift.covariance import block_covariance, mode_lag_table
 
-        rep_eig = exact_cumulants(heat3, 40)          # stacked dim 120 <= 4000
-        orig = chaos.EIG_ROUTE_LIMIT
+        model = request.getfixturevalue(name)
+        table = mode_lag_table(model, 1.0, n)
+        before = table.copy()
+        rep = exact_cumulants(model, n)
+        assert np.array_equal(table, before)   # the cached table is read only
+        blocks = block_covariance(model, n)
+        if model.noise.kind != DIAGONAL:
+            blocks = [blocks]
+        lam = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+        tr2, tr3, tr4 = (float(np.sum(lam**k)) for k in (2, 3, 4))
+        assert_close(rep.kappa3_exact, 8.0 * tr3 / (2.0 * tr2) ** 1.5, 1e-12, "kappa3")
+        assert_close(rep.kappa4_exact, 48.0 * tr4 / (2.0 * tr2) ** 2, 1e-12, "kappa4")
+        assert_close(rep.s_n, 2.0 * tr2 / n, 1e-12, "s_n")
+
+    def test_memory_stays_linear_in_n(self):
+        # The dense route held twenty 4096 x 4096 blocks here, about 2.7 GB.
+        import tracemalloc
+
+        model = build_distributed_model(1, 1, 20, 1.0, 0.55)
+        tracemalloc.start()
         try:
-            chaos.EIG_ROUTE_LIMIT = 0                 # force matmul traces
-            rep_mm = exact_cumulants(heat3, 40)
+            rep = exact_cumulants(model, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            chaos.EIG_ROUTE_LIMIT = orig
-        assert_close(rep_eig.kappa3_exact, rep_mm.kappa3_exact, 1e-10, "routes kappa3")
-        assert_close(rep_eig.kappa4_exact, rep_mm.kappa4_exact, 1e-10, "routes kappa4")
+            tracemalloc.stop()
+        assert rep.kappa4_exact > 0
+        assert peak < 64 * 2**20
 
     def test_dense_guard_advises_monte_carlo(self, heat3):
         with pytest.raises(ValueError, match="Monte Carlo"):

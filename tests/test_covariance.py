@@ -269,6 +269,20 @@ class TestMatrixAssembly:
         eig = np.linalg.eigvalsh(0.5 * (full + full.T))
         assert eig.min() >= -1e-8 * np.abs(eig).max()
 
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_rank_one_block_matches_loop_reference(self, pointwise8, n):
+        # Reference: assemble block (k, l) of the stacked matrix one at a time.
+        table = mode_lag_table(pointwise8, 1.0, n)
+        nm = pointwise8.n_modes
+        ref = np.empty((nm * n, nm * n))
+        diff = np.subtract.outer(np.arange(n), np.arange(n))
+        pos = np.abs(diff)
+        for k in range(nm):
+            for l in range(nm):
+                ref[k * n:(k + 1) * n, l * n:(l + 1) * n] = np.where(
+                    diff >= 0, table[k, l, pos], table[l, k, pos])
+        assert np.array_equal(block_covariance(pointwise8, n), ref)
+
 
 class TestSeriesLimits:
     def test_s_n_single_surviving_term(self):

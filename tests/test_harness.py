@@ -216,3 +216,12 @@ class TestReportFormats:
         spec = ExperimentSpec("moment_clt", model, (8, 16), 60, seed=29)
         report = run_moment_clt(spec)
         assert len(report.rows) > 0
+
+    def test_rank_one_sampling_checks_dense_guard(self, monkeypatch):
+        import fracdrift.simulate as simulate
+
+        monkeypatch.setattr(simulate, "DENSE_GUARD", 100)
+        model = build_pointwise_model(0.3, 3, 1.0, 0.55)   # n*N = 120 > 100
+        spec = ExperimentSpec("moment_clt", model, (40, 48), 8, seed=29)
+        with pytest.raises(ValueError, match="guard"):
+            run_moment_clt(spec)
