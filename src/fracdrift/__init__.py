@@ -3,7 +3,8 @@ evolution equations driven by fractional Brownian motion.
 
 Subpackage map:
 
-* :mod:`fracdrift.fgn` -- exact fractional Gaussian noise / fBm sampling.
+* :mod:`fracdrift.fgn` -- fractional Gaussian noise and the circulant engine
+  behind every exact stationary draw.
 * :mod:`fracdrift.models` -- spectral truncations, noise structures, projections.
 * :mod:`fracdrift.covariance` -- stationary autocovariance operators and the
   variance factors of the limit theorems.

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .covariance import hs_norm_lags, mode_lag_table, s_n as s_n_series
+from .covariance import hs_norm_lags, lag_blocks, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
 
 __all__ = [
@@ -58,8 +58,9 @@ __all__ = [
     "kolmogorov_wasserstein_bound",
 ]
 
-#: Largest dense dimension (n for diagonal blocks, n*N for rank-one) accepted
-#: by the exact-cumulant trace computation.
+#: Largest stacked dimension (n for diagonal noise, n*N for rank-one) accepted
+#: by the exact-cumulant traces.  No dense matrix is built; the cap bounds the
+#: O(n^2 p^3) time of the displacement recurrence.
 CUMULANT_DENSE_GUARD = 8192
 
 
@@ -132,19 +133,14 @@ def exact_cumulants(model: ModelConfig, n: int, dt: float = 1.0) -> CumulantRepo
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    diagonal = model.noise.kind == DIAGONAL
-    dense_dim = n if diagonal else n * model.n_modes
-    if dense_dim > CUMULANT_DENSE_GUARD:
+    dim = n if model.noise.kind == DIAGONAL else n * model.n_modes
+    if dim > CUMULANT_DENSE_GUARD:
         raise ValueError(
-            f"dense dimension {dense_dim} exceeds guard {CUMULANT_DENSE_GUARD}; "
-            "use Monte Carlo k-statistics for cumulants at this size"
+            f"stacked dimension {dim} exceeds guard {CUMULANT_DENSE_GUARD} of the "
+            "O(n^2 p^3) trace recurrence; use Monte Carlo k-statistics for "
+            "cumulants at this size"
         )
-    table = mode_lag_table(model, dt, n)
-    if diagonal:
-        lags = table[:, :, None, None]                 # N sequences of 1 x 1 blocks
-    else:
-        lags = np.moveaxis(table, -1, 0)[None]         # one sequence of N x N blocks
-    tr2, tr3, tr4 = _power_traces(lags)
+    tr2, tr3, tr4 = _power_traces(lag_blocks(model, dt, n))
     kappa3 = 8.0 * tr3 / (2.0 * tr2) ** 1.5
     kappa4 = 48.0 * tr4 / (2.0 * tr2) ** 2
     b3_shape, b4_shape = cumulant_bound_shapes(model, n, dt)

@@ -62,11 +62,11 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, hyp1f1, zeta
 
+from .fgn import block_toeplitz
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
 __all__ = [
     "AutoCovMatrix",
-    "CovSeries",
     "SeriesLimit",
     "QuadratureError",
     "stationary_variance_mode",
@@ -81,9 +81,9 @@ __all__ = [
     "r_z",
     "r_z_sum",
     "r_z_integral",
-    "cov_series",
     "trace_q",
     "qww",
+    "lag_blocks",
     "block_covariance",
     "clear_caches",
 ]
@@ -426,6 +426,19 @@ def mode_lag_table(model: ModelConfig, dt: float, n_lags: int) -> np.ndarray:
     return table[..., :n_lags]
 
 
+def lag_blocks(model: ModelConfig, dt: float, n_lags: int) -> np.ndarray:
+    """The lag table as block sequences, shape (B, n_lags, p, p).
+
+    Diagonal noise: N independent scalar sequences (B = N, p = 1).  Rank-one
+    noise: one sequence of N x N blocks (B = 1, p = N) with
+    ``[0, i, k, l] = r_kl(i dt)``.  A view of the cached table.
+    """
+    table = mode_lag_table(model, dt, n_lags)
+    if model.noise.kind == DIAGONAL:
+        return table[:, :, None, None]
+    return np.moveaxis(table, -1, 0)[None]
+
+
 @lru_cache(maxsize=64)
 def _hs_norm_lag_table(key: tuple, dt: float, n_lags: int) -> np.ndarray:
     table = _mode_lag_table(key, dt, n_lags)
@@ -498,21 +511,21 @@ def _tail_loop_converged(totals: list[float], tail: float, rtol: float, stage: i
     )
 
 
-def s_infty_star(model: ModelConfig, dt: float = 1.0, rtol: float = TAIL_RTOL) -> SeriesLimit:
-    """Series limit ``2 sum_{i in Z} ||R(i dt)||^2`` for ``H < 3/4``.
+def _series_limit(lag_values, h: float, dt: float, rtol: float, what: str) -> SeriesLimit:
+    """``2 sum_{i in Z} g(i dt)^2`` for a nonnegative lag function with
+    ``g(-t) = g(t)``; ``lag_values(L)`` returns ``g`` on lags ``0..L-1``.
 
     Summed up to a lag cutoff with the fitted power-law tail
     ``2 sum_{i>L} (C (i dt)^{2H-2})^2`` (Hurwitz zeta) added as an estimate and
     reported separately.  The cutoff doubles until either the tail bound falls
     below ``rtol`` relatively or the tail-augmented total stabilizes.
     """
-    h = model.hurst
-    _require_summable(h, "s_inf*")
+    _require_summable(h, what)
     n_lags = 256
     totals: list[float] = []
     stage = 0
     while True:
-        g = hs_norm_lags(model, dt, n_lags)
+        g = lag_values(n_lags)
         partial = 2.0 * (g[0] ** 2 + 2.0 * np.sum(g[1:] ** 2))
         idx = np.arange(n_lags // 2, n_lags)
         c_fit = _fit_decay_constant(idx * dt, g[idx], h)
@@ -520,18 +533,20 @@ def s_infty_star(model: ModelConfig, dt: float = 1.0, rtol: float = TAIL_RTOL) -
         tail = 4.0 * c_fit**2 * dt ** (4.0 * h - 4.0) * zeta(4.0 - 4.0 * h, n_lags)
         totals.append(float(partial + tail))
         if _tail_loop_converged(totals, tail, rtol, stage):
-            return SeriesLimit(
-                value=float(partial + tail),
-                partial=float(partial),
-                tail_estimate=float(tail),
-                cutoff=float((n_lags - 1) * dt),
-            )
+            return SeriesLimit(totals[-1], float(partial), float(tail),
+                               float((n_lags - 1) * dt))
         if n_lags >= (1 << 20):
             raise QuadratureError(
-                f"s_inf* did not converge to rtol {rtol} by lag {n_lags}"
+                f"{what} did not converge to rtol {rtol} by lag {n_lags}"
             )
         n_lags *= 2
         stage += 1
+
+
+def s_infty_star(model: ModelConfig, dt: float = 1.0, rtol: float = TAIL_RTOL) -> SeriesLimit:
+    """Series limit ``2 sum_{i in Z} ||R(i dt)||^2`` for ``H < 3/4``."""
+    return _series_limit(lambda n_lags: hs_norm_lags(model, dt, n_lags),
+                         model.hurst, dt, rtol, "s_inf*")
 
 
 def _frequency_square_integral(model: ModelConfig, density_sq, what: str,
@@ -608,25 +623,8 @@ def _r_z_lags(model: ModelConfig, w: ProjectionVector, dt: float, n_lags: int) -
 def r_z_sum(model: ModelConfig, w: ProjectionVector, dt: float = 1.0,
             rtol: float = TAIL_RTOL) -> SeriesLimit:
     """``2 sum_{i in Z} r_z(i dt)^2`` with fitted power-law tail (H < 3/4)."""
-    h = model.hurst
-    _require_summable(h, "projected series limit")
-    n_lags = 256
-    totals: list[float] = []
-    stage = 0
-    while True:
-        rz = np.abs(_r_z_lags(model, w, dt, n_lags))
-        partial = 2.0 * (rz[0] ** 2 + 2.0 * np.sum(rz[1:] ** 2))
-        idx = np.arange(n_lags // 2, n_lags)
-        c_fit = _fit_decay_constant(idx * dt, rz[idx], h)
-        tail = 4.0 * c_fit**2 * dt ** (4.0 * h - 4.0) * zeta(4.0 - 4.0 * h, n_lags)
-        totals.append(float(partial + tail))
-        if _tail_loop_converged(totals, tail, rtol, stage):
-            return SeriesLimit(totals[-1], float(partial), float(tail),
-                               float((n_lags - 1) * dt))
-        if n_lags >= (1 << 20):
-            raise QuadratureError(f"projected series did not converge to rtol {rtol}")
-        n_lags *= 2
-        stage += 1
+    return _series_limit(lambda n_lags: np.abs(_r_z_lags(model, w, dt, n_lags)),
+                         model.hurst, dt, rtol, "projected series limit")
 
 
 def r_z_integral(model: ModelConfig, w: ProjectionVector, rtol: float = TAIL_RTOL) -> SeriesLimit:
@@ -655,27 +653,6 @@ def r_z_integral(model: ModelConfig, w: ProjectionVector, rtol: float = TAIL_RTO
             im = float(np.sum(wphi / denom))
             return (re * re + om * om * im * im) ** 2
     return _frequency_square_integral(model, density_sq, "projected integral limit", rtol)
-
-
-@dataclass(frozen=True)
-class CovSeries:
-    """The variance factors entering the limit theorems, at one (model, n, dt)."""
-
-    s_n: float
-    s_inf_star: float
-    u_inf_star: float
-    tail_estimate: float
-
-
-def cov_series(model: ModelConfig, n: int, dt: float = 1.0) -> CovSeries:
-    s_lim = s_infty_star(model, dt)
-    u_lim = u_infty_star(model)
-    return CovSeries(
-        s_n=s_n(model, n, dt),
-        s_inf_star=s_lim.value,
-        u_inf_star=u_lim.value,
-        tail_estimate=max(s_lim.tail_estimate, u_lim.tail_estimate),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -716,17 +693,6 @@ def block_covariance(model: ModelConfig, n: int, dt: float = 1.0):
     Rank-one noise: one full (nN x nN) symmetric matrix ordered mode-major,
     entry ((k,i),(l,j)) = r_kl((i-j) dt).
     """
-    from scipy.linalg import toeplitz
-
     n = int(n)
-    table = mode_lag_table(model, dt, n)
-    if model.noise.kind == DIAGONAL:
-        return [toeplitz(table[k]) for k in range(model.n_modes)]
-    nm = model.n_modes
-    # lags[k, l, n-1+d] = r_kl(d dt) for |d| < n, using r_kl(-t) = r_lk(t).
-    lags = np.concatenate([table.swapaxes(0, 1)[:, :, :0:-1], table], axis=2)
-    modes = np.arange(nm)
-    diff = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
-    # One gather laid out as (k, i, l, j), so the reshape is a view.
-    full = lags[modes[:, None, None, None], modes[:, None], diff[:, None, :]]
-    return full.reshape(nm * n, nm * n)
+    blocks = [block_toeplitz(lags, n) for lags in lag_blocks(model, dt, n)]
+    return blocks if model.noise.kind == DIAGONAL else blocks[0]

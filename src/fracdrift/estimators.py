@@ -51,7 +51,6 @@ __all__ = [
     "alpha_bar_discrete",
     "alpha_tilde_continuous",
     "asymptotic_constants",
-    "standardize",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -102,15 +101,18 @@ def qww1(model: ModelConfig, w: ProjectionVector) -> Normalizer:
     return Normalizer(value=value, degenerate=value < DEGENERACY_TOL)
 
 
-def _invert_moment(moment: float, normalizer: Normalizer, hurst: float, kind: str) -> float:
+def _invert_moment(moment, normalizer: Normalizer, hurst: float, kind: str):
+    """``(moment / normalizer)^{-1/(2H)}`` for a float or an array of moments."""
     if normalizer.degenerate:
         raise DegenerateModelError(
             f"{kind}: normalizer {normalizer.value:.3g} below {DEGENERACY_TOL}; "
             "the drift parameter cannot be estimated"
         )
-    if moment <= 0:
-        raise ValueError(f"{kind}: sample second moment must be positive, got {moment:.3g}")
-    return float((moment / normalizer.value) ** (-1.0 / (2.0 * hurst)))
+    if np.any(moment <= 0):
+        raise ValueError(
+            f"{kind}: sample second moment must be positive, got {np.min(moment):.3g}"
+        )
+    return (moment / normalizer.value) ** (-1.0 / (2.0 * hurst))
 
 
 def alpha_check_discrete(sq_norms: np.ndarray, normalizer: Normalizer, hurst: float) -> EstimateReport:
@@ -233,15 +235,6 @@ def sigma_for_kind(constants: AsymptoticConstants, kind: str) -> float:
     if sigma is None:
         raise ValueError(f"no asymptotic sigma available for kind {kind!r}")
     return sigma
-
-
-def standardize(report: EstimateReport, true_alpha: float, sigma: float | None = None) -> float:
-    """``sqrt(sample_size) (alpha_hat - alpha) / sigma`` for the report's kind."""
-    if sigma is None:
-        sigma = report.sigma_asymptotic
-    if sigma is None or sigma <= 0:
-        raise ValueError("a positive asymptotic sigma is required to standardize")
-    return float(np.sqrt(report.sample_size) * (report.alpha_hat - true_alpha) / sigma)
 
 
 def finish_report(

@@ -1,9 +1,21 @@
-"""Exact sampling of fractional Gaussian noise and fractional Brownian motion.
+"""Exact stationary Gaussian sampling: fGN and the engine behind every draw.
 
-Sampling is exact (distributionally): the stationary increment sequence is
-drawn by circulant embedding of its Toeplitz covariance with real-FFT
-synthesis, falling back to a dense Cholesky factorization in the (for fGN,
-purely numerical) event of a negative circulant eigenvalue.
+A stationary sequence of p-vectors with lag covariances
+``R(t) = E[X(s+t) X(s)^T]``, ``R(-t) = R(t)^T``, is drawn by multivariate
+circulant embedding (Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997; Chan &
+Wood, Stat. Comput. 9, 1999).  Lags ``0..m`` are wrapped onto a circle of
+length 2m; the FFT turns its block circulant covariance into one Hermitian
+p x p matrix per frequency.  The factor step eigendecomposes each of them
+and clips eigenvalues that are negative only by rounding to zero; the draw
+step multiplies complex normals by each frequency's factor and inverts the
+FFT.  The first ``n <= m+1`` points then have exactly the block-Toeplitz
+covariance ``S_ij = R(i-j)``.  When the embedding has more negative mass
+than that, the one fallback is a jittered Cholesky factor of the dense
+block-Toeplitz matrix, guarded by :data:`DENSE_GUARD`.
+
+Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
+of :mod:`fracdrift.simulate` feed the mode sequences through the same
+engine.
 """
 
 from __future__ import annotations
@@ -19,6 +31,8 @@ __all__ = [
     "fgn_autocov",
     "sample_fgn",
     "sample_fbm",
+    "stationary_draw",
+    "stationary_factor",
     "validate_hurst",
 ]
 
@@ -26,8 +40,8 @@ __all__ = [
 #: anything below triggers the dense Cholesky fallback.
 TOL_EIG = 1e-10
 
-#: Relative jitter ceiling for the Cholesky fallback.
-TOL_JITTER = 1e-8
+#: Largest dense dimension ``n*p`` the Cholesky fallback factors.
+DENSE_GUARD = 20_000
 
 
 def validate_hurst(h: float) -> float:
@@ -77,35 +91,45 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 1).bit_length() if n > 1 else 1
 
 
-def circulant_embedding_eigs(autocov: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of a Toeplitz covariance.
+def block_toeplitz(lags: np.ndarray, n: int) -> np.ndarray:
+    """Dense covariance of ``n`` points of a stationary sequence of p-vectors.
 
-    ``autocov`` must contain lags 0..m; the embedded circle has length 2m.
+    ``lags`` has shape (L, p, p) with ``L >= n`` and ``lags[t] = R(t)``.  The
+    result is (n p, n p), component-major: entry ((a, i), (b, j)) is
+    ``R(i-j)[a, b]``, with ``R(-t) = R(t)^T``.
     """
-    m = len(autocov) - 1
+    p = lags.shape[-1]
+    # both[n-1+d] = R(d) for |d| < n.
+    both = np.concatenate([lags[n - 1:0:-1].swapaxes(-1, -2), lags[:n]])
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
+    comps = np.arange(p)
+    # One gather laid out as (a, i, b, j), so the reshape is a view.
+    full = both[diff[None, :, None, :], comps[:, None, None, None], comps[:, None]]
+    return full.reshape(p * n, p * n)
+
+
+def circulant_embedding_eigs(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the circulant embedding of a lag sequence.
+
+    ``lags`` has shape (m+1, p, p) with ``lags[t] = R(t)``.  The circle of
+    length 2m carries ``R(t)`` at position t and ``R(t)^T`` at 2m-t, with lag
+    m symmetrized; its rfft is one Hermitian p x p matrix per frequency.
+    Returns the eigenvalues, shape (m+1, p), and eigenvectors, shape
+    (m+1, p, p), or None for p = 1; the two end frequencies are real and get
+    real eigenvectors.
+    """
+    m, p = len(lags) - 1, lags.shape[-1]
     if m < 1:
         raise ValueError("need at least lags 0 and 1")
-    circle = np.concatenate([autocov, autocov[m - 1 : 0 : -1]])
-    return np.fft.rfft(circle).real
-
-
-def sample_circulant(eigs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` points of a stationary Gaussian sequence from circulant eigenvalues.
-
-    ``eigs`` are the rfft of the length-2m circle (length m+1); requires
-    ``n <= m + 1``. Caller is responsible for eigenvalues being >= 0.
-    """
-    m = len(eigs) - 1
-    length = 2 * m
-    g_re = rng.standard_normal(m + 1)
-    g_im = rng.standard_normal(m + 1)
-    amp = np.sqrt(np.maximum(eigs, 0.0) * length)
-    spec = amp * (g_re + 1j * g_im) / np.sqrt(2.0)
-    # Endpoint bins are real with full variance.
-    spec[0] = amp[0] * g_re[0]
-    spec[m] = amp[m] * g_re[m]
-    x = np.fft.irfft(spec, n=length)
-    return x[:n]
+    mid = 0.5 * (lags[m:] + lags[m:].swapaxes(-1, -2))
+    circle = np.concatenate([lags[:m], mid, lags[m - 1:0:-1].swapaxes(-1, -2)])
+    spectrum = np.fft.rfft(circle, axis=0)
+    if p == 1:  # a 1 x 1 Hermitian matrix is its own eigenvalue
+        return np.ascontiguousarray(spectrum.real[..., 0]), None
+    eigs, vecs = np.linalg.eigh(spectrum)
+    ends = [0, m]
+    eigs[ends], vecs[ends] = np.linalg.eigh(spectrum[ends].real)
+    return eigs, vecs
 
 
 def jittered_cholesky(cov: np.ndarray, first: float, limit: float) -> np.ndarray | None:
@@ -130,27 +154,81 @@ def jittered_cholesky(cov: np.ndarray, first: float, limit: float) -> np.ndarray
             np.fill_diagonal(jittered, cov.diagonal() + jitter)
 
 
-def _cholesky_toeplitz_sample(autocov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    from scipy.linalg import toeplitz
+def _dense_factor(lags: np.ndarray, n: int) -> np.ndarray:
+    """The engine's one fallback: the jittered lower Cholesky factor of the
+    dense :func:`block_toeplitz` covariance of ``n`` points of ``lags``.
 
-    cov = toeplitz(autocov[:n])
-    scale = float(np.mean(np.diag(cov)))
-    lower = jittered_cholesky(cov, 1e-14 * scale, TOL_JITTER * scale)
+    Refuses before any allocation when ``n*p`` exceeds :data:`DENSE_GUARD`.
+    """
+    dim = n * lags.shape[-1]
+    if dim > DENSE_GUARD:
+        raise ValueError(
+            f"dense fallback dimension n*p = {dim} exceeds the factorization "
+            f"guard {DENSE_GUARD}; reduce n or raise the guard"
+        )
+    cov = block_toeplitz(lags, n)
+    scale = float(np.mean(cov.diagonal()))
+    lower = jittered_cholesky(cov, 1e-14 * scale, 1e-8 * scale)
     if lower is None:
         raise np.linalg.LinAlgError(
-            "covariance is not positive definite beyond jitter tolerance; "
-            "the requested (h, n) combination is numerically invalid"
+            "stationary covariance is not positive definite beyond jitter tolerance"
         )
-    return lower @ rng.standard_normal(n)
+    return lower
+
+
+def stationary_factor(lags: np.ndarray, n: int) -> tuple[str, np.ndarray]:
+    """Factor step of the engine for ``n <= m+1`` points of ``lags`` (m+1, p, p).
+
+    Returns ``("circulant", F)`` with ``F[j] F[j]^H = 2m`` times the
+    embedding's matrix at frequency j, shape (m+1, p, p), when no embedding
+    eigenvalue lies below ``-TOL_EIG`` times the largest (those above are
+    clipped to zero); otherwise ``("cholesky", L)`` from :func:`_dense_factor`.
+    """
+    eigs, vecs = circulant_embedding_eigs(lags)
+    if eigs.min() < -TOL_EIG * eigs.max():
+        return "cholesky", _dense_factor(lags, n)
+    length = 2 * (len(lags) - 1)
+    amp = np.sqrt(np.maximum(eigs, 0.0) * length)[:, None, :]
+    return "circulant", amp if vecs is None else vecs * amp
+
+
+def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
+                     n_reps: int) -> np.ndarray:
+    """Draw step of the circulant route: ``n_reps`` sequences of ``n`` points.
+
+    Multiplies complex normals by each frequency's factor (the two end bins
+    are real with full variance) and inverts the rfft.  Returns shape
+    (p n, n_reps), component-major like :func:`block_toeplitz`.
+    """
+    m, p = len(factor) - 1, factor.shape[-1]
+    g = rng.standard_normal((2, n_reps, p, m + 1))
+    if p == 1:  # elementwise, so scalar draws keep their rounding
+        amp = factor[:, 0, 0]
+        spec = amp * (g[0] + 1j * g[1]) / np.sqrt(2.0)
+        spec[..., 0] = amp[0] * g[0, ..., 0]
+        spec[..., m] = amp[m] * g[0, ..., m]
+    else:
+        spec = (factor @ (g[0] + 1j * g[1]).T).T / np.sqrt(2.0)
+        spec[..., 0] = g[0, ..., 0] @ factor[0].real.T
+        spec[..., m] = g[0, ..., m] @ factor[m].real.T
+    x = np.fft.irfft(spec, n=2 * m)[..., :n]
+    return x.transpose(1, 2, 0).reshape(p * n, n_reps)
+
+
+def stationary_draw(method: str, factor: np.ndarray, n: int, rng: np.random.Generator,
+                    n_reps: int) -> np.ndarray:
+    """``n_reps`` draws from a :func:`stationary_factor` result, shape (p n, n_reps)."""
+    if method == "cholesky":
+        return factor @ rng.standard_normal((len(factor), n_reps))
+    return sample_circulant(factor, n, rng, n_reps)
 
 
 def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Exact sample of ``n`` unit-step fGN values with Hurst parameter ``h``.
 
-    Uses circulant embedding padded to the next power of two; falls back to a
-    dense Cholesky of the n-by-n Toeplitz covariance if the embedding has an
-    eigenvalue below ``-TOL_EIG`` relatively.  Deterministic in ``(h, n, seed)``
-    unless an explicit generator is passed.
+    The engine with p = 1 on lags ``0..m``, ``m`` the next power of two at or
+    above ``n-1``.  Deterministic in ``(h, n, seed)`` unless an explicit
+    generator is passed.
     """
     h = validate_hurst(h)
     n = int(n)
@@ -160,12 +238,8 @@ def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = No
         rng = substream(seed, 0x0F61)
     if n == 1:
         return rng.standard_normal(1)
-    m = _next_pow2(n - 1)
-    gamma = fgn_autocov(h, np.arange(m + 1))
-    eigs = circulant_embedding_eigs(gamma)
-    if eigs.min() < -TOL_EIG * eigs.max():
-        return _cholesky_toeplitz_sample(fgn_autocov(h, np.arange(n)), n, rng)
-    return sample_circulant(eigs, n, rng)
+    lags = fgn_autocov(h, np.arange(_next_pow2(n - 1) + 1))[:, None, None]
+    return stationary_draw(*stationary_factor(lags, n), n, rng, 1)[:, 0]
 
 
 def sample_fbm(h: float, n: int, dt: float, seed: int) -> np.ndarray:

@@ -43,12 +43,13 @@ from .chaos import (
 from .covariance import r_z_sum, s_infty_star, trace_q
 from .estimators import (
     DegenerateModelError,
+    _invert_moment,
     alpha_bar_discrete,
     qww1,
     trace_q1,
 )
-from .models import DIAGONAL, ModelConfig, ProjectionVector
-from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, _rank_one_factor
+from .models import ModelConfig, ProjectionVector
+from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
 
 __all__ = [
     "ExperimentSpec",
@@ -207,6 +208,16 @@ def _batch_slices(sizes: list[int]) -> list[slice]:
     return out
 
 
+def _run_tasks(task, n_tasks: int, threads: int) -> None:
+    """Call ``task(i)`` for ``i < n_tasks``, on a pool when ``threads > 1``."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(task, range(n_tasks)))
+    else:
+        for i in range(n_tasks):
+            task(i)
+
+
 def _stationary_moment_samples(
     spec: ExperimentSpec,
     n: int,
@@ -216,47 +227,35 @@ def _stationary_moment_samples(
     """Exact stationary draws aggregated to (sq_norms, projections).
 
     Returns arrays of shape (n, replications); column r is replication r.
-    Deterministic in (seed, kind, grid_index, batch, mode) regardless of the
-    thread count.
+    Deterministic in (seed, kind, grid_index, batch, sequence) regardless of
+    the thread count: each task is one batch, which owns its columns and adds
+    the modes in order.
     """
-    model = spec.model
     tag = _TAGS[spec.kind]
     sizes = _batch_sizes(spec.replications, spec.n_batches)
     slices = _batch_slices(sizes)
     sq = np.zeros((n, spec.replications))
     proj = np.zeros((n, spec.replications)) if need_proj else None
     coeffs = spec.projection.coefficients if need_proj else None
+    sampler = StationaryModeSampler(spec.model, n, spec.dt)
+    for s in range(sampler.n_sequences):
+        sampler.factor(s)  # factor once before any parallel draws
 
-    if model.noise.kind == DIAGONAL:
-        sampler = StationaryModeSampler(model, n, spec.dt)
-
-        def mode_batch(k: int, b: int) -> None:
-            rng = substream(spec.seed, tag, grid_index, b, k)
-            x = sampler.draw(k, rng, sizes[b])
-            sq[:, slices[b]] += x * x
+    def add_sequence(b: int, s: int) -> None:
+        # A function of its own, so one draw is freed before the next.
+        x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), sizes[b])
+        # Mode s + c: diagonal noise has one mode per sequence, rank-one
+        # noise a single sequence of all modes.
+        for c, mode in enumerate(x.reshape(-1, n, sizes[b])):
+            sq[:, slices[b]] += mode * mode
             if proj is not None:
-                proj[:, slices[b]] += coeffs[k] * x
+                proj[:, slices[b]] += coeffs[s + c] * mode
 
-        for k in range(model.n_modes):
-            sampler.factor(k)  # factor once before any parallel draws
-            if spec.threads > 1:
-                with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-                    list(pool.map(lambda b: mode_batch(k, b), range(len(sizes))))
-            else:
-                for b in range(len(sizes)):
-                    mode_batch(k, b)
-        return sq, proj
+    def batch(b: int) -> None:
+        for s in range(sampler.n_sequences):
+            add_sequence(b, s)
 
-    # Rank-one noise: factor the stacked covariance once, then draw batches.
-    nm = model.n_modes
-    lower = _rank_one_factor(model, n, spec.dt)
-    for b in range(len(sizes)):
-        rng = substream(spec.seed, tag, grid_index, b, 0)
-        z = lower @ rng.standard_normal((n * nm, sizes[b]))
-        modes = z.reshape(nm, n, sizes[b])
-        sq[:, slices[b]] = np.sum(modes**2, axis=0)
-        if proj is not None:
-            proj[:, slices[b]] = np.einsum("k,knr->nr", coeffs, modes)
+    _run_tasks(batch, len(sizes), spec.threads)
     return sq, proj
 
 
@@ -338,10 +337,6 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def _estimates_from_moments(moments: np.ndarray, normalizer: float, hurst: float) -> np.ndarray:
-    return (moments / normalizer) ** (-1.0 / (2.0 * hurst))
-
-
 def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
     """Normality of standardized minimum-contrast errors (localized Kolmogorov)."""
     model = spec.model
@@ -375,11 +370,11 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
         sq, proj = _stationary_moment_samples(spec, n, gi, need_proj=want_proj)
         targets = []
         if want_norm:
-            alphas = _estimates_from_moments(sq.mean(axis=0), trace1.value, model.hurst)
+            alphas = _invert_moment(sq.mean(axis=0), trace1, model.hurst, "discrete_norm")
             targets.append(("discrete_norm", alphas, sigma1))
         if want_proj:
-            alphas_p = _estimates_from_moments(
-                (proj**2).mean(axis=0), qw1.value, model.hurst
+            alphas_p = _invert_moment(
+                (proj**2).mean(axis=0), qw1, model.hurst, "discrete_projection"
             )
             targets.append(("discrete_projection", alphas_p, sigma3))
         for name, alphas, sigma in targets:
@@ -431,11 +426,11 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     medians: dict[str, list[float]] = {}
     for n in spec.grid:
         n = int(n)
-        rows = [("discrete_norm", cum_sq[n - 1] / n, trace1.value)]
+        rows = [("discrete_norm", cum_sq[n - 1] / n, trace1)]
         if want_proj:
-            rows.append(("discrete_projection", cum_pr[n - 1] / n, qw1.value))
+            rows.append(("discrete_projection", cum_pr[n - 1] / n, qw1))
         for name, moments, normalizer in rows:
-            alphas = _estimates_from_moments(moments, normalizer, model.hurst)
+            alphas = _invert_moment(moments, normalizer, model.hurst, name)
             err = np.abs(alphas - model.alpha)
             med = float(np.median(err))
             q1, q3 = np.percentile(err, [25, 75])
@@ -478,12 +473,7 @@ def _integrated_moment_samples(
         if want_proj:
             proj[:, rep] = coeffs @ traj.modes[:, 1:]
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            list(pool.map(one, range(spec.replications)))
-    else:
-        for rep in range(spec.replications):
-            one(rep)
+    _run_tasks(one, spec.replications, spec.threads)
     return sq, proj
 
 

@@ -352,6 +352,3 @@ def projection_from_dict(obj: dict, n_modes: int) -> ProjectionVector:
         return projection_from_coefficients(values)
     raise ValueError(f"unknown projection kind {kind!r}")
 
-
-def projection_to_dict(w: ProjectionVector) -> dict:
-    return {"kind": "coefficients", "values": [float(v) for v in w.coefficients]}

@@ -9,9 +9,11 @@ Two sources of trajectories with different roles:
   the tool for transient/consistency studies where the bias vanishes under
   grid refinement.
 * :func:`sample_stationary_sequence` -- an exact draw of the stationary
-  solution at the observation times, obtained by factoring the (block-)
-  Toeplitz covariance assembled from the autocovariance tables.  Bias-free;
-  the default source for distribution-level experiments.
+  solution at the observation times from the circulant engine of
+  :mod:`fracdrift.fgn`, fed with the autocovariance table read as block
+  sequences: one scalar sequence per mode for diagonal noise, one sequence
+  of N-vectors for rank-one noise.  Bias-free; the default source for
+  distribution-level experiments.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import substream
-from .covariance import block_covariance, mode_lag_table
-from .fgn import TOL_EIG, circulant_embedding_eigs, jittered_cholesky, sample_fgn, validate_hurst
+from .covariance import lag_blocks
+from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
+from .fgn import sample_fgn, stationary_draw, stationary_factor, validate_hurst
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
 __all__ = [
@@ -41,9 +44,6 @@ __all__ = [
     "trajectory_to_npz",
     "trajectory_from_npz",
 ]
-
-#: Dense-factorization guard for the stacked rank-one covariance.
-DENSE_GUARD = 20_000
 
 #: Cache format version for the binary trajectory format.
 NPZ_FORMAT_VERSION = 1
@@ -205,88 +205,36 @@ def integrate_path(
 # Exact stationary sampling.
 # --------------------------------------------------------------------------
 
-def _toeplitz_factor(autocov: np.ndarray, what: str) -> np.ndarray:
-    from scipy.linalg import toeplitz
-
-    cov = toeplitz(autocov)
-    return _dense_factor(cov, what)
-
-
-def _rank_one_factor(model: ModelConfig, n: int, dt: float) -> np.ndarray:
-    """Lower Cholesky factor of the stacked ``nN x nN`` rank-one covariance.
-
-    Refuses before any allocation when ``n*N`` exceeds :data:`DENSE_GUARD`.
-    """
-    dim = n * model.n_modes
-    if dim > DENSE_GUARD:
-        raise ValueError(
-            f"stacked dimension n*N = {dim} exceeds the dense "
-            f"factorization guard {DENSE_GUARD}; reduce n or raise the guard"
-        )
-    cov = block_covariance(model, n, dt)
-    return _dense_factor(cov, f"rank-one stationary block of {model.operator.basis_id}")
-
-
-def _dense_factor(cov: np.ndarray, what: str) -> np.ndarray:
-    trace = float(np.trace(cov))
-    lower = jittered_cholesky(cov, 1e-16 * trace, 1e-10 * trace / len(cov))
-    if lower is None:
-        raise np.linalg.LinAlgError(
-            f"stationary covariance of {what} is not positive definite "
-            "beyond jitter tolerance; autocovariance quadrature may be "
-            "inaccurate for this model"
-        )
-    return lower
-
-
 class StationaryModeSampler:
-    """Exact stationary draws of single-mode sequences for diagonal models.
+    """Exact stationary draws of the mode coordinates, for both noise kinds.
 
-    Factors each mode's Toeplitz covariance once (circulant embedding when the
-    embedding is nonnegative, dense Cholesky otherwise) and then produces
-    batches of replications with plain matrix products / FFTs.
+    The lag table is read as block sequences (:func:`lag_blocks`): N scalar
+    sequences for diagonal noise, one sequence of N-vectors for rank-one
+    noise.  Each sequence is factored once by the engine of
+    :mod:`fracdrift.fgn` (circulant embedding, dense Cholesky fallback) and
+    then yields batches of replications.
     """
 
     def __init__(self, model: ModelConfig, n: int, dt: float):
-        if model.noise.kind != DIAGONAL:
-            raise ValueError("StationaryModeSampler requires diagonal noise")
         self.model = model
         self.n = int(n)
         self.dt = float(dt)
         m = 1 << max(self.n - 1, 1).bit_length()
-        self._lag_table = mode_lag_table(model, dt, m + 1)
+        self._lags = lag_blocks(model, dt, m + 1)
+        self.n_sequences = len(self._lags)
         self._factors: dict[int, tuple[str, np.ndarray]] = {}
 
-    def factor(self, k: int) -> tuple[str, np.ndarray]:
-        """Factor mode ``k`` (idempotent); returns (method, factor)."""
-        if k not in self._factors:
-            r = self._lag_table[k]
-            eigs = circulant_embedding_eigs(r)
-            if eigs.min() >= -TOL_EIG * eigs.max():
-                self._factors[k] = ("circulant", np.maximum(eigs, 0.0))
-            else:
-                self._factors[k] = (
-                    "cholesky",
-                    _toeplitz_factor(r[: self.n], f"mode {k} of {self.model.operator.basis_id}"),
-                )
-        return self._factors[k]
+    def factor(self, b: int) -> tuple[str, np.ndarray]:
+        """Factor sequence ``b`` (idempotent); returns (method, factor)."""
+        if b not in self._factors:
+            self._factors[b] = stationary_factor(self._lags[b], self.n)
+        return self._factors[b]
 
-    def draw(self, k: int, rng: np.random.Generator, n_reps: int) -> np.ndarray:
-        """Sample ``n_reps`` independent stationary sequences of mode ``k``;
-        returns shape (n, n_reps)."""
-        method, factor = self.factor(k)
-        if method == "cholesky":
-            return factor @ rng.standard_normal((self.n, n_reps))
-        eigs = factor
-        m = len(eigs) - 1
-        length = 2 * m
-        g = rng.standard_normal((2, n_reps, m + 1))
-        amp = np.sqrt(eigs * length)
-        spec = amp * (g[0] + 1j * g[1]) / np.sqrt(2.0)
-        spec[:, 0] = amp[0] * g[0, :, 0]
-        spec[:, m] = amp[m] * g[0, :, m]
-        x = np.fft.irfft(spec, n=length, axis=1)
-        return x[:, : self.n].T
+    def draw(self, b: int, rng: np.random.Generator, n_reps: int) -> np.ndarray:
+        """Sample ``n_reps`` independent stationary draws of sequence ``b``;
+        returns shape (p n, n_reps), mode-major: (n, n_reps) for one mode of
+        diagonal noise, (N n, n_reps) for rank-one noise."""
+        return stationary_draw(*self.factor(b), self.n, rng, n_reps)
 
 
 def sample_stationary_sequence(
@@ -295,23 +243,15 @@ def sample_stationary_sequence(
     dt: float,
     seed: int,
 ) -> Trajectory:
-    """Exact draw of the stationary solution at ``t = dt, 2 dt, ..., n dt``.
-
-    Diagonal models factor per mode; rank-one models factor the full stacked
-    ``nN x nN`` covariance (:func:`_rank_one_factor`).
-    """
+    """Exact draw of the stationary solution at ``t = dt, 2 dt, ..., n dt``."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if model.noise.kind == DIAGONAL:
-        sampler = StationaryModeSampler(model, n, dt)
-        modes = np.empty((model.n_modes, n))
-        for k in range(model.n_modes):
-            modes[k] = sampler.draw(k, substream(seed, _STATIONARY_STREAM, k), 1)[:, 0]
-    else:
-        lower = _rank_one_factor(model, n, dt)
-        z = lower @ substream(seed, _STATIONARY_STREAM, 0).standard_normal(n * model.n_modes)
-        modes = z.reshape(model.n_modes, n)
+    sampler = StationaryModeSampler(model, n, dt)
+    modes = np.concatenate([
+        sampler.draw(b, substream(seed, _STATIONARY_STREAM, b), 1).reshape(-1, n)
+        for b in range(sampler.n_sequences)
+    ])
     return Trajectory(
         grid=TrajectoryGrid(dt, n, 0),
         t=dt * np.arange(1, n + 1),

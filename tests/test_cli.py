@@ -77,6 +77,19 @@ class TestSimulateEstimateRoundTrip:
         assert report["standardized_error"] is not None
         assert report["truncation_tail_ratio"] > 0
 
+    def test_rank_one_exact_stationary_at_16384_coordinates(self, tmp_path):
+        # Point source, N = 16 and 1024 steps: nN = 16384 coordinates, a size
+        # at which the former dense factorization crashed the process.
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": {"kind": "pointwise", "y": 0.3, "n_modes": 16,
+                      "alpha": 1.0, "hurst": 0.55},
+            "grid": {"dt": 1.0, "n_steps": 1024},
+            "method": "exact_stationary",
+        })
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_OK
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1025
+
     def test_npz_accepted(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
             "model": HEAT3, "grid": {"dt": 0.5, "n_steps": 64},

@@ -15,7 +15,6 @@ from fracdrift.covariance import (
     _unit_spectral_direct,
     autocov_matrix,
     block_covariance,
-    cov_series,
     hs_norm,
     hs_norm_lags,
     kernel_autocov,
@@ -345,11 +344,6 @@ class TestSeriesLimits:
             s_infty_star(model)
         with pytest.raises(ValueError, match="non-summable"):
             u_infty_star(model)
-
-    def test_cov_series_bundle(self, heat3):
-        series = cov_series(heat3, 64)
-        assert series.s_n <= series.s_inf_star * (1 + 1e-9)
-        assert series.u_inf_star > 0 and series.tail_estimate >= 0
 
 
 class TestProjectionCovariance:

@@ -20,7 +20,6 @@ from fracdrift.estimators import (
     finish_report,
     qww1,
     sigma_for_kind,
-    standardize,
     trace_q1,
 )
 from fracdrift.models import (
@@ -189,29 +188,14 @@ class TestAsymptoticConstants:
 
 
 class TestStandardize:
-    def test_zero_at_truth_and_linearity(self, heat3):
-        nz = trace_q1(heat3)
-        rep = alpha_check_discrete(np.full(100, nz.value), nz, heat3.hurst)
-        assert standardize(rep, 1.0, sigma=0.9) == pytest.approx(0.0, abs=1e-12)
-        z1 = standardize(rep, 0.9, sigma=0.5)
-        z2 = standardize(rep, 0.8, sigma=0.5)
-        # linear in (alpha_hat - alpha): doubling the gap doubles z.
-        assert z2 == pytest.approx(2.0 * z1, rel=1e-12)
-        assert z1 > 0  # alpha_hat = 1 above true 0.9: positive sign
-
     def test_uses_report_sigma(self, heat3):
         nz = trace_q1(heat3)
         rep = alpha_check_discrete(np.full(100, 2 * nz.value), nz, heat3.hurst)
         filled = finish_report(rep, heat3, sigma=0.7, true_alpha=1.0)
         assert filled.sigma_asymptotic == 0.7
-        assert filled.standardized_error == pytest.approx(standardize(filled, 1.0))
+        z = np.sqrt(filled.sample_size) * (filled.alpha_hat - 1.0) / 0.7
+        assert filled.standardized_error == pytest.approx(z)
         assert filled.truncation_tail_ratio > 0
-
-    def test_requires_sigma(self, heat3):
-        nz = trace_q1(heat3)
-        rep = alpha_check_discrete(np.full(10, nz.value), nz, heat3.hurst)
-        with pytest.raises(ValueError):
-            standardize(rep, 1.0)
 
     def test_report_json_stable(self, heat3):
         nz = trace_q1(heat3)

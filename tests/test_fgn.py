@@ -5,18 +5,65 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fracdrift.fgn as fgn
+from fracdrift.covariance import mode_lag_table
 from fracdrift.fgn import (
     FgnPath,
-    _cholesky_toeplitz_sample,
+    block_toeplitz,
     circulant_embedding_eigs,
     fgn_autocov,
     fgn_path,
     jittered_cholesky,
     sample_fbm,
     sample_fgn,
+    stationary_draw,
+    stationary_factor,
     validate_hurst,
 )
+from fracdrift.models import build_distributed_model
+from fracdrift.simulate import StationaryModeSampler
 from fracdrift._rng import substream
+
+
+def scalar_recipe_eigs(autocov):
+    """Circulant eigenvalues of a scalar autocovariance on lags 0..m, as the
+    scalar samplers computed them before the block engine."""
+    m = len(autocov) - 1
+    return np.fft.rfft(np.concatenate([autocov, autocov[m - 1:0:-1]])).real
+
+
+def scalar_recipe_fgn(h, n, rng):
+    """The former ``sample_fgn`` circulant route, kept as a bit-level oracle."""
+    m = 1 << max(n - 2, 1).bit_length() if n > 2 else 1
+    eigs = scalar_recipe_eigs(fgn_autocov(h, np.arange(m + 1)))
+    g_re = rng.standard_normal(m + 1)
+    g_im = rng.standard_normal(m + 1)
+    amp = np.sqrt(np.maximum(eigs, 0.0) * 2 * m)
+    spec = amp * (g_re + 1j * g_im) / np.sqrt(2.0)
+    spec[0] = amp[0] * g_re[0]
+    spec[m] = amp[m] * g_re[m]
+    return np.fft.irfft(spec, n=2 * m)[:n]
+
+
+def scalar_recipe_modes(autocov, n, rng, n_reps):
+    """The former per-mode ``StationaryModeSampler.draw``, shape (n, n_reps)."""
+    m = len(autocov) - 1
+    eigs = np.maximum(scalar_recipe_eigs(autocov), 0.0)
+    g = rng.standard_normal((2, n_reps, m + 1))
+    amp = np.sqrt(eigs * 2 * m)
+    spec = amp * (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    spec[:, 0] = amp[0] * g[0, :, 0]
+    spec[:, m] = amp[m] * g[0, :, m]
+    return np.fft.irfft(spec, n=2 * m, axis=1)[:, :n].T
+
+
+def assert_covariance_matches(draws, target, multiple):
+    """Entrywise |empirical - target| <= multiple * SE over columns of draws;
+    Var of a Gaussian covariance entry estimate is (C_ii C_jj + C_ij^2)/reps."""
+    reps = draws.shape[1]
+    emp = draws @ draws.T / reps
+    se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / reps)
+    assert np.all(np.abs(emp - target) <= multiple * se)
 
 
 class TestAutocov:
@@ -57,7 +104,7 @@ class TestSampling:
     def test_h_half_is_white(self):
         # At H = 1/2 the embedding eigenvalues are identically 1, so the
         # output is exactly the iid draw of the synthesis step.
-        eigs = circulant_embedding_eigs(fgn_autocov(0.5, np.arange(9)))
+        eigs, _ = circulant_embedding_eigs(fgn_autocov(0.5, np.arange(9))[:, None, None])
         assert np.allclose(eigs, 1.0, atol=1e-12)
         x = sample_fgn(0.5, 4, seed=7)
         assert x.shape == (4,)
@@ -91,22 +138,62 @@ class TestSampling:
         se = estimates.std(ddof=1) / np.sqrt(seeds)
         assert abs(estimates.mean() - 1.0) <= 3.0 * se
 
-    def test_cholesky_fallback_agrees_in_law(self):
-        # The dense fallback must target the same Toeplitz covariance.
+    def test_cholesky_fallback_agrees_in_law(self, monkeypatch):
+        # The dense fallback must target the same Toeplitz covariance; a
+        # negative TOL_EIG makes every embedding count as negative.
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
         h, n, m = 0.7, 24, 4000
-        rng = substream(5, 6)
-        draws = np.stack([
-            _cholesky_toeplitz_sample(fgn_autocov(h, np.arange(n)), n, rng)
-            for _ in range(m)
-        ])
-        emp = draws.T @ draws / m
+        method, lower = stationary_factor(fgn_autocov(h, np.arange(32))[:, None, None], n)
+        assert method == "cholesky"
+        draws = stationary_draw(method, lower, n, substream(5, 6), m)
         target = np.array([[fgn_autocov(h, i - j) for j in range(n)] for i in range(n)])
-        se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
-        assert np.all(np.abs(emp - target) <= 4.5 * se)
+        assert_covariance_matches(draws, target, 4.5)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample_fgn(0.5, 0, seed=1)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 257, 4097])
+    def test_fgn_bit_identical_to_scalar_recipe(self, h, n):
+        ours = sample_fgn(h, n, 0, rng=substream(3, n))
+        assert np.array_equal(ours, scalar_recipe_fgn(h, n, substream(3, n)))
+
+    @pytest.mark.parametrize("n", [1, 4, 64, 100])
+    def test_diagonal_draw_bit_identical_to_scalar_recipe(self, n):
+        model = build_distributed_model(1, 1, 20, 1.0, 0.55)
+        sampler = StationaryModeSampler(model, n, 1.0)
+        m = 1 << max(n - 1, 1).bit_length()
+        table = mode_lag_table(model, 1.0, m + 1)
+        for k in (0, 7, 19):
+            ours = sampler.draw(k, substream(11, k), 6)
+            oracle = scalar_recipe_modes(table[k], n, substream(11, k), 6)
+            assert np.array_equal(ours, oracle)
+
+    def test_negative_embedding_takes_cholesky_route(self):
+        # A Gaussian-kernel lag sequence on a short circle: the embedding has
+        # eigenvalues near -0.4% of the largest, the 10 x 10 covariance is
+        # positive definite, and the fallback draws it exactly.
+        n, reps = 5, 20_000
+        mix = np.array([[1.0, 0.5], [0.5, 1.0]])
+        lags = np.exp(-(np.arange(5.0) / 2.0) ** 2)[:, None, None] * mix
+        eigs, _ = circulant_embedding_eigs(lags)
+        assert eigs.min() < -1e-3 * eigs.max()
+        method, lower = stationary_factor(lags, n)
+        assert method == "cholesky"
+        draws = stationary_draw(method, lower, n, substream(8, 1), reps)
+        assert draws.shape == (2 * n, reps)
+        assert_covariance_matches(draws, block_toeplitz(lags, n), 4.0)
+
+    def test_dense_guard_applies_to_fallback_only(self, monkeypatch):
+        monkeypatch.setattr(fgn, "DENSE_GUARD", 8)
+        lags = fgn_autocov(0.7, np.arange(17))[:, None, None]
+        assert stationary_factor(lags, 16)[0] == "circulant"
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
+        with pytest.raises(ValueError, match="guard"):
+            stationary_factor(lags, 16)
 
 
 class TestJitteredCholesky:

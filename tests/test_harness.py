@@ -211,16 +211,46 @@ class TestReportFormats:
             assert {"grid", "statistic", "value", "mc_se", "n_reps"} == set(row)
 
     def test_rank_one_sampling_path(self):
-        # Rank-one models run through the dense block sampler.
+        # Rank-one models run through the block circulant sampler.
         model = build_pointwise_model(0.3, 3, 1.0, 0.55)
         spec = ExperimentSpec("moment_clt", model, (8, 16), 60, seed=29)
         report = run_moment_clt(spec)
         assert len(report.rows) > 0
 
-    def test_rank_one_sampling_checks_dense_guard(self, monkeypatch):
-        import fracdrift.simulate as simulate
+    @pytest.mark.parametrize("rank_one", [False, True])
+    def test_moment_samples_sum_each_draws_modes(self, heat3, rank_one):
+        # Each batch adds every mode of every sequence it drew into its own
+        # columns, on a pool of two threads.
+        from fracdrift._rng import substream
+        from fracdrift.harness import _TAGS, _stationary_moment_samples
+        from fracdrift.simulate import StationaryModeSampler
 
-        monkeypatch.setattr(simulate, "DENSE_GUARD", 100)
+        model = build_pointwise_model(0.3, 3, 1.0, 0.55) if rank_one else heat3
+        w = projection_indicator(0.0, 0.5, 3)
+        n, size = 12, 3
+        spec = ExperimentSpec("moment_clt", model, (n,), 3 * size, seed=5,
+                              projection=w, n_batches=3, threads=2)
+        sq, proj = _stationary_moment_samples(spec, n, 0, need_proj=True)
+        sampler = StationaryModeSampler(model, n, 1.0)
+        modes = np.concatenate([
+            np.concatenate([
+                sampler.draw(s, substream(5, _TAGS["moment_clt"], 0, b, s), size)
+                .reshape(-1, n, size)
+                for s in range(sampler.n_sequences)
+            ])
+            for b in range(3)
+        ], axis=2)
+        assert modes.shape == (3, n, 3 * size)
+        np.testing.assert_allclose(sq, np.sum(modes**2, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(proj, np.einsum("k,knr->nr", w.coefficients, modes),
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_rank_one_sampling_checks_dense_guard(self, monkeypatch):
+        # A negative TOL_EIG sends every sequence to the dense fallback.
+        import fracdrift.fgn as fgn
+
+        monkeypatch.setattr(fgn, "DENSE_GUARD", 100)
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
         model = build_pointwise_model(0.3, 3, 1.0, 0.55)   # n*N = 120 > 100
         spec = ExperimentSpec("moment_clt", model, (40, 48), 8, seed=29)
         with pytest.raises(ValueError, match="guard"):

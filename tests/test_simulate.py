@@ -5,7 +5,12 @@ import pytest
 from scipy.stats import ks_2samp
 
 from fracdrift._rng import substream
-from fracdrift.covariance import autocov_matrix, stationary_variance_mode, trace_q
+from fracdrift.covariance import (
+    autocov_matrix,
+    block_covariance,
+    stationary_variance_mode,
+    trace_q,
+)
 from fracdrift.fgn import fgn_autocov
 from fracdrift.models import (
     build_distributed_model,
@@ -223,7 +228,45 @@ class TestStationarySampling:
         est = float(np.mean(traj.sq_norms))
         assert 0.2 * target < est < 5.0 * target
 
-    def test_dense_guard(self):
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_rank_one_draws_match_block_covariance(self, h):
+        # The block circulant route draws the stacked mode-major coordinates
+        # with exactly the nN x nN covariance; 4 SE entrywise.  A step near
+        # 1/a_1 = 1/pi^2 keeps r_kl(t) != r_lk(t) visible at every lag, so a
+        # transposition error in the embedding shows.
+        model = build_pointwise_model(0.3, 3, 1.0, h)
+        n, reps, dt = 5, 20_000, 0.1
+        sampler = StationaryModeSampler(model, n, dt)
+        assert sampler.n_sequences == 1
+        assert sampler.factor(0)[0] == "circulant"
+        draws = sampler.draw(0, substream(41, 0), reps)
+        target = block_covariance(model, n, dt)
+        emp = draws @ draws.T / reps
+        se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / reps)
+        assert np.all(np.abs(emp - target) <= 4.0 * se)
+
+    def test_rank_one_large_grid_memory(self):
+        # nN = 16384: the dense route needed a 2 GB factor; the block
+        # circulant route stays far below 64 MB of Python allocations.
+        import tracemalloc
+
+        model = build_pointwise_model(0.3, 16, 1.0, 0.55)
+        tracemalloc.start()
+        try:
+            traj = sample_stationary_sequence(model, 1024, 1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.modes.shape == (16, 1024)
+        assert np.all(np.isfinite(traj.sq_norms))
+        assert peak < 64 * 2**20
+
+    def test_dense_guard(self, monkeypatch):
+        # The guard sits on the dense fallback only; a negative TOL_EIG makes
+        # every embedding count as negative, so n*N = 30000 reaches it.
+        import fracdrift.fgn as fgn
+
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
         model = build_pointwise_model(0.3, 3, 1.0, 0.6)
         with pytest.raises(ValueError, match="guard"):
             sample_stationary_sequence(model, 10_000, 1.0, seed=1)
