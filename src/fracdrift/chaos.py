@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .covariance import hs_norm_lags, lag_blocks, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
@@ -190,7 +190,7 @@ def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
     m = len(xs)
     if m == 0:
         raise ValueError("need at least one sample")
-    cdf = norm.cdf(xs)
+    cdf = ndtr(xs)
     upper = np.arange(1, m + 1) / m - cdf   # F_hat(x_i) - Phi(x_i)
     lower = cdf - np.arange(0, m) / m       # Phi(x_i) - F_hat(x_i^-)
     if localize is None:
@@ -203,7 +203,7 @@ def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
         candidates.append(float(lower[inside].max()))
     for z in (-k, k):
         emp = np.searchsorted(xs, z, side="right") / m
-        candidates.append(abs(emp - norm.cdf(z)))
+        candidates.append(abs(emp - ndtr(z)))
     return float(max(candidates))
 
 
@@ -214,7 +214,7 @@ def wasserstein1_distance(samples: np.ndarray) -> float:
     m = len(xs)
     if m == 0:
         raise ValueError("need at least one sample")
-    q = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
+    q = ndtri((np.arange(1, m + 1) - 0.5) / m)
     return float(np.mean(np.abs(xs - q)))
 
 

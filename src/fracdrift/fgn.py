@@ -15,22 +15,24 @@ block-Toeplitz matrix, guarded by :data:`DENSE_GUARD`.
 
 Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
 of :mod:`fracdrift.simulate` feed the mode sequences through the same
-engine.
+engine.  The fGN factor depends only on ``(h, n)``, so it is cached (at most
+8 entries, read-only, one lock) and a draw costs the normals, O(m) spectrum
+work and one irfft.  The cache key ignores :data:`TOL_EIG` and
+:data:`DENSE_GUARD`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from functools import lru_cache
 
 import numpy as np
 
 from ._rng import substream
 
 __all__ = [
-    "FgnPath",
     "fgn_autocov",
     "sample_fgn",
-    "sample_fbm",
     "stationary_draw",
     "stationary_factor",
     "validate_hurst",
@@ -50,28 +52,6 @@ def validate_hurst(h: float) -> float:
     if not 0.0 < h < 1.0:
         raise ValueError(f"Hurst parameter must lie strictly in (0, 1), got {h}")
     return h
-
-
-@dataclass(frozen=True)
-class FgnPath:
-    """A sampled fractional Gaussian noise sequence at step size ``dt``.
-
-    ``increments[j]`` is the increment over ``[j*dt, (j+1)*dt)``; the sequence
-    is stationary centered Gaussian with covariance
-    ``fgn_autocov(h, k) * dt**(2h)`` at lag ``k``.
-    """
-
-    h: float
-    dt: float
-    increments: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        validate_hurst(self.h)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if len(self.increments) < 1:
-            raise ValueError("need at least one increment")
 
 
 def fgn_autocov(h: float, k) -> float | np.ndarray:
@@ -202,9 +182,15 @@ def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
     """
     m, p = len(factor) - 1, factor.shape[-1]
     g = rng.standard_normal((2, n_reps, p, m + 1))
-    if p == 1:  # elementwise, so scalar draws keep their rounding
-        amp = factor[:, 0, 0]
-        spec = amp * (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    if p == 1:
+        # Built in place, elementwise: the same bits as the former
+        # ``amp * (g0 + 1j*g1) / sqrt(2)`` except the sign of zeros where
+        # amp = 0, which the irfft does not see.
+        amp, scl = factor[:, 0, 0], 1.0 / np.sqrt(2.0)
+        spec = np.empty(g.shape[1:], complex)
+        np.multiply(amp, g[0], out=spec.real)
+        np.multiply(amp, g[1], out=spec.imag)
+        spec *= scl
         spec[..., 0] = amp[0] * g[0, ..., 0]
         spec[..., m] = amp[m] * g[0, ..., m]
     else:
@@ -223,6 +209,23 @@ def stationary_draw(method: str, factor: np.ndarray, n: int, rng: np.random.Gene
     return sample_circulant(factor, n, rng, n_reps)
 
 
+_FGN_FACTOR_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=8)
+def _fgn_factor(h: float, n: int) -> tuple[str, np.ndarray]:
+    """Read-only :func:`stationary_factor` of unit-step fGN for ``n`` points.
+
+    The factor is a pure function of the lags, so it is computed once per
+    ``(h, n)`` and shared by every draw.  The key ignores :data:`TOL_EIG` and
+    :data:`DENSE_GUARD`: after changing either, ``_fgn_factor.cache_clear()``.
+    """
+    lags = fgn_autocov(h, np.arange(_next_pow2(n - 1) + 1))[:, None, None]
+    method, factor = stationary_factor(lags, n)
+    factor.setflags(write=False)
+    return method, factor
+
+
 def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Exact sample of ``n`` unit-step fGN values with Hurst parameter ``h``.
 
@@ -238,26 +241,6 @@ def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = No
         rng = substream(seed, 0x0F61)
     if n == 1:
         return rng.standard_normal(1)
-    lags = fgn_autocov(h, np.arange(_next_pow2(n - 1) + 1))[:, None, None]
-    return stationary_draw(*stationary_factor(lags, n), n, rng, 1)[:, 0]
-
-
-def sample_fbm(h: float, n: int, dt: float, seed: int) -> np.ndarray:
-    """Fractional Brownian motion on the grid ``0, dt, ..., n*dt`` (length n+1).
-
-    ``B(0) = 0``; increments are ``dt**h`` times a unit-step fGN sample
-    (self-similarity).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    incr = sample_fgn(h, n, seed) * dt**h
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(incr, out=out[1:])
-    return out
-
-
-def fgn_path(h: float, n: int, dt: float, seed: int) -> FgnPath:
-    """Sample an :class:`FgnPath` with increments scaled to step ``dt``."""
-    incr = sample_fgn(h, n, seed) * dt ** validate_hurst(h)
-    return FgnPath(h=h, dt=float(dt), increments=incr, seed=int(seed))
+    with _FGN_FACTOR_LOCK:  # one miss per key, even from pool threads
+        method, factor = _fgn_factor(h, n)
+    return stationary_draw(method, factor, n, rng, 1)[:, 0]

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+import fracdrift.fgn as fgn
 from fracdrift.models import build_distributed_model, build_pointwise_model, custom_model
 
 
@@ -26,6 +29,26 @@ def single_mode():
         return custom_model([a], alpha, hurst, loadings=phi)
 
     return make
+
+
+@pytest.fixture
+def embedding_calls(monkeypatch):
+    """Clear the fGN factor cache and record each circulant embedding call.
+
+    Each call sleeps 50 ms, which widens the window in which threads that
+    miss the cache without the lock would all factor.
+    """
+    fgn._fgn_factor.cache_clear()
+    calls = []
+    inner = fgn.circulant_embedding_eigs
+
+    def counted(lags):
+        calls.append(len(lags))
+        time.sleep(0.05)
+        return inner(lags)
+
+    monkeypatch.setattr(fgn, "circulant_embedding_eigs", counted)
+    return calls
 
 
 def assert_close(actual, expected, rtol, what=""):

@@ -1,5 +1,8 @@
 """Fractional Gaussian noise sampling: exactness, determinism, statistics."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,20 +11,17 @@ from hypothesis import strategies as st
 import fracdrift.fgn as fgn
 from fracdrift.covariance import mode_lag_table
 from fracdrift.fgn import (
-    FgnPath,
     block_toeplitz,
     circulant_embedding_eigs,
     fgn_autocov,
-    fgn_path,
     jittered_cholesky,
-    sample_fbm,
     sample_fgn,
     stationary_draw,
     stationary_factor,
     validate_hurst,
 )
 from fracdrift.models import build_distributed_model
-from fracdrift.simulate import StationaryModeSampler
+from fracdrift.simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
 from fracdrift._rng import substream
 
 
@@ -219,35 +219,46 @@ class TestJitteredCholesky:
 
 
 class TestFbm:
-    def test_starts_at_zero(self):
-        assert sample_fbm(0.6, 50, 0.25, seed=3)[0] == 0.0
-        assert len(sample_fbm(0.6, 50, 0.25, seed=3)) == 51
-
     def test_brownian_increments_iid_unit(self):
-        b = sample_fbm(0.5, 20_000, 1.0, seed=11)
-        inc = np.diff(b)
+        inc = sample_fgn(0.5, 20_000, seed=11)
         assert abs(np.var(inc) - 1.0) < 0.03
         lag1 = np.mean(inc[:-1] * inc[1:])
         assert abs(lag1) < 3.0 / np.sqrt(len(inc))
 
     def test_self_similar_variance_growth(self):
-        # Var B(t) = t^{2H}: check at a few grid times across replications.
+        # Var B(t) = t^{2H}: check at a few grid times across replications;
+        # column j of the partial sums is B((j+1) dt).
         h, dt, n, reps = 0.6, 0.25, 64, 4000
-        paths = np.stack([sample_fbm(h, n, dt, seed=s) for s in range(reps)])
+        paths = np.stack([np.cumsum(sample_fgn(h, n, seed=s) * dt**h) for s in range(reps)])
         for idx in (16, 32, 64):
             t = idx * dt
-            sample_var = paths[:, idx].var()
+            sample_var = paths[:, idx - 1].var()
             se = sample_var * np.sqrt(2.0 / reps)
             assert abs(sample_var - t ** (2 * h)) <= 4.0 * se
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            sample_fbm(0.6, 10, 0.0, seed=1)
 
-    def test_path_container_validates(self):
+class TestFactorCache:
+    def test_integrate_path_factors_once_per_hurst_and_length(self, embedding_calls):
+        model = build_distributed_model(1, 1, 4, 1.0, 0.3)
+        for seed in (1, 2, 3):
+            integrate_path(model, TrajectoryGrid(0.1, 300), "zero", seed=seed)
+        assert len(embedding_calls) == 1
+
+    def test_concurrent_misses_factor_once(self, embedding_calls):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(sample_fgn, 0.3, 500, s) for s in range(16)]
+                draws = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(embedding_calls) == 1
+        for s, x in enumerate(draws):
+            assert np.array_equal(x, sample_fgn(0.3, 500, s))
+
+    def test_cached_factor_is_read_only(self):
+        method, factor = fgn._fgn_factor(0.7, 100)
+        assert method == "circulant"
         with pytest.raises(ValueError):
-            FgnPath(h=0.5, dt=-1.0, increments=np.ones(3), seed=0)
-        p = fgn_path(0.6, 16, 0.5, seed=9)
-        assert p.increments.shape == (16,)
-        # Regeneration is bit-identical.
-        assert np.array_equal(p.increments, fgn_path(0.6, 16, 0.5, seed=9).increments)
+            factor[0] = 1.0

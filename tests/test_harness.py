@@ -16,6 +16,7 @@ from fracdrift.harness import (
 )
 from fracdrift.models import (
     NoiseStructure,
+    build_distributed_model,
     build_pointwise_model,
     custom_model,
     projection_indicator,
@@ -66,6 +67,16 @@ class TestReproducibility:
         b = run_estimator_clt(threaded).to_json(include_raw=True)
         assert a == b
 
+    def test_integrated_paths_do_not_depend_on_thread_count(self, heat3):
+        # Pool threads share the fGN factor cache.
+        base = small_spec("consistency", heat3, grid=(20, 40), replications=12,
+                          source="integrator", sim_dt=0.1,
+                          thresholds={"max_median_error": 10.0})
+        threaded = ExperimentSpec(**{**base.__dict__, "threads": 2})
+        a = run_consistency(base).to_json(include_raw=True)
+        b = run_consistency(threaded).to_json(include_raw=True)
+        assert a == b
+
     def test_seed_changes_results(self, heat3):
         a = run_moment_clt(small_spec("moment_clt", heat3, replications=40, seed=1))
         b = run_moment_clt(small_spec("moment_clt", heat3, replications=40, seed=2))
@@ -73,6 +84,14 @@ class TestReproducibility:
 
 
 class TestConsistencyExperiment:
+    def test_integrator_source_factors_fgn_once(self, embedding_calls):
+        model = build_distributed_model(1, 1, 4, 0.1, 0.3)
+        spec = ExperimentSpec("consistency", model, (20, 40), 8, seed=3, threads=2,
+                              source="integrator", sim_dt=0.1,
+                              thresholds={"max_median_error": 10.0})
+        run_consistency(spec)
+        assert len(embedding_calls) == 1
+
     def test_stationary_source_small(self):
         model = custom_model([1.0], 1.0, 0.55)
         spec = ExperimentSpec("consistency", model, (100, 400, 1600), 150, seed=3,
