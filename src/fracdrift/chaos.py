@@ -35,6 +35,10 @@ upper-bound expressions (with their unspecified absolute constants stripped):
 
     B_3(n) = n^{-1/2} s_n^{-3/2} ( sum_{|i|<n} ||R(i dt)||^{3/2} )^2,
     B_4(n) = n^{-1}   s_n^{-2}   ( sum_{|i|<n} ||R(i dt)||^{4/3} )^3.
+
+The distances to the normal law are the Kolmogorov and 1-Wasserstein
+distances; ``kolmogorov_sf(n, ks_distance(z))`` is the exact two-sided
+Kolmogorov p-value of a sample ``z`` of size n.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._kolmogorov import kolmogorov_sf
 from .covariance import hs_norm_lags, lag_blocks, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
 
@@ -53,6 +58,7 @@ __all__ = [
     "cumulant_bound_shapes",
     "xi_H",
     "ks_distance",
+    "kolmogorov_sf",
     "wasserstein1_distance",
     "k_statistics",
     "kolmogorov_wasserstein_bound",

@@ -46,9 +46,9 @@ from .estimators import (
     alpha_hat_continuous,
     alpha_tilde_continuous,
     asymptotic_constants,
+    asymptotic_sigma,
     finish_report,
     qww1,
-    sigma_for_kind,
     trace_q1,
 )
 from .harness import ExperimentSpec, run_experiment
@@ -309,13 +309,7 @@ def cmd_estimate(args) -> int:
     else:
         report = alpha_tilde_continuous(traj, normalizer, model.hurst)
 
-    sigma = None
-    if model.hurst < 0.75:
-        constants = asymptotic_constants(model, projection)
-        try:
-            sigma = sigma_for_kind(constants, kind)
-        except ValueError:
-            sigma = None
+    sigma = asymptotic_sigma(model, kind, projection) if model.hurst < 0.75 else None
     report = finish_report(report, model, sigma, true_alpha)
 
     out = _out_dir(args)

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, hyp1f1, zeta
 
@@ -85,7 +84,6 @@ __all__ = [
     "qww",
     "lag_blocks",
     "block_covariance",
-    "clear_caches",
 ]
 
 QUAD_RTOL = 1e-8
@@ -179,6 +177,8 @@ def _incgamma_scaled(p: float, x: np.ndarray) -> np.ndarray:
 
 def _quad_with_error(func, a, b, **kw):
     """scipy quad returning (value, error estimate, worst-subinterval text)."""
+    from scipy.integrate import quad
+
     out = quad(func, a, b, epsabs=1e-15, epsrel=1e-10, limit=200, full_output=1, **kw)
     val, err, info = out[0], out[1], out[2]
     detail = "no subintervals recorded"
@@ -244,6 +244,8 @@ def _unit_spectral_direct(ak: float, al: float, h: float, t: float) -> float:
 
     Slow; kept as an independent cross-check of ``_unit_spectral``.
     """
+    from scipy.integrate import quad
+
     if t < 0:
         ak, al, t = al, ak, -t
 
@@ -361,11 +363,6 @@ def kernel_autocov(
     if a_k <= 0 or a_l <= 0:
         raise ValueError("mode rates must be positive")
     return phi_k * phi_l * _unit_autocov(float(a_k), float(a_l), h, float(t))
-
-
-def clear_caches() -> None:
-    _mode_lag_table.cache_clear()
-    _hs_norm_lag_table.cache_clear()
 
 
 # --------------------------------------------------------------------------
@@ -563,6 +560,8 @@ def _frequency_square_integral(model: ModelConfig, density_sq, what: str,
     Exact up to quadrature error -- no time-domain truncation or tail fit;
     the reported tail estimate is the quadrature error bound.
     """
+    from scipy.integrate import quad  # lazily: only the continuous-time limits need it
+
     h = model.hurst
     expo = 2.0 - 4.0 * h
     w0 = float(np.min(model.rates))

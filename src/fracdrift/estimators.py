@@ -50,6 +50,7 @@ __all__ = [
     "alpha_hat_continuous",
     "alpha_bar_discrete",
     "alpha_tilde_continuous",
+    "asymptotic_sigma",
     "asymptotic_constants",
 ]
 
@@ -189,52 +190,75 @@ class AsymptoticConstants:
     sigma4: float | None = None
 
 
+def _drift_scales(model: ModelConfig, w: ProjectionVector | None) -> tuple[float, float | None]:
+    """Delta-method factors ``(gamma, delta)``; ``delta`` is None without ``w``.
+
+    Runs the cheap checks (H < 3/4, then the trace and ``<Q w, w>``
+    degeneracy) before any series evaluation.
+    """
+    if model.hurst >= 0.75:
+        raise ValueError("asymptotic constants exist only for H < 3/4")
+    alpha, h = model.alpha, model.hurst
+    trace1 = trace_q(model.with_alpha(1.0))
+    if trace1 < DEGENERACY_TOL:
+        raise DegenerateModelError("stationary trace vanishes; constants undefined")
+    delta = None
+    if w is not None:
+        qw1 = qww(model.with_alpha(1.0), w)
+        if qw1 < DEGENERACY_TOL:
+            raise DegenerateModelError("projected normalizer vanishes; constants undefined")
+        delta = alpha ** (1.0 + 2.0 * h) / (2.0 * h * qw1)
+    return alpha ** (1.0 + 2.0 * h) / (2.0 * h * trace1), delta
+
+
+#: The variance limit behind each estimator's CLT standard deviation.
+_VARIANCE_LIMITS = {
+    DISCRETE_NORM: lambda model, w, dt: s_infty_star(model, dt),
+    CONTINUOUS_NORM: lambda model, w, dt: u_infty_star(model),
+    DISCRETE_PROJ: lambda model, w, dt: r_z_sum(model, w, dt),
+    CONTINUOUS_PROJ: lambda model, w, dt: r_z_integral(model, w),
+}
+
+
+def asymptotic_sigma(
+    model: ModelConfig,
+    kind: str,
+    w: ProjectionVector | None = None,
+    dt: float = 1.0,
+) -> float:
+    """CLT standard deviation of one estimator kind at the model's drift.
+
+    Evaluates only the variance limit that ``kind`` needs; projection kinds
+    need ``w``.  The drift is the simulation ground truth; for data-only
+    use, pass a model carrying a plug-in estimate.
+    """
+    if kind not in _VARIANCE_LIMITS:
+        raise ValueError(f"no asymptotic sigma available for kind {kind!r}")
+    gamma, delta = _drift_scales(model, w)
+    projected = kind in (DISCRETE_PROJ, CONTINUOUS_PROJ)
+    if projected and w is None:
+        raise ValueError(f"{kind}: asymptotic sigma needs a projection")
+    scale = delta if projected else gamma
+    return scale * float(np.sqrt(_VARIANCE_LIMITS[kind](model, w, dt).value))
+
+
 def asymptotic_constants(
     model: ModelConfig,
     w: ProjectionVector | None = None,
     dt: float = 1.0,
 ) -> AsymptoticConstants:
-    """Evaluate the CLT constants at the model's drift (H < 3/4 required).
-
-    The drift is the simulation ground truth; for data-only use, pass a model
-    carrying a plug-in estimate (post-theory convenience).
-    """
-    if model.hurst >= 0.75:
-        raise ValueError("asymptotic constants exist only for H < 3/4")
-    alpha, h = model.alpha, model.hurst
-    # Degeneracy checks are cheap; run them before any series evaluation.
-    trace1 = trace_q(model.with_alpha(1.0))
-    if trace1 < DEGENERACY_TOL:
-        raise DegenerateModelError("stationary trace vanishes; constants undefined")
-    qw1 = None
-    if w is not None:
-        qw1 = qww(model.with_alpha(1.0), w)
-        if qw1 < DEGENERACY_TOL:
-            raise DegenerateModelError("projected normalizer vanishes; constants undefined")
-    gamma = alpha ** (1.0 + 2.0 * h) / (2.0 * h * trace1)
-    sigma1 = gamma * float(np.sqrt(s_infty_star(model, dt).value))
-    sigma2 = gamma * float(np.sqrt(u_infty_star(model).value))
-    delta = sigma3 = sigma4 = None
-    if w is not None:
-        delta = alpha ** (1.0 + 2.0 * h) / (2.0 * h * qw1)
-        sigma3 = delta * float(np.sqrt(r_z_sum(model, w, dt).value))
-        sigma4 = delta * float(np.sqrt(r_z_integral(model, w).value))
+    """All CLT constants at the model's drift (H < 3/4 required); the sigmas
+    are those of :func:`asymptotic_sigma`."""
+    gamma, delta = _drift_scales(model, w)
+    projected = w is not None
     return AsymptoticConstants(
-        gamma_alpha=gamma, sigma1=sigma1, sigma2=sigma2,
-        delta_alpha=delta, sigma3=sigma3, sigma4=sigma4,
+        gamma_alpha=gamma,
+        sigma1=asymptotic_sigma(model, DISCRETE_NORM, w, dt),
+        sigma2=asymptotic_sigma(model, CONTINUOUS_NORM, w, dt),
+        delta_alpha=delta,
+        sigma3=asymptotic_sigma(model, DISCRETE_PROJ, w, dt) if projected else None,
+        sigma4=asymptotic_sigma(model, CONTINUOUS_PROJ, w, dt) if projected else None,
     )
-
-
-def sigma_for_kind(constants: AsymptoticConstants, kind: str) -> float:
-    sigma = {
-        DISCRETE_NORM: constants.sigma1,
-        CONTINUOUS_NORM: constants.sigma2,
-        DISCRETE_PROJ: constants.sigma3,
-        CONTINUOUS_PROJ: constants.sigma4,
-    }.get(kind)
-    if sigma is None:
-        raise ValueError(f"no asymptotic sigma available for kind {kind!r}")
-    return sigma
 
 
 def finish_report(

@@ -11,7 +11,7 @@ step multiplies complex normals by each frequency's factor and inverts the
 FFT.  The first ``n <= m+1`` points then have exactly the block-Toeplitz
 covariance ``S_ij = R(i-j)``.  When the embedding has more negative mass
 than that, the one fallback is a jittered Cholesky factor of the dense
-block-Toeplitz matrix, guarded by :data:`DENSE_GUARD`.
+block-Toeplitz matrix, guarded by :data:`DENSE_GUARD` and physical memory.
 
 Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
 of :mod:`fracdrift.simulate` feed the mode sequences through the same
@@ -23,6 +23,7 @@ work and one irfft.  The cache key ignores :data:`TOL_EIG` and
 
 from __future__ import annotations
 
+import os
 import threading
 from functools import lru_cache
 
@@ -134,17 +135,29 @@ def jittered_cholesky(cov: np.ndarray, first: float, limit: float) -> np.ndarray
             np.fill_diagonal(jittered, cov.diagonal() + jitter)
 
 
+def _physical_memory() -> float:
+    """Physical memory in bytes; infinite where the OS does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return float("inf")
+
+
 def _dense_factor(lags: np.ndarray, n: int) -> np.ndarray:
     """The engine's one fallback: the jittered lower Cholesky factor of the
     dense :func:`block_toeplitz` covariance of ``n`` points of ``lags``.
 
-    Refuses before any allocation when ``n*p`` exceeds :data:`DENSE_GUARD`.
+    Refuses before any allocation when ``n*p`` exceeds :data:`DENSE_GUARD`
+    or when what it may hold at once -- the matrix, its factor and one
+    jittered copy, ``24 (n p)^2`` bytes -- exceeds physical memory.
     """
     dim = n * lags.shape[-1]
-    if dim > DENSE_GUARD:
+    need, memory = 24 * dim * dim, _physical_memory()
+    if dim > DENSE_GUARD or need > memory:
         raise ValueError(
-            f"dense fallback dimension n*p = {dim} exceeds the factorization "
-            f"guard {DENSE_GUARD}; reduce n or raise the guard"
+            f"dense fallback dimension n*p = {dim} ({need / 2**30:.3g} GiB) exceeds "
+            f"the factorization guard ({DENSE_GUARD} dimensions, "
+            f"{memory / 2**30:.3g} GiB physical memory); reduce n"
         )
     cov = block_toeplitz(lags, n)
     scale = float(np.mean(cov.diagonal()))

@@ -126,6 +126,44 @@ def _mode_increments(model: ModelConfig, n: int, seed: int) -> np.ndarray:
     return np.broadcast_to(shared, (model.n_modes, n))
 
 
+#: Block length of :func:`_ar1_scan`.
+SCAN_BLOCK = 64
+
+
+def _ar1_scan(u: np.ndarray, rho: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """States ``y[k, j] = rho[k] y[k, j-1] + u[k, j]``, ``y[k, -1] = x0[k]``.
+
+    ``u`` has shape (K, n): K independent AR(1) recursions.  The sequence is
+    cut into blocks of ``B = SCAN_BLOCK`` steps (plus one spare block for the
+    remainder) and held as columns, shape (B, K, blocks), so that each numpy
+    call advances every mode and every block by one step.  Each block is
+    first scanned from a zero start; the state entering each block then
+    follows from the same scan, at coefficient ``rho^B``, over the block-end
+    values; one broadcast adds ``rho^(c+1)`` times that carry to column c.
+    Elementwise work only, no BLAS: about 2B numpy calls on each of
+    ``log_B n`` levels.
+    """
+    k, n = u.shape
+    block = SCAN_BLOCK
+    full, rest = divmod(n, block)
+    cols = np.zeros((block, k, full + 1))
+    by_block = cols.transpose(1, 2, 0)  # (K, blocks, B): the layout of u
+    by_block[:, :full] = u[:, :full * block].reshape(k, full, block)
+    by_block[:, full, :rest] = u[:, full * block:]
+    step = rho[:, None]
+    for c in range(1, min(n, block)):
+        cols[c] += step * cols[c - 1]
+    carry = x0[:, None]
+    if full:
+        ends = _ar1_scan(cols[-1, :, :full], rho**block, x0)
+        carry = np.concatenate([carry, ends], axis=1)
+    cols += (rho ** np.arange(1, block + 1)[:, None])[:, :, None] * carry
+    y = np.empty((k, n))
+    y[:, :full * block].reshape(k, full, block)[...] = by_block[:, :full]
+    y[:, full * block:] = by_block[:, full, :rest]
+    return y
+
+
 def integrate_path(
     model: ModelConfig,
     grid: TrajectoryGrid,
@@ -145,10 +183,9 @@ def integrate_path(
     :func:`sample_stationary_sequence` where that matters.
 
     ``observe_every`` subsamples the simulated grid on output, so a fine
-    integration step can feed coarsely observed estimators.
+    integration step can feed coarsely observed estimators.  The recursion
+    itself runs for all modes at once in :func:`_ar1_scan`.
     """
-    from scipy.signal import lfilter
-
     validate_hurst(model.hurst)
     observe_every = int(observe_every)
     if observe_every < 1 or grid.n_steps % observe_every:
@@ -182,10 +219,7 @@ def integrate_path(
 
     states = np.empty((model.n_modes, n_total + 1))
     states[:, 0] = x0
-    for k in range(model.n_modes):
-        states[k, 1:] = lfilter(
-            [1.0], [1.0, -rho[k]], phi[k] * incr[k], zi=np.array([rho[k] * x0[k]])
-        )[0]
+    states[:, 1:] = _ar1_scan(phi[:, None] * incr, rho, x0)
 
     kept = states[:, burn::observe_every]
     n_obs = grid.n_steps // observe_every

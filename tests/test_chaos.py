@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.stats import kstat, norm
+from scipy.stats import kstat, kstest, kstwo, norm
 
 from conftest import assert_close
 from fracdrift._rng import substream
@@ -10,6 +10,7 @@ from fracdrift.chaos import (
     cumulant_bound_shapes,
     exact_cumulants,
     k_statistics,
+    kolmogorov_sf,
     kolmogorov_wasserstein_bound,
     ks_distance,
     wasserstein1_distance,
@@ -238,6 +239,45 @@ class TestDistances:
             d_k = ks_distance(sample)
             d_w = wasserstein1_distance(sample)
             assert d_k <= kolmogorov_wasserstein_bound(d_w) * (1 + 1e-9)
+
+
+def _ks_test_points(n: int) -> np.ndarray:
+    """Distances in (1/(2n), 1] reaching every region of the Kolmogorov law:
+    both Ruben-Gambino edges, 1/2, each n d^2 cut (0.754693, 2.2, 4, 18,
+    370) and the n d^1.5 = 1.4 cut, each with its two neighbouring floats,
+    plus a geometric grid in between."""
+    half = 0.5 / n
+    cuts = [1.0 / n, (n - 1.0) / n, 0.5, (1.4 / n) ** (2.0 / 3.0)]
+    cuts += [np.sqrt(c / n) for c in (0.754693, 2.2, 4.0, 18.0, 370.0)]
+    cuts = np.array(cuts)
+    points = np.concatenate([
+        cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0),
+        half * (1.0 + np.array([1e-12, 1e-6, 0.5])),
+        np.geomspace(half, 1.0, 13)[1:],
+    ])
+    return np.unique(points[(points > half) & (points <= 1.0)])
+
+
+class TestKolmogorovLaw:
+    @pytest.mark.parametrize("n", [1, 2, 10, 140, 141, 2000, 10001, 100001])
+    def test_matches_scipy_kstwo(self, n):
+        for d in _ks_test_points(n):
+            ours, ref = kolmogorov_sf(n, d), float(kstwo.sf(d, n))
+            assert ours == ref or abs(ours - ref) <= 1e-12 * abs(ref), (n, d, ours, ref)
+
+    def test_edges(self):
+        assert kolmogorov_sf(50, 0.5 / 50) == 1.0
+        assert kolmogorov_sf(50, 1.0) == 0.0
+        with pytest.raises(ValueError):
+            kolmogorov_sf(0, 0.3)
+
+    @pytest.mark.parametrize("n", [50, 500, 2000])
+    def test_is_the_kstest_pvalue(self, n):
+        # ks_distance is kstest's statistic, so the pair gives its p-value.
+        z = substream(11, n).standard_normal(n) * 1.1
+        ref = kstest(z, "norm")
+        assert ks_distance(z) == ref.statistic
+        assert kolmogorov_sf(n, ks_distance(z)) == ref.pvalue
 
 
 class TestKStatistics:

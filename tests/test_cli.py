@@ -90,6 +90,20 @@ class TestSimulateEstimateRoundTrip:
         assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_OK
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1025
 
+    def test_dense_fallback_beyond_memory_is_a_compute_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import fracdrift.fgn as fgn
+
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)        # force the dense fallback
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: 1 << 20)
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 1.0, "n_steps": 256},
+            "method": "exact_stationary",
+        })
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "s")]) \
+            == EXIT_ERROR
+        assert "error: compute:" in capsys.readouterr().err
+
     def test_npz_accepted(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
             "model": HEAT3, "grid": {"dt": 0.5, "n_steps": 64},
@@ -236,6 +250,19 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_guard(self):
+        # Start-up loads numpy and scipy.special only; the heavy scipy
+        # subpackages stay off every command's import path.
+        heavy = ("scipy.stats", "scipy.integrate", "scipy.signal", "scipy.optimize")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom fracdrift import cli\n"
+             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_bad_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

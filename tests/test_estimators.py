@@ -17,9 +17,9 @@ from fracdrift.estimators import (
     alpha_hat_continuous,
     alpha_tilde_continuous,
     asymptotic_constants,
+    asymptotic_sigma,
     finish_report,
     qww1,
-    sigma_for_kind,
     trace_q1,
 )
 from fracdrift.models import (
@@ -178,9 +178,13 @@ class TestAsymptoticConstants:
         w = projection_indicator(0.0, 0.5, 3)
         con = asymptotic_constants(heat3, w)
         assert con.sigma3 > 0 and con.sigma4 > 0 and con.delta_alpha > 0
-        assert sigma_for_kind(con, "discrete_projection") == con.sigma3
+        # One route per sigma: each constant is the per-kind evaluation.
+        for kind, sigma in [("discrete_norm", con.sigma1), ("continuous_norm", con.sigma2),
+                            ("discrete_projection", con.sigma3),
+                            ("continuous_projection", con.sigma4)]:
+            assert asymptotic_sigma(heat3, kind, w) == sigma
         with pytest.raises(ValueError):
-            sigma_for_kind(asymptotic_constants(heat3), "discrete_projection")
+            asymptotic_sigma(heat3, "discrete_projection")
 
     def test_rejects_nonsummable(self):
         with pytest.raises(ValueError):

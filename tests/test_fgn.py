@@ -195,6 +195,16 @@ class TestEngine:
         with pytest.raises(ValueError, match="guard"):
             stationary_factor(lags, 16)
 
+    def test_dense_guard_counts_bytes_against_memory(self, monkeypatch):
+        # The fallback may hold 24 (n p)^2 bytes: matrix, factor, jittered copy.
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
+        lags = fgn_autocov(0.7, np.arange(17))[:, None, None]
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: 24 * 16**2)
+        assert stationary_factor(lags, 16)[0] == "cholesky"
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: 24 * 16**2 - 1)
+        with pytest.raises(ValueError, match="guard"):
+            stationary_factor(lags, 16)
+
 
 class TestJitteredCholesky:
     def test_positive_definite_factor_is_plain_cholesky(self):

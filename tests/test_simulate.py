@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
 from fracdrift._rng import substream
@@ -20,6 +21,7 @@ from fracdrift.models import (
     projection_sine,
 )
 from fracdrift.simulate import (
+    SCAN_BLOCK,
     StationaryModeSampler,
     Trajectory,
     TrajectoryGrid,
@@ -32,6 +34,7 @@ from fracdrift.simulate import (
     trajectory_to_csv,
     trajectory_to_npz,
 )
+from fracdrift.simulate import _ar1_scan
 
 
 def euler_chain_variance(a: float, phi: float, h: float, dt: float, n_terms: int = 20_000) -> float:
@@ -156,6 +159,29 @@ class TestIntegratePath:
             integrate_path(heat3, grid, "warm", seed=1)
         with pytest.raises(ValueError):
             integrate_path(heat3, grid, np.ones(5), seed=1)
+
+
+class TestAr1Scan:
+    # One row per coefficient: rho = 1e-3, 1/2, the slowest integrator_paths
+    # mode (a dt = 0.00987) and the random walk rho = 1.
+    RHO = np.array([1e-3, 0.5, np.exp(-0.00987), 1.0])
+
+    @pytest.mark.parametrize("n", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+                                   SCAN_BLOCK**2 + 1, 104427])
+    def test_matches_lfilter_and_loop(self, n):
+        rng = substream(12, n)
+        u = rng.standard_normal((4, n))
+        x0 = rng.standard_normal(4)
+        y = _ar1_scan(u, self.RHO, x0)
+        assert y.shape == (4, n)
+        for k, rho in enumerate(self.RHO):
+            filtered = lfilter([1.0], [1.0, -rho], u[k], zi=np.array([rho * x0[k]]))[0]
+            loop, state = np.empty(n), float(x0[k])
+            for j, step in enumerate(u[k].tolist()):
+                state = rho * state + step
+                loop[j] = state
+            for ref in (filtered, loop):
+                assert np.linalg.norm(y[k] - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
 
 
 class TestStationarySampling:
