@@ -41,12 +41,9 @@ from .estimators import (
     DISCRETE_NORM,
     DISCRETE_PROJ,
     DegenerateModelError,
-    alpha_bar_discrete,
-    alpha_check_discrete,
-    alpha_hat_continuous,
-    alpha_tilde_continuous,
-    asymptotic_constants,
     asymptotic_sigma,
+    drift_scales,
+    estimate,
     finish_report,
     qww1,
     trace_q1,
@@ -181,14 +178,18 @@ def cmd_theory(args) -> int:
                      f"tail estimate {s_lim.tail_estimate:.3g}; {trunc_note}"))
         rows.append(("u_inf_star", u_lim.value,
                      f"tail estimate {u_lim.tail_estimate:.3g}; {trunc_note}"))
-        constants = asymptotic_constants(model, projection, dt)
-        rows.append(("gamma_alpha", constants.gamma_alpha, trunc_note))
-        rows.append(("sigma1", constants.sigma1, trunc_note))
-        rows.append(("sigma2", constants.sigma2, trunc_note))
+        gamma, delta = drift_scales(model, projection)
+
+        def sigma(kind: str) -> float:
+            return asymptotic_sigma(model, kind, projection, dt)
+
+        rows.append(("gamma_alpha", gamma, trunc_note))
+        rows.append(("sigma1", sigma(DISCRETE_NORM), trunc_note))
+        rows.append(("sigma2", sigma(CONTINUOUS_NORM), trunc_note))
         if projection is not None:
-            rows.append(("delta_alpha", constants.delta_alpha, trunc_note))
-            rows.append(("sigma3", constants.sigma3, trunc_note))
-            rows.append(("sigma4", constants.sigma4, trunc_note))
+            rows.append(("delta_alpha", delta, trunc_note))
+            rows.append(("sigma3", sigma(DISCRETE_PROJ), trunc_note))
+            rows.append(("sigma4", sigma(CONTINUOUS_PROJ), trunc_note))
         for n in n_values:
             rows.append((f"s_n[{n}]", s_n(model, n, dt), trunc_note))
             rows.append((f"xi_H[{n}]", xi_H(model.hurst, n), "model-independent rate"))
@@ -290,25 +291,17 @@ def cmd_estimate(args) -> int:
         projection = _parse_projection(cfg["projection"], model.n_modes)
 
     if kind in (DISCRETE_NORM, CONTINUOUS_NORM):
-        normalizer = trace_q1(model)
+        normalizer, values = trace_q1(model), traj.sq_norms
     elif kind in (DISCRETE_PROJ, CONTINUOUS_PROJ):
         if projection is None:
             raise ConfigError("projection estimators need a 'projection' entry")
-        normalizer = qww1(model, projection)
+        if traj.projections is None:
+            raise ConfigError("trajectory file carries no projection column")
+        normalizer, values = qww1(model, projection), traj.projections**2
     else:
         raise ConfigError(f"unknown estimator kind {kind!r}")
 
-    if kind == DISCRETE_NORM:
-        report = alpha_check_discrete(traj.sq_norms, normalizer, model.hurst)
-    elif kind == CONTINUOUS_NORM:
-        report = alpha_hat_continuous(traj, normalizer, model.hurst)
-    elif kind == DISCRETE_PROJ:
-        if traj.projections is None:
-            raise ConfigError("trajectory file carries no projection column")
-        report = alpha_bar_discrete(traj.projections, normalizer, model.hurst)
-    else:
-        report = alpha_tilde_continuous(traj, normalizer, model.hurst)
-
+    report = estimate(kind, values, traj.t, normalizer, model.hurst)
     sigma = asymptotic_sigma(model, kind, projection) if model.hurst < 0.75 else None
     report = finish_report(report, model, sigma, true_alpha)
 
@@ -343,7 +336,7 @@ def cmd_experiment(args) -> int:
         grid=tuple(cfg["grid"]),
         replications=int(cfg["replications"]),
         seed=seed,
-        estimators=tuple(cfg.get("estimators", ("discrete_norm",))),
+        estimators=tuple(cfg.get("estimators", (DISCRETE_NORM,))),
         projection=projection,
         dt=float(cfg.get("dt", 1.0)),
         source=cfg.get("source", "stationary"),

@@ -1,14 +1,16 @@
 """Minimum-contrast drift estimators and their asymptotic standardization.
 
-All four estimators invert the ergodic identity
-``sample second moment = alpha^{-2H} * normalizer`` for ``alpha``, where the
-normalizer is the drift-1 stationary trace (norm observations) or quadratic
-form ``<Q w, w>`` (projected observations):
+The paper's four estimators -- from squared norms or from a projection,
+observed at unit-spaced times or in continuous time -- are one
+:func:`estimate`.  Each inverts the ergodic identity
+``moment = alpha^{-2H} * normalizer`` (:func:`alpha_from_moment`):
 
-    estimate = ( moment / normalizer )^{-1/(2H)}.
+    estimate = ( moment / normalizer )^{-1/(2H)},
 
-Continuous-time variants replace the sample mean by a trapezoidal time
-average.  Standardizing constants for the central limit theorems are
+where the moment is the sample mean (discrete kinds) or the trapezoidal time
+average (continuous kinds) of the squared observations, and the normalizer
+is the drift-1 stationary trace (norms) or quadratic form ``<Q w, w>``
+(projections).  Standardizing constants for the central limit theorems are
 
     gamma = alpha^{1+2H} / (2H * trace),   delta = alpha^{1+2H} / (2H * <Qw,w>),
     sigma_1 = gamma * sqrt(s_inf*),        sigma_2 = gamma * sqrt(u_inf*),
@@ -21,7 +23,7 @@ drift 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,22 +38,19 @@ from .covariance import (
     u_infty_star,
 )
 from .models import ModelConfig, ProjectionVector
-from .simulate import Trajectory
 
 __all__ = [
     "DEGENERACY_TOL",
     "DegenerateModelError",
     "Normalizer",
     "EstimateReport",
-    "AsymptoticConstants",
     "trace_q1",
     "qww1",
-    "alpha_check_discrete",
-    "alpha_hat_continuous",
-    "alpha_bar_discrete",
-    "alpha_tilde_continuous",
+    "alpha_from_moment",
+    "estimate",
+    "drift_scales",
     "asymptotic_sigma",
-    "asymptotic_constants",
+    "finish_report",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -102,95 +101,59 @@ def qww1(model: ModelConfig, w: ProjectionVector) -> Normalizer:
     return Normalizer(value=value, degenerate=value < DEGENERACY_TOL)
 
 
-def _invert_moment(moment, normalizer: Normalizer, hurst: float, kind: str):
+def alpha_from_moment(moment, normalizer: Normalizer, hurst: float, kind: str):
     """``(moment / normalizer)^{-1/(2H)}`` for a float or an array of moments."""
     if normalizer.degenerate:
         raise DegenerateModelError(
             f"{kind}: normalizer {normalizer.value:.3g} below {DEGENERACY_TOL}; "
             "the drift parameter cannot be estimated"
         )
-    if np.any(moment <= 0):
+    if not np.all(np.isfinite(moment) & (moment > 0)):
         raise ValueError(
-            f"{kind}: sample second moment must be positive, got {np.min(moment):.3g}"
+            f"{kind}: sample second moment must be finite and positive, "
+            f"got {np.min(moment):.3g}"
         )
     return (moment / normalizer.value) ** (-1.0 / (2.0 * hurst))
 
 
-def alpha_check_discrete(sq_norms: np.ndarray, normalizer: Normalizer, hurst: float) -> EstimateReport:
-    """Discrete-observation estimator from squared norms at unit-spaced times."""
-    sq = np.asarray(sq_norms, dtype=float)
-    if sq.ndim != 1 or len(sq) < 1:
-        raise ValueError("need a non-empty vector of squared norms")
-    moment = float(np.mean(sq))
+def estimate(kind: str, values: np.ndarray, t: np.ndarray | None, normalizer: Normalizer,
+             hurst: float) -> EstimateReport:
+    """Minimum-contrast estimate of one kind from squared observations.
+
+    ``values`` holds ``|X(t_i)|^2`` (norm kinds) or ``<X(t_i), w>^2``
+    (projection kinds).  Discrete kinds take their sample mean and ignore
+    ``t``; continuous kinds take their trapezoidal time average over ``t``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) < 1:
+        raise ValueError("need a non-empty vector of squared observations")
+    if kind in (DISCRETE_NORM, DISCRETE_PROJ):
+        sample_size = len(values)
+        moment = float(np.mean(values))
+    elif kind in (CONTINUOUS_NORM, CONTINUOUS_PROJ):
+        sample_size = float(t[-1] - t[0])
+        if sample_size <= 0:
+            raise ValueError("trajectory must span a positive horizon")
+        moment = float(np.trapezoid(values, t) / sample_size)
+    else:
+        raise ValueError(f"unknown estimator kind {kind!r}")
     return EstimateReport(
-        kind=DISCRETE_NORM,
-        alpha_hat=_invert_moment(moment, normalizer, hurst, DISCRETE_NORM),
-        sample_size=len(sq),
+        kind=kind,
+        alpha_hat=alpha_from_moment(moment, normalizer, hurst, kind),
+        sample_size=sample_size,
         normalizer=normalizer.value,
         hurst=float(hurst),
     )
 
 
-def alpha_hat_continuous(traj: Trajectory, normalizer: Normalizer, hurst: float) -> EstimateReport:
-    """Continuous-time estimator: trapezoidal time average of ``|X|^2``."""
-    horizon = float(traj.t[-1] - traj.t[0])
-    if horizon <= 0:
-        raise ValueError("trajectory must span a positive horizon")
-    moment = float(np.trapezoid(traj.sq_norms, traj.t) / horizon)
-    return EstimateReport(
-        kind=CONTINUOUS_NORM,
-        alpha_hat=_invert_moment(moment, normalizer, hurst, CONTINUOUS_NORM),
-        sample_size=horizon,
-        normalizer=normalizer.value,
-        hurst=float(hurst),
-    )
+def _drift_scale(model: ModelConfig, normalizer: Normalizer, what: str) -> float:
+    if normalizer.degenerate:
+        raise DegenerateModelError(f"{what} vanishes; constants undefined")
+    return model.alpha ** (1.0 + 2.0 * model.hurst) / (2.0 * model.hurst * normalizer.value)
 
 
-def alpha_bar_discrete(projections: np.ndarray, normalizer: Normalizer, hurst: float) -> EstimateReport:
-    """Discrete-observation estimator from a one-dimensional projection."""
-    proj = np.asarray(projections, dtype=float)
-    if proj.ndim != 1 or len(proj) < 1:
-        raise ValueError("need a non-empty vector of projections")
-    moment = float(np.mean(proj**2))
-    return EstimateReport(
-        kind=DISCRETE_PROJ,
-        alpha_hat=_invert_moment(moment, normalizer, hurst, DISCRETE_PROJ),
-        sample_size=len(proj),
-        normalizer=normalizer.value,
-        hurst=float(hurst),
-    )
-
-
-def alpha_tilde_continuous(traj: Trajectory, normalizer: Normalizer, hurst: float) -> EstimateReport:
-    """Continuous-time projection estimator (trapezoidal time average)."""
-    if traj.projections is None:
-        raise ValueError("trajectory carries no projections")
-    horizon = float(traj.t[-1] - traj.t[0])
-    if horizon <= 0:
-        raise ValueError("trajectory must span a positive horizon")
-    moment = float(np.trapezoid(traj.projections**2, traj.t) / horizon)
-    return EstimateReport(
-        kind=CONTINUOUS_PROJ,
-        alpha_hat=_invert_moment(moment, normalizer, hurst, CONTINUOUS_PROJ),
-        sample_size=horizon,
-        normalizer=normalizer.value,
-        hurst=float(hurst),
-    )
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """Delta-method factors and CLT standard deviations for the estimators."""
-
-    gamma_alpha: float
-    sigma1: float
-    sigma2: float
-    delta_alpha: float | None = None
-    sigma3: float | None = None
-    sigma4: float | None = None
-
-
-def _drift_scales(model: ModelConfig, w: ProjectionVector | None) -> tuple[float, float | None]:
+def drift_scales(model: ModelConfig,
+                 w: ProjectionVector | None = None) -> tuple[float, float | None]:
     """Delta-method factors ``(gamma, delta)``; ``delta`` is None without ``w``.
 
     Runs the cheap checks (H < 3/4, then the trace and ``<Q w, w>``
@@ -198,17 +161,10 @@ def _drift_scales(model: ModelConfig, w: ProjectionVector | None) -> tuple[float
     """
     if model.hurst >= 0.75:
         raise ValueError("asymptotic constants exist only for H < 3/4")
-    alpha, h = model.alpha, model.hurst
-    trace1 = trace_q(model.with_alpha(1.0))
-    if trace1 < DEGENERACY_TOL:
-        raise DegenerateModelError("stationary trace vanishes; constants undefined")
-    delta = None
-    if w is not None:
-        qw1 = qww(model.with_alpha(1.0), w)
-        if qw1 < DEGENERACY_TOL:
-            raise DegenerateModelError("projected normalizer vanishes; constants undefined")
-        delta = alpha ** (1.0 + 2.0 * h) / (2.0 * h * qw1)
-    return alpha ** (1.0 + 2.0 * h) / (2.0 * h * trace1), delta
+    gamma = _drift_scale(model, trace_q1(model), "stationary trace")
+    if w is None:
+        return gamma, None
+    return gamma, _drift_scale(model, qww1(model, w), "projected normalizer")
 
 
 #: The variance limit behind each estimator's CLT standard deviation.
@@ -234,31 +190,12 @@ def asymptotic_sigma(
     """
     if kind not in _VARIANCE_LIMITS:
         raise ValueError(f"no asymptotic sigma available for kind {kind!r}")
-    gamma, delta = _drift_scales(model, w)
+    gamma, delta = drift_scales(model, w)
     projected = kind in (DISCRETE_PROJ, CONTINUOUS_PROJ)
     if projected and w is None:
         raise ValueError(f"{kind}: asymptotic sigma needs a projection")
     scale = delta if projected else gamma
     return scale * float(np.sqrt(_VARIANCE_LIMITS[kind](model, w, dt).value))
-
-
-def asymptotic_constants(
-    model: ModelConfig,
-    w: ProjectionVector | None = None,
-    dt: float = 1.0,
-) -> AsymptoticConstants:
-    """All CLT constants at the model's drift (H < 3/4 required); the sigmas
-    are those of :func:`asymptotic_sigma`."""
-    gamma, delta = _drift_scales(model, w)
-    projected = w is not None
-    return AsymptoticConstants(
-        gamma_alpha=gamma,
-        sigma1=asymptotic_sigma(model, DISCRETE_NORM, w, dt),
-        sigma2=asymptotic_sigma(model, CONTINUOUS_NORM, w, dt),
-        delta_alpha=delta,
-        sigma3=asymptotic_sigma(model, DISCRETE_PROJ, w, dt) if projected else None,
-        sigma4=asymptotic_sigma(model, CONTINUOUS_PROJ, w, dt) if projected else None,
-    )
 
 
 def finish_report(
@@ -271,8 +208,6 @@ def finish_report(
     std_err = None
     if sigma is not None and true_alpha is not None:
         std_err = float(np.sqrt(report.sample_size) * (report.alpha_hat - true_alpha) / sigma)
-    from dataclasses import replace
-
     return replace(
         report,
         truncation_tail_ratio=trace_tail_ratio(model.with_alpha(1.0)),

@@ -40,11 +40,13 @@ from .chaos import (
     wasserstein1_distance,
     xi_H,
 )
-from .covariance import r_z_sum, s_infty_star, trace_q
+from .covariance import s_infty_star, trace_q
 from .estimators import (
+    DISCRETE_NORM,
+    DISCRETE_PROJ,
     DegenerateModelError,
-    _invert_moment,
-    alpha_bar_discrete,
+    alpha_from_moment,
+    asymptotic_sigma,
     qww1,
     trace_q1,
 )
@@ -85,7 +87,7 @@ class ExperimentSpec:
     grid: tuple
     replications: int
     seed: int
-    estimators: tuple = ("discrete_norm",)
+    estimators: tuple = (DISCRETE_NORM,)
     projection: ProjectionVector | None = None
     dt: float = 1.0
     source: str = "stationary"      # "stationary" (exact) or "integrator"
@@ -107,6 +109,9 @@ class ExperimentSpec:
             raise ValueError("n_batches must be >= 1")
         if self.source not in ("stationary", "integrator"):
             raise ValueError("source must be 'stationary' or 'integrator'")
+        if not self.estimators or not set(self.estimators) <= {DISCRETE_NORM, DISCRETE_PROJ}:
+            raise ValueError(f"estimators must be a non-empty subset of {DISCRETE_NORM!r} "
+                             f"and {DISCRETE_PROJ!r}, got {list(self.estimators)}")
 
 
 @dataclass(frozen=True)
@@ -344,40 +349,31 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
     thresholds.update(spec.thresholds)
     report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
 
-    want_norm = "discrete_norm" in spec.estimators
-    want_proj = "discrete_projection" in spec.estimators
+    want_proj = DISCRETE_PROJ in spec.estimators
     if want_proj and spec.projection is None:
         raise ValueError("projection estimator requested without a projection")
-    trace1 = trace_q1(model)
-    if want_norm and trace1.degenerate:
-        raise DegenerateModelError("stationary trace is degenerate")
-    qw1 = qww1(model, spec.projection) if want_proj else None
-    if want_proj and qw1.degenerate:
-        raise DegenerateModelError("projected normalizer is degenerate")
-    # Only the discrete-kind standard deviations are needed here; skip the
-    # continuous-time integrals of the full constant set.
-    if model.hurst >= 0.75:
-        raise ValueError("estimator CLT experiments require H < 3/4")
-    power = model.alpha ** (1.0 + 2.0 * model.hurst) / (2.0 * model.hurst)
-    sigma1 = (power / trace1.value) * np.sqrt(s_infty_star(model, spec.dt).value) \
-        if want_norm else None
-    sigma3 = (power / qw1.value) * np.sqrt(r_z_sum(model, spec.projection, spec.dt).value) \
-        if want_proj else None
+    # (normalizer, sigma) per kind, in report order; asymptotic_sigma checks
+    # H < 3/4 and the degeneracy of the normalizers.
+    targets = {}
+    if DISCRETE_NORM in spec.estimators:
+        targets[DISCRETE_NORM] = (
+            trace_q1(model), asymptotic_sigma(model, DISCRETE_NORM, None, spec.dt)
+        )
+    if want_proj:
+        targets[DISCRETE_PROJ] = (
+            qww1(model, spec.projection),
+            asymptotic_sigma(model, DISCRETE_PROJ, spec.projection, spec.dt),
+        )
 
     sizes = _batch_sizes(spec.replications, spec.n_batches)
     for gi, n in enumerate(spec.grid):
         n = int(n)
         sq, proj = _stationary_moment_samples(spec, n, gi, need_proj=want_proj)
-        targets = []
-        if want_norm:
-            alphas = _invert_moment(sq.mean(axis=0), trace1, model.hurst, "discrete_norm")
-            targets.append(("discrete_norm", alphas, sigma1))
-        if want_proj:
-            alphas_p = _invert_moment(
-                (proj**2).mean(axis=0), qw1, model.hurst, "discrete_projection"
-            )
-            targets.append(("discrete_projection", alphas_p, sigma3))
-        for name, alphas, sigma in targets:
+        for name, (normalizer, sigma) in targets.items():
+            # No name holds proj**2: freeing it before the next grid point's
+            # draws raises glibc's mmap threshold, which keeps them off mmap.
+            moments = (sq if name == DISCRETE_NORM else proj**2).mean(axis=0)
+            alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             z = np.sqrt(n) * (alphas - model.alpha) / sigma
             ks_loc, ks_loc_se = _batched_statistic(
                 z, sizes, lambda v: ks_distance(v, localize=spec.localize)
@@ -410,7 +406,9 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     trace1 = trace_q1(model)
     if trace1.degenerate:
         raise DegenerateModelError("stationary trace is degenerate; drift not identifiable")
-    want_proj = "discrete_projection" in spec.estimators
+    want_proj = DISCRETE_PROJ in spec.estimators
+    if want_proj and spec.projection is None:
+        raise ValueError("projection estimator requested without a projection")
     qw1 = qww1(model, spec.projection) if want_proj else None
     if want_proj and qw1.degenerate:
         raise DegenerateModelError("projected normalizer is degenerate")
@@ -426,11 +424,11 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     medians: dict[str, list[float]] = {}
     for n in spec.grid:
         n = int(n)
-        rows = [("discrete_norm", cum_sq[n - 1] / n, trace1)]
+        rows = [(DISCRETE_NORM, cum_sq[n - 1] / n, trace1)]
         if want_proj:
-            rows.append(("discrete_projection", cum_pr[n - 1] / n, qw1))
+            rows.append((DISCRETE_PROJ, cum_pr[n - 1] / n, qw1))
         for name, moments, normalizer in rows:
-            alphas = _invert_moment(moments, normalizer, model.hurst, name)
+            alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             err = np.abs(alphas - model.alpha)
             med = float(np.median(err))
             q1, q3 = np.percentile(err, [25, 75])
@@ -611,7 +609,7 @@ def run_degenerate_projection(spec: ExperimentSpec) -> ExperimentReport:
                      note="projected normalizer vanishes for the degenerate pair")
     refused = False
     try:
-        alpha_bar_discrete(np.ones(8), cand, model.hurst)
+        alpha_from_moment(1.0, cand, model.hurst, DISCRETE_PROJ)
     except DegenerateModelError:
         refused = True
     report.add_check("estimator_refuses", float(refused), 1.0, ">=",
@@ -625,8 +623,8 @@ def run_degenerate_projection(spec: ExperimentSpec) -> ExperimentReport:
     report.add_row(0, "qww_window", good.value)
     report.add_check("qww_window_positive", good.value, thresholds["qww_tol"], ">=",
                      note="window projection keeps the normalizer positive")
-    ok_report = alpha_bar_discrete(np.full(16, good.value), good, model.hurst)
-    report.add_row(0, "window_unit_ratio_estimate", ok_report.alpha_hat)
+    report.add_row(0, "window_unit_ratio_estimate",
+                   alpha_from_moment(good.value, good, model.hurst, DISCRETE_PROJ))
     return report
 
 

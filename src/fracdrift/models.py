@@ -23,14 +23,12 @@ __all__ = [
     "NoiseStructure",
     "ModelConfig",
     "ProjectionVector",
-    "ValidityReport",
     "build_distributed_model",
     "build_pointwise_model",
     "custom_model",
     "projection_indicator",
     "projection_sine",
     "projection_from_coefficients",
-    "check_validity",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -128,16 +126,6 @@ class ProjectionVector:
             raise ValueError("coefficients must be a non-empty vector")
         if not np.all(np.isfinite(co)):
             raise ValueError("coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Which structural assumptions hold at the given (H, d, m)."""
-
-    distributed_ok: bool
-    pointwise_ok: bool
-    clt_regime: bool
-    notes: str = ""
 
 
 def _laplacian_eigenvalues(d: int, m: int, n_modes: int) -> np.ndarray:
@@ -247,24 +235,6 @@ def projection_sine(mode: int, n_modes: int) -> ProjectionVector:
 
 def projection_from_coefficients(values: np.ndarray) -> ProjectionVector:
     return ProjectionVector(np.asarray(values, dtype=float), descriptor="coefficients")
-
-
-def check_validity(model: ModelConfig, d: int, m: int) -> ValidityReport:
-    """Report which assumptions hold for a truncation of the order-2m equation
-    on (0,1)^d.  Never blocks computation; estimation may be exercised outside
-    the valid regime on purpose.
-    """
-    h = model.hurst
-    distributed_ok = h > d / (4.0 * m)
-    pointwise_ok = h > d / 4.0
-    clt_regime = h < 0.75
-    rho = model.alpha * float(model.operator.eigenvalues[0])
-    notes = (
-        f"exponential stability rate rho = alpha*lambda_1 = {rho:.6g}; "
-        "remaining structural constants (epsilon, beta, gamma, M, c) are "
-        "existence devices with no computational role"
-    )
-    return ValidityReport(distributed_ok, pointwise_ok, clt_regime, notes)
 
 
 # --------------------------------------------------------------------------

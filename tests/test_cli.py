@@ -4,10 +4,18 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fracdrift.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, EXIT_THRESHOLD, main
+from fracdrift.estimators import asymptotic_sigma, estimate, qww1, trace_q1
+from fracdrift.models import model_from_dict, projection_from_dict
+from fracdrift.simulate import trajectory_from_csv
 
 HEAT3 = {"kind": "distributed", "d": 1, "m": 1, "n_modes": 3, "alpha": 1.0, "hurst": 0.55}
 POINTWISE = {"kind": "pointwise", "y": 0.5, "n_modes": 8, "alpha": 1.0, "hurst": 0.55}
+WINDOW = {"kind": "indicator", "a": 0.0, "b": 0.5}
+KINDS = ["discrete_norm", "continuous_norm", "discrete_projection", "continuous_projection"]
+PROJECTION_KINDS = ["discrete_projection", "continuous_projection"]
 
 
 def write(tmp_path, name, payload):
@@ -149,6 +157,64 @@ class TestSimulateEstimateRoundTrip:
         assert code == EXIT_DEGENERATE
         assert "error: degenerate:" in capsys.readouterr().err
 
+    @staticmethod
+    def _heat3_trajectory(tmp_path, projection):
+        sim_cfg = {"model": HEAT3, "grid": {"dt": 0.5, "n_steps": 200},
+                   "method": "exact_stationary", "seed": 6}
+        if projection:
+            sim_cfg["projection"] = WINDOW
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", write(tmp_path, "sim.json", sim_cfg),
+                     "--out", str(sim_out)]) == EXIT_OK
+        return sim_out / "trajectory.csv"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_matches_the_library(self, tmp_path, kind):
+        traj_csv = self._heat3_trajectory(tmp_path, projection=True)
+        est_cfg = write(tmp_path, "est.json", {
+            "model": HEAT3, "trajectory": str(traj_csv), "estimator": kind,
+            "projection": WINDOW, "true_alpha": 1.0,
+        })
+        assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "e")]) == EXIT_OK
+        report = json.loads((tmp_path / "e" / "estimate.json").read_text())
+
+        model = model_from_dict(HEAT3)
+        w = projection_from_dict(WINDOW, model.n_modes)
+        traj = trajectory_from_csv(traj_csv.read_text())
+        if kind in PROJECTION_KINDS:
+            expected = estimate(kind, traj.projections**2, traj.t, qww1(model, w), model.hurst)
+        else:
+            expected = estimate(kind, traj.sq_norms, traj.t, trace_q1(model), model.hurst)
+        assert report["kind"] == kind
+        assert report["alpha_hat"] == expected.alpha_hat
+        assert report["sample_size"] == expected.sample_size
+        assert report["sigma_asymptotic"] == asymptotic_sigma(model, kind, w)
+
+    @pytest.mark.parametrize("kind", PROJECTION_KINDS)
+    def test_missing_projection_column_is_a_config_error(self, tmp_path, capsys, kind):
+        traj_csv = self._heat3_trajectory(tmp_path, projection=False)
+        est_cfg = write(tmp_path, "est.json", {
+            "model": HEAT3, "trajectory": str(traj_csv), "estimator": kind,
+            "projection": WINDOW,
+        })
+        assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "e")]) == EXIT_ERROR
+        assert "error: config: trajectory file carries no projection column" \
+            in capsys.readouterr().err
+
+    def test_nan_moment_is_a_compute_error(self, tmp_path, capsys):
+        traj_csv = self._heat3_trajectory(tmp_path, projection=False)
+        lines = traj_csv.read_text().splitlines()
+        t, _ = lines[5].split(",")
+        lines[5] = f"{t},nan"
+        traj_csv.write_text("\n".join(lines) + "\n")
+        est_cfg = write(tmp_path, "est.json", {
+            "model": HEAT3, "trajectory": str(traj_csv), "estimator": "discrete_norm",
+        })
+        out = tmp_path / "e"
+        assert main(["estimate", "--config", est_cfg, "--out", str(out)]) == EXIT_ERROR
+        assert "error: compute:" in capsys.readouterr().err
+        assert not (out / "estimate.json").exists()
+
     def test_missing_trajectory_file(self, tmp_path, capsys):
         est_cfg = write(tmp_path, "est.json", {
             "model": HEAT3, "trajectory": str(tmp_path / "nope.csv"),
@@ -190,6 +256,18 @@ class TestExperimentCommand:
         code = main(["experiment", "consistency", "--config", cfg, "--out",
                      str(tmp_path / "out")])
         assert code == EXIT_DEGENERATE
+
+    @pytest.mark.parametrize("estimator", ["discrete_nrm", "continuous_norm"])
+    def test_unsupported_estimator_is_an_error(self, tmp_path, capsys, estimator):
+        cfg = write(tmp_path, "exp.json", {
+            "model": HEAT3, "grid": [16], "replications": 8, "seed": 1,
+            "estimators": [estimator],
+        })
+        out = tmp_path / "out"
+        code = main(["experiment", "estimator_clt", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "estimators must be a non-empty subset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         cfg = write(tmp_path, "exp.json", {

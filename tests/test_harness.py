@@ -45,6 +45,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment(ExperimentSpec("mystery", heat3, (8,), 4, 1))
 
+    @pytest.mark.parametrize("estimators", [("discrete_nrm",), ("continuous_norm",),
+                                            ("discrete_norm", "continuous_projection"), ()])
+    def test_estimators_are_discrete_kinds(self, heat3, estimators):
+        with pytest.raises(ValueError, match="estimators must be"):
+            ExperimentSpec("estimator_clt", heat3, (8,), 4, 1, estimators=estimators)
+
     def test_batch_sizes_partition(self):
         for reps, batches in ((100, 20), (7, 20), (41, 6)):
             sizes = _batch_sizes(reps, batches)
@@ -130,6 +136,12 @@ class TestConsistencyExperiment:
         stats = {r.statistic for r in report.rows}
         assert "discrete_projection_median_abs_error" in stats
 
+    def test_projection_estimator_needs_projection(self, heat3):
+        spec = ExperimentSpec("consistency", heat3, (8,), 4, seed=1,
+                              estimators=("discrete_projection",))
+        with pytest.raises(ValueError, match="projection"):
+            run_consistency(spec)
+
     def test_degenerate_projection_refuses(self):
         model = build_pointwise_model(0.5, 8, 1.0, 0.55)
         spec = ExperimentSpec("consistency", model, (32,), 8, seed=1,
@@ -206,6 +218,8 @@ class TestDegenerateProjectionExperiment:
         assert byname["qww_candidate_degenerate"].observed < 1e-12
         assert byname["estimator_refuses"].passed
         assert byname["qww_window_positive"].observed > 0
+        unit = [r.value for r in report.rows if r.statistic == "window_unit_ratio_estimate"]
+        assert unit == [pytest.approx(1.0, abs=1e-13)]
 
     def test_requires_projection(self, pointwise8):
         spec = ExperimentSpec("degenerate_projection", pointwise8, (1,), 1, seed=1)

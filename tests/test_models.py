@@ -11,7 +11,6 @@ from fracdrift.models import (
     SpectralOperator,
     build_distributed_model,
     build_pointwise_model,
-    check_validity,
     custom_model,
     model_from_dict,
     model_to_dict,
@@ -116,23 +115,6 @@ class TestProjections:
         assert float(coeffs @ coeffs) == pytest.approx(0.5, rel=1e-15)
         with pytest.raises(ValueError):
             projection_sine(9, 8)
-
-
-class TestValidity:
-    @pytest.mark.parametrize(
-        "h,d,m,distributed_ok",
-        [(0.3, 1, 1, True), (0.2, 1, 1, False), (0.26, 1, 1, True), (0.1, 1, 2, False)],
-    )
-    def test_distributed_threshold(self, h, d, m, distributed_ok):
-        model = build_distributed_model(d, m, 2, 1.0, h)
-        assert check_validity(model, d, m).distributed_ok is distributed_ok
-
-    def test_pointwise_and_clt_flags(self):
-        model = build_pointwise_model(0.3, 4, 1.0, 0.8)
-        report = check_validity(model, 1, 1)
-        assert report.pointwise_ok      # 0.8 > 1/4
-        assert not report.clt_regime    # 0.8 >= 3/4
-        assert "rho" in report.notes
 
 
 class TestValidationAndSerialization:
