@@ -302,7 +302,9 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"unknown estimator kind {kind!r}")
 
     report = estimate(kind, values, traj.t, normalizer, model.hurst)
-    sigma = asymptotic_sigma(model, kind, projection) if model.hurst < 0.75 else None
+    sigma = None
+    if model.hurst < 0.75:
+        sigma = asymptotic_sigma(model, kind, projection, traj.grid.dt)
     report = finish_report(report, model, sigma, true_alpha)
 
     out = _out_dir(args)
@@ -330,23 +332,26 @@ def cmd_experiment(args) -> int:
     projection = None
     if "projection" in cfg:
         projection = _parse_projection(cfg["projection"], model.n_modes)
-    spec = ExperimentSpec(
-        kind=args.kind,
-        model=model,
-        grid=tuple(cfg["grid"]),
-        replications=int(cfg["replications"]),
-        seed=seed,
-        estimators=tuple(cfg.get("estimators", (DISCRETE_NORM,))),
-        projection=projection,
-        dt=float(cfg.get("dt", 1.0)),
-        source=cfg.get("source", "stationary"),
-        sim_dt=float(cfg.get("sim_dt", 0.01)),
-        n_batches=int(cfg.get("n_batches", 20)),
-        threads=max(int(args.threads), 1),
-        localize=float(cfg.get("localize", 3.0)),
-        mc_cumulant_max_n=int(cfg.get("mc_cumulant_max_n", 64)),
-        thresholds=cfg.get("thresholds", {}),
-    )
+    try:
+        spec = ExperimentSpec(
+            kind=args.kind,
+            model=model,
+            grid=tuple(cfg["grid"]),
+            replications=int(cfg["replications"]),
+            seed=seed,
+            estimators=tuple(cfg.get("estimators", (DISCRETE_NORM,))),
+            projection=projection,
+            dt=float(cfg.get("dt", 1.0)),
+            source=cfg.get("source", "stationary"),
+            sim_dt=float(cfg.get("sim_dt", 0.01)),
+            n_batches=int(cfg.get("n_batches", 20)),
+            threads=max(int(args.threads), 1),
+            localize=float(cfg.get("localize", 3.0)),
+            mc_cumulant_max_n=int(cfg.get("mc_cumulant_max_n", 64)),
+            thresholds=cfg.get("thresholds", {}),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment config: {exc}") from None
     report = run_experiment(spec)
 
     out = _out_dir(args)

@@ -6,9 +6,9 @@ evaluates the mode autocovariances
 
     r_kl(t) = E[ x_k(t) x_l(0) ],
 
-assembles the lag-``t`` autocovariance matrix ``R(t)`` and its Hilbert-Schmidt
-norm, and computes the variance limits that standardize the central limit
-theorems:
+which make up the lag-``t`` autocovariance matrix ``R(t)``, and computes from
+them the stationary covariance ``Q = R(0)`` (its trace and ``<Qw, w>``) and the
+variance limits that standardize the central limit theorems:
 
     s_n      = 2 * sum_{|i|<n} (1 - |i|/n) ||R(i*dt)||_HS^2
     s_inf*   = 2 * sum_{i in Z} ||R(i*dt)||_HS^2          (H < 3/4)
@@ -20,8 +20,9 @@ separately); the time integrals are computed exactly through Parseval in the
 frequency domain, where the squared Hilbert-Schmidt norms collapse to smooth
 one-dimensional integrals.
 
-Production evaluates every autocovariance in closed form, for every
-``H in (0,1)``.  Partial fractions split the spectral integrand,
+``_lag_table`` is the one evaluator of ``r_kl`` in production, in closed form
+for every ``H in (0,1)``; the stationary covariance, the cached lag tables and
+every series read it.  Partial fractions split the spectral integrand,
 
     1/((a_k+iw)(a_l-iw)) = [1/(a_k+iw) + 1/(a_l-iw)] / (a_k+a_l),
 
@@ -29,10 +30,9 @@ so each cross term reduces to one function of a single rate
 (Cheridito, Kawaguchi & Maejima, EJP 8, 2003):
 
     r_kl(t) = phi_k phi_l [g_{a_k}(t) + g_{a_l}(-t)] / (a_k + a_l),
-    g_a(t)  = H(2H-1) int_0^inf e^{-a s} |t-s|^{2H-2} ds,
+    g_a(t)  = H(2H-1) int_0^inf e^{-a s} |t-s|^{2H-2} ds.
 
-which is the analytic evaluation of the moving-average kernel form.  With
-``p = 2H-1``, Kummer's function ``M`` (DLMF 13.2) and the scaled upper
+With ``p = 2H-1``, Kummer's function ``M`` (DLMF 13.2) and the scaled upper
 incomplete gamma ``G_p(x) = e^x Gamma(p, x)`` (DLMF 8.2), for ``t > 0``
 
     g_a(t)  = H t^p M(1, p+1, -a t) + H Gamma(p+1) a^{-p} e^{-a t},
@@ -65,19 +65,14 @@ from .fgn import block_toeplitz
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
 __all__ = [
-    "AutoCovMatrix",
     "SeriesLimit",
     "QuadratureError",
-    "stationary_variance_mode",
     "spectral_cross_autocov",
-    "kernel_autocov",
-    "autocov_matrix",
-    "hs_norm",
+    "stationary_covariance",
     "hs_norm_lags",
     "s_n",
     "s_infty_star",
     "u_infty_star",
-    "r_z",
     "r_z_sum",
     "r_z_integral",
     "trace_q",
@@ -98,19 +93,6 @@ class QuadratureError(RuntimeError):
 def _c_spectral(h: float) -> float:
     """Spectral density constant c_H = Gamma(2H+1) sin(pi H) / (2 pi)."""
     return gamma_fn(2.0 * h + 1.0) * math.sin(math.pi * h) / (2.0 * math.pi)
-
-
-def stationary_variance_mode(a: float, phi: float, hurst: float) -> float:
-    """Stationary variance ``phi^2 H Gamma(2H) a^{-2H}`` of one mode.
-
-    This is the classical closed form for a scalar fractional
-    Ornstein-Uhlenbeck process ``dx = -a x dt + phi dB^H``; at ``H = 1/2`` it
-    reduces to ``phi^2/(2a)``.
-    """
-    if a <= 0:
-        raise ValueError("mode rate a must be positive")
-    h = float(hurst)
-    return phi * phi * h * gamma_fn(2.0 * h) * a ** (-2.0 * h)
 
 
 # --------------------------------------------------------------------------
@@ -329,74 +311,11 @@ def _lag_table(a: np.ndarray, phi: np.ndarray, h: float, diagonal: bool,
     return table
 
 
-def _unit_autocov_grid(ak: float, al: float, h: float, ts: np.ndarray) -> np.ndarray:
-    """Unit-loading ``E[x_k(t) x_l(0)]`` on a grid of lags of either sign."""
-    ts = np.asarray(ts, dtype=float)
-    fwd, bwd = _rate_terms(np.array([ak, al]), h, np.abs(ts).ravel())
-    out = np.where(ts.ravel() >= 0, fwd[0] + bwd[1], fwd[1] + bwd[0]) / (ak + al)
-    return out.reshape(ts.shape)
-
-
-def _unit_autocov(ak: float, al: float, h: float, t: float) -> float:
-    """Scalar ``_unit_autocov_grid``."""
-    return float(_unit_autocov_grid(ak, al, h, np.array([t]))[0])
-
-
-def kernel_autocov(
-    a_k: float,
-    a_l: float,
-    phi_k: float,
-    phi_l: float,
-    hurst: float,
-    t: float,
-) -> float:
-    """Cross autocovariance from the moving-average kernel (requires H > 1/2).
-
-    ``r_kl(t) = r_kl(0) e^{-a_k t} + phi_k phi_l H(2H-1) int_0^t int_{-inf}^0
-    e^{a_l r} e^{-a_k(t-s)} (s-r)^{2H-2} dr ds`` is a convergent integral only
-    for ``H > 1/2``; it is evaluated analytically by the closed form.  Must
-    agree with :func:`spectral_cross_autocov` wherever both are defined.
-    """
-    h = float(hurst)
-    if h <= 0.5:
-        raise ValueError("kernel form requires H > 1/2; use spectral_cross_autocov")
-    if a_k <= 0 or a_l <= 0:
-        raise ValueError("mode rates must be positive")
-    return phi_k * phi_l * _unit_autocov(float(a_k), float(a_l), h, float(t))
-
-
-# --------------------------------------------------------------------------
-# Matrix assembly.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AutoCovMatrix:
-    """Mode autocovariances ``r_kl(t) = E<Z(t),e_k><Z(0),e_l>`` at one lag.
-
-    Diagonal-noise models store only the diagonal (cross terms vanish).
-    """
-
-    t: float
-    entries: np.ndarray  # shape (N,) diagonal or (N, N) full
-    is_diagonal: bool
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.entries) if self.is_diagonal else self.entries
-
-
-def autocov_matrix(model: ModelConfig, t: float, rtol: float = QUAD_RTOL) -> AutoCovMatrix:
-    """Assemble ``R(t)``.  Negative ``t`` uses ``r_kl(-t) = r_lk(t)``."""
-    diagonal = model.noise.kind == DIAGONAL
-    entries = _lag_table(model.rates, model.noise.loadings, model.hurst, diagonal,
-                         np.array([abs(float(t))]))[..., 0]
-    if t < 0 and not diagonal:
-        entries = entries.T
-    return AutoCovMatrix(t=float(t), entries=entries, is_diagonal=diagonal)
-
-
-def hs_norm(acm: AutoCovMatrix) -> float:
-    """Hilbert-Schmidt (Frobenius) norm of the autocovariance matrix."""
-    return float(np.sqrt(np.sum(np.asarray(acm.entries, dtype=float) ** 2)))
+def stationary_covariance(model: ModelConfig) -> np.ndarray:
+    """Stationary covariance ``Q = R(0)``: the mode variances, shape (N,), for
+    diagonal noise; the full (N, N) matrix for rank-one noise."""
+    return _lag_table(model.rates, model.noise.loadings, model.hurst,
+                      model.noise.kind == DIAGONAL, np.zeros(1))[..., 0]
 
 
 # --------------------------------------------------------------------------
@@ -436,18 +355,10 @@ def lag_blocks(model: ModelConfig, dt: float, n_lags: int) -> np.ndarray:
     return np.moveaxis(table, -1, 0)[None]
 
 
-@lru_cache(maxsize=64)
-def _hs_norm_lag_table(key: tuple, dt: float, n_lags: int) -> np.ndarray:
-    table = _mode_lag_table(key, dt, n_lags)
-    if table.ndim == 2:
-        return np.sqrt(np.sum(table**2, axis=0))
-    return np.sqrt(np.sum(table**2, axis=(0, 1)))
-
-
 def hs_norm_lags(model: ModelConfig, dt: float, n_lags: int) -> np.ndarray:
-    """``||R(i*dt)||_HS`` for ``i = 0..n_lags-1`` (cached)."""
-    padded = 1 << (max(int(n_lags), 64) - 1).bit_length()
-    return _hs_norm_lag_table(model.cache_key(), float(dt), padded)[:n_lags]
+    """``||R(i*dt)||_HS`` for ``i = 0..n_lags-1``, from the cached lag table."""
+    table = mode_lag_table(model, dt, n_lags)
+    return np.sqrt(np.sum(table**2, axis=tuple(range(table.ndim - 1))))
 
 
 # --------------------------------------------------------------------------
@@ -600,17 +511,6 @@ def u_infty_star(model: ModelConfig, rtol: float = TAIL_RTOL) -> SeriesLimit:
     return _frequency_square_integral(model, density_sq, "u_inf*", rtol)
 
 
-def r_z(model: ModelConfig, w: ProjectionVector, t: float) -> float:
-    """Scalar projection autocovariance ``w' R(t) w``."""
-    coeffs = w.coefficients
-    if len(coeffs) != model.n_modes:
-        raise ValueError("projection length must match the model truncation")
-    acm = autocov_matrix(model, t)
-    if acm.is_diagonal:
-        return float(np.sum(coeffs**2 * acm.entries))
-    return float(coeffs @ acm.entries @ coeffs)
-
-
 def _r_z_lags(model: ModelConfig, w: ProjectionVector, dt: float, n_lags: int) -> np.ndarray:
     table = mode_lag_table(model, dt, n_lags)
     coeffs = w.coefficients
@@ -658,31 +558,33 @@ def r_z_integral(model: ModelConfig, w: ProjectionVector, rtol: float = TAIL_RTO
 # Aggregates used by the estimators and samplers.
 # --------------------------------------------------------------------------
 
+def _mode_variances(model: ModelConfig) -> np.ndarray:
+    """Diagonal of the stationary covariance, shape (N,)."""
+    r0 = stationary_covariance(model)
+    return r0 if r0.ndim == 1 else np.diagonal(r0)
+
+
 def trace_q(model: ModelConfig) -> float:
     """Trace of the stationary covariance at the model's own drift."""
-    a = model.rates
-    phi = model.noise.loadings
-    return float(sum(
-        stationary_variance_mode(float(a[k]), float(phi[k]), model.hurst)
-        for k in range(model.n_modes)
-    ))
+    return float(np.sum(_mode_variances(model)))
 
 
 def trace_tail_ratio(model: ModelConfig) -> float:
     """Last-mode share of the stationary trace (truncation diagnostics)."""
-    a = model.rates
-    phi = model.noise.loadings
-    contributions = [
-        stationary_variance_mode(float(a[k]), float(phi[k]), model.hurst)
-        for k in range(model.n_modes)
-    ]
-    total = sum(contributions)
-    return float(contributions[-1] / total) if total > 0 else 0.0
+    variances = _mode_variances(model)
+    total = float(np.sum(variances))
+    return float(variances[-1] / total) if total > 0 else 0.0
 
 
 def qww(model: ModelConfig, w: ProjectionVector) -> float:
     """Quadratic form ``<Q w, w>`` of the stationary covariance."""
-    return r_z(model, w, 0.0)
+    coeffs = w.coefficients
+    if len(coeffs) != model.n_modes:
+        raise ValueError("projection length must match the model truncation")
+    r0 = stationary_covariance(model)
+    if r0.ndim == 1:
+        return float(np.sum(coeffs**2 * r0))
+    return float(coeffs @ r0 @ coeffs)
 
 
 def block_covariance(model: ModelConfig, n: int, dt: float = 1.0):

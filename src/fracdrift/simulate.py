@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import substream
-from .covariance import lag_blocks
+from .covariance import _mode_variances, lag_blocks
 from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
 from .fgn import sample_fgn, stationary_draw, stationary_factor, validate_hurst
 from .models import DIAGONAL, ModelConfig, ProjectionVector
@@ -83,23 +83,6 @@ class Trajectory:
     init_kind: str
     projections: np.ndarray | None = None
     modes: np.ndarray | None = None  # shape (N, len(t))
-
-    def subsample(self, stride: int) -> "Trajectory":
-        """Keep every ``stride``-th observation (including the first)."""
-        stride = int(stride)
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        sl = slice(None, None, stride)
-        n_kept = len(self.t[sl])
-        grid = TrajectoryGrid(self.grid.dt * stride, max(n_kept - 1, 1), self.grid.burn_in_steps)
-        return Trajectory(
-            grid=grid,
-            t=self.t[sl],
-            sq_norms=self.sq_norms[sl],
-            init_kind=self.init_kind,
-            projections=None if self.projections is None else self.projections[sl],
-            modes=None if self.modes is None else self.modes[:, sl],
-        )
 
 
 def default_burn_in_steps(model: ModelConfig, dt: float) -> int:
@@ -197,14 +180,8 @@ def integrate_path(
     if kind == "burn_in":
         burn = grid.burn_in_steps or default_burn_in_steps(model, grid.dt)
     elif kind == "stationary":
-        from .covariance import stationary_variance_mode
-
         rng0 = substream(seed, _FGN_STREAM, 0x1217)
-        std = np.sqrt([
-            stationary_variance_mode(float(a), float(p), model.hurst)
-            for a, p in zip(model.rates, model.noise.loadings)
-        ])
-        x0 = rng0.standard_normal(model.n_modes) * std
+        x0 = rng0.standard_normal(model.n_modes) * np.sqrt(_mode_variances(model))
     elif kind == "given":
         x0 = np.asarray(init, dtype=float)
         if x0.shape != (model.n_modes,):

@@ -13,13 +13,11 @@ import pytest
 from fracdrift.chaos import exact_cumulants
 from fracdrift.cli import EXIT_DEGENERATE, main
 from fracdrift.covariance import (
+    _lag_table,
     _unit_spectral_direct,
-    autocov_matrix,
-    hs_norm,
-    kernel_autocov,
+    hs_norm_lags,
     s_n,
     spectral_cross_autocov,
-    stationary_variance_mode,
     trace_q,
 )
 from fracdrift.harness import (
@@ -72,20 +70,21 @@ class TestAcceptance:
                f"cumulant oracle equivalence and bound uniformity; failures={failures or 'none'}")
 
     def test_02_dual_formula_agreement(self):
-        """Kernel vs spectral 1e-6 (H > 1/2 grid); closed-form variance vs
+        """Closed form vs spectral 1e-6 (H > 1/2 grid); closed-form variance vs
         quadrature at lag 0 within 1e-6; s_n trace route vs lag-sum route
         within 1e-8 relative."""
         worst_pair = 0.0
         for h in (0.55, 0.65, 0.7):
             for (ak, al) in ((PI2, PI2), (PI2, 4 * PI2), (4 * PI2, PI2), (1.0, 1.0)):
-                for t in (0.0, 0.5, 1.0, 5.0, 20.0):
-                    kv = kernel_autocov(ak, al, 1.0, 1.0, h, t)
+                kvs = _lag_table(np.array([ak, al]), np.ones(2), h, False,
+                                 np.array([0.0, 0.5, 1.0, 5.0, 20.0]))[0, 1]
+                for t, kv in zip((0.0, 0.5, 1.0, 5.0, 20.0), kvs):
                     sv = spectral_cross_autocov(ak, al, 1.0, 1.0, h, t)
                     worst_pair = max(worst_pair, abs(kv - sv) / max(abs(sv), 1e-300))
         worst_var = 0.0
         for h in (0.3, 0.55, 0.7):
             for a in (1.0, PI2):
-                closed = stationary_variance_mode(a, 1.0, h)
+                closed = _lag_table(np.array([a]), np.ones(1), h, True, np.zeros(1))[0, 0]
                 quadr = _unit_spectral_direct(a, a, h, 0.0)
                 worst_var = max(worst_var, abs(quadr - closed) / closed)
         worst_sn = 0.0
@@ -97,7 +96,7 @@ class TestAcceptance:
                 worst_sn = max(worst_sn, abs(trace_route - series_route) / series_route)
         passed = worst_pair < 1e-6 and worst_var < 1e-6 and worst_sn < 1e-8
         record(2, passed,
-               f"dual formulas: kernel-vs-spectral {worst_pair:.2e} (<1e-6), "
+               f"dual formulas: closed-form-vs-spectral {worst_pair:.2e} (<1e-6), "
                f"variance-vs-quadrature {worst_var:.2e} (<1e-6), "
                f"s_n routes {worst_sn:.2e} (<1e-8)")
 
@@ -108,7 +107,7 @@ class TestAcceptance:
         for h in (0.55, 0.7):
             model = heat20(h)
             ts = 2.0 ** np.arange(1, 11)
-            vals = [t ** (2 - 2 * h) * hs_norm(autocov_matrix(model, t)) for t in ts]
+            vals = [t ** (2 - 2 * h) * hs_norm_lags(model, t, 2)[1] for t in ts]
             last4 = vals[-4:]
             ratios[h] = max(last4) / min(last4)
         passed = all(r < 1.5 for r in ratios.values())

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracdrift.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, EXIT_THRESHOLD, main
@@ -188,7 +189,29 @@ class TestSimulateEstimateRoundTrip:
         assert report["kind"] == kind
         assert report["alpha_hat"] == expected.alpha_hat
         assert report["sample_size"] == expected.sample_size
-        assert report["sigma_asymptotic"] == asymptotic_sigma(model, kind, w)
+        assert report["sigma_asymptotic"] == asymptotic_sigma(model, kind, w, traj.grid.dt)
+
+    @pytest.mark.parametrize("kind", ["discrete_norm", "discrete_projection"])
+    def test_discrete_sigma_uses_the_trajectory_step(self, tmp_path, kind):
+        sim_cfg = {"model": HEAT3, "grid": {"dt": 0.25, "n_steps": 64},
+                   "method": "exact_stationary", "projection": WINDOW, "seed": 6}
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", write(tmp_path, "sim.json", sim_cfg),
+                     "--out", str(sim_out)]) == EXIT_OK
+        est_cfg = write(tmp_path, "est.json", {
+            "model": HEAT3, "trajectory": str(sim_out / "trajectory.csv"), "estimator": kind,
+            "projection": WINDOW, "true_alpha": 1.0,
+        })
+        assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "e")]) == EXIT_OK
+        report = json.loads((tmp_path / "e" / "estimate.json").read_text())
+
+        model = model_from_dict(HEAT3)
+        w = projection_from_dict(WINDOW, model.n_modes)
+        expected = asymptotic_sigma(model, kind, w, 0.25)
+        assert expected != asymptotic_sigma(model, kind, w, 1.0)
+        assert report["sigma_asymptotic"] == expected
+        assert report["standardized_error"] == pytest.approx(
+            (report["alpha_hat"] - 1.0) * np.sqrt(report["sample_size"]) / expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", PROJECTION_KINDS)
     def test_missing_projection_column_is_a_config_error(self, tmp_path, capsys, kind):
@@ -257,16 +280,26 @@ class TestExperimentCommand:
                      str(tmp_path / "out")])
         assert code == EXIT_DEGENERATE
 
-    @pytest.mark.parametrize("estimator", ["discrete_nrm", "continuous_norm"])
-    def test_unsupported_estimator_is_an_error(self, tmp_path, capsys, estimator):
+    @pytest.mark.parametrize("entry,message", [
+        pytest.param({"estimators": ["discrete_nrm"]}, "estimators must be a non-empty subset",
+                     id="discrete_nrm"),
+        pytest.param({"estimators": ["continuous_norm"]}, "estimators must be a non-empty subset",
+                     id="continuous_norm"),
+        pytest.param({"grid": 64}, "not iterable", id="grid_scalar"),
+        pytest.param({"grid": [64, 32]}, "grid must be non-empty and strictly increasing",
+                     id="grid_decreasing"),
+        pytest.param({"replications": 0}, "replications must be >= 1", id="replications_0"),
+    ])
+    def test_unsupported_estimator_is_an_error(self, tmp_path, capsys, entry, message):
         cfg = write(tmp_path, "exp.json", {
-            "model": HEAT3, "grid": [16], "replications": 8, "seed": 1,
-            "estimators": [estimator],
+            "model": HEAT3, "grid": [16], "replications": 8, "seed": 1, **entry,
         })
         out = tmp_path / "out"
         code = main(["experiment", "estimator_clt", "--config", cfg, "--out", str(out)])
         assert code == EXIT_ERROR
-        assert "estimators must be a non-empty subset" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert message in err
         assert not out.exists()
 
     def test_seed_override(self, tmp_path):

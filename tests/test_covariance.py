@@ -5,32 +5,29 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from conftest import assert_close
+from oracles import stationary_variance_mode
 from fracdrift.covariance import (
-    AutoCovMatrix,
     QuadratureError,
     _c_spectral,
-    _unit_autocov,
-    _unit_autocov_grid,
+    _lag_table,
+    _r_z_lags,
     _unit_spectral,
     _unit_spectral_direct,
-    autocov_matrix,
     block_covariance,
-    hs_norm,
     hs_norm_lags,
-    kernel_autocov,
     mode_lag_table,
     qww,
-    r_z,
     r_z_integral,
     r_z_sum,
     s_infty_star,
     s_n,
     spectral_cross_autocov,
-    stationary_variance_mode,
+    stationary_covariance,
     trace_q,
     u_infty_star,
 )
 from fracdrift.models import (
+    DIAGONAL,
     build_distributed_model,
     build_pointwise_model,
     custom_model,
@@ -39,6 +36,12 @@ from fracdrift.models import (
 )
 
 PI2 = np.pi**2
+
+
+def closed_form(ak, al, h, ts, phi_k=1.0, phi_l=1.0):
+    """Production ``r_kl`` on lags ``ts >= 0``: row (0, 1) of a two-mode rank-one lag table."""
+    return _lag_table(np.array([ak, al]), np.array([phi_k, phi_l]), h, False,
+                      np.atleast_1d(ts))[0, 1]
 
 
 def lag0_scale(ak, al, h):
@@ -79,6 +82,16 @@ class TestStationaryVariance:
         with pytest.raises(ValueError):
             stationary_variance_mode(0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.9])
+    def test_production_lag0_matches_textbook_variance(self, h):
+        for model in (build_distributed_model(1, 1, 5, 2.0, h),
+                      build_pointwise_model(0.3, 6, 1.0, h)):
+            r0 = stationary_covariance(model)
+            variances = r0 if r0.ndim == 1 else np.diagonal(r0)
+            for a, phi, v in zip(model.rates, model.noise.loadings, variances):
+                assert_close(v, stationary_variance_mode(a, phi, h), 1e-13,
+                             f"lag-0 closed form vs textbook at H={h}")
+
 
 class TestDualRoutes:
     @pytest.mark.parametrize("a,t", [(1.0, 0.3), (2.0, 1.0), (PI2, 0.5), (0.5, 4.0)])
@@ -95,9 +108,9 @@ class TestDualRoutes:
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 5.0, 20.0])
     def test_kernel_vs_spectral_on_declared_grid(self, h, t):
         for (ak, al) in [(1.0, 1.0), (PI2, 4 * PI2), (4 * PI2, PI2)]:
-            kv = kernel_autocov(ak, al, 1.3, -0.7, h, t)
+            kv = closed_form(ak, al, h, t, 1.3, -0.7)[0]
             sv = spectral_cross_autocov(ak, al, 1.3, -0.7, h, t)
-            assert_close(kv, sv, 1e-6, f"kernel vs spectral H={h} t={t}")
+            assert_close(kv, sv, 1e-6, f"closed form vs spectral H={h} t={t}")
 
     @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:Bad integrand behavior")
     @pytest.mark.parametrize("h", [0.3, 0.55, 0.7])
@@ -112,12 +125,6 @@ class TestDualRoutes:
                 1e-8,
                 f"contour vs direct at H={h}",
             )
-
-    def test_kernel_rejects_singular_hurst(self):
-        with pytest.raises(ValueError):
-            kernel_autocov(1.0, 1.0, 1.0, 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            kernel_autocov(1.0, 1.0, 1.0, 1.0, 0.3, 1.0)
 
     def test_negative_lag_transposes(self):
         ak, al, h = 2.0, 5.0, 0.62
@@ -139,23 +146,13 @@ class TestDualRoutes:
         with pytest.raises(QuadratureError, match="worst subinterval"):
             cov._unit_spectral(1.0, 1.0, 0.6, 1.0)
 
-    def test_vectorized_grid_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        for h in (0.3, 0.55, 0.7, 0.85):
-            for (ak, al) in [(1.0, 1.0), (0.25, 4.0), (PI2, 4 * PI2)]:
-                ts = np.sort(rng.uniform(0.0, 400.0 / ak, 12))
-                grid = _unit_autocov_grid(ak, al, h, ts)
-                for t, g in zip(ts, grid):
-                    assert_close(g, _unit_autocov(ak, al, h, float(t)), 1e-8,
-                                 f"grid vs scalar H={h}")
-
 
 class TestClosedForm:
     @pytest.mark.parametrize("h", [0.3, 0.45, 0.5 - 1e-6, 0.5 + 1e-6, 0.55, 0.7, 0.9])
     def test_grid_matches_spectral_oracle(self, h):
         ts = np.array([1e-6, 1e-3, 1.0, 50.0, 1e3, 1e5])
         for (ak, al) in [(1.0, 1.0), (0.25, 4.0), (4.0, 0.25), (PI2, 4 * PI2)]:
-            grid = _unit_autocov_grid(ak, al, h, ts)
+            grid = closed_form(ak, al, h, ts)
             for t, g in zip(ts, grid):
                 assert_close_floored(g, _unit_spectral(ak, al, h, float(t)),
                                      lag0_scale(ak, al, h),
@@ -171,14 +168,6 @@ class TestClosedForm:
                     assert_close_floored(table[k, l, i], expected,
                                          abs(phi[k] * phi[l]) * lag0_scale(a[k], a[l], h),
                                          f"table[{k},{l},{i}]")
-
-    def test_negative_lag_matrix_is_transpose(self):
-        model = build_pointwise_model(0.3, 6, 1.0, 0.55)
-        for t in (0.7, 3.0):
-            forward = autocov_matrix(model, t).entries
-            assert not np.allclose(forward, forward.T)
-            np.testing.assert_allclose(autocov_matrix(model, -t).entries, forward.T,
-                                       rtol=1e-13, atol=0.0)
 
 
 class TestDecay:
@@ -196,7 +185,7 @@ class TestDecay:
     def test_hs_norm_rescaled_bounded(self, h):
         model = build_distributed_model(1, 1, 5, 1.0, h)
         ts = 2.0 ** np.arange(1, 11)
-        vals = [t ** (2 - 2 * h) * hs_norm(autocov_matrix(model, t)) for t in ts]
+        vals = [t ** (2 - 2 * h) * hs_norm_lags(model, t, 2)[1] for t in ts]
         assert max(vals) / min(vals) < 3.0
         last4 = vals[-4:]
         assert max(last4) / min(last4) < 1.5
@@ -205,12 +194,11 @@ class TestDecay:
         for model in (heat3, pointwise8):
             trace = trace_q(model)
             for t in (0.0, 0.5, 1.0, 4.0, 16.0):
-                assert hs_norm(autocov_matrix(model, t)) <= trace * (1 + 1e-12)
+                assert hs_norm_lags(model, t, 2)[1] <= trace * (1 + 1e-12)
 
     def test_single_mode_positive_below_r0(self):
-        # H = 3/4 sits outside the CLT regime but inside the kernel's domain.
-        r0 = kernel_autocov(1.0, 1.0, 1.0, 1.0, 0.75, 0.0)
-        r10 = kernel_autocov(1.0, 1.0, 1.0, 1.0, 0.75, 10.0)
+        # H = 3/4 sits outside the CLT regime but inside the closed form's domain.
+        r0, r10 = closed_form(1.0, 1.0, 0.75, [0.0, 10.0])
         assert 0.0 < r10 < r0
 
 
@@ -219,8 +207,9 @@ class TestScaling:
         # variance(alpha*lam) = alpha^{-2H} variance(lam), exactly.
         for h in (0.3, 0.55, 0.7):
             for alpha in (0.5, 1.0, 2.0):
-                lhs = stationary_variance_mode(alpha * 3.7, 1.3, h)
-                rhs = alpha ** (-2 * h) * stationary_variance_mode(3.7, 1.3, h)
+                lhs = stationary_covariance(custom_model([3.7], alpha, h, loadings=1.3))[0]
+                rhs = alpha ** (-2 * h) * stationary_covariance(
+                    custom_model([3.7], 1.0, h, loadings=1.3))[0]
                 assert_close(lhs, rhs, 1e-13, "mode scaling")
 
     def test_trace_scaling_law(self, heat3):
@@ -236,25 +225,15 @@ class TestScaling:
 
 class TestMatrixAssembly:
     def test_diagonal_model_stores_diagonal(self, heat3):
-        acm = autocov_matrix(heat3, 0.7)
-        assert acm.is_diagonal and acm.entries.shape == (3,)
-        assert acm.matrix().shape == (3, 3)
+        assert stationary_covariance(heat3).shape == (3,)
+        assert mode_lag_table(heat3, 0.7, 2).shape == (3, 2)
 
     def test_rank_one_lag0_symmetric_psd(self, pointwise8):
-        acm = autocov_matrix(pointwise8, 0.0)
-        mat = acm.matrix()
+        mat = stationary_covariance(pointwise8)
+        assert mat.shape == (8, 8)
         assert np.allclose(mat, mat.T, atol=1e-12)
         eig = np.linalg.eigvalsh(mat)
         assert eig.min() >= -1e-10 * eig.max()
-
-    def test_hs_norm_examples(self):
-        zero = AutoCovMatrix(0.0, np.zeros((2, 2)), is_diagonal=False)
-        assert hs_norm(zero) == 0.0
-        diag = AutoCovMatrix(0.0, np.array([3.0, 4.0]), is_diagonal=True)
-        assert hs_norm(diag) == pytest.approx(5.0, rel=1e-15)
-        v = np.array([1.0, 2.0, 2.0])
-        rank_one = AutoCovMatrix(0.0, np.outer(v, v), is_diagonal=False)
-        assert hs_norm(rank_one) == pytest.approx(float(v @ v), rel=1e-14)
 
     @pytest.mark.parametrize("h", [0.3, 0.55, 0.7])
     def test_block_covariance_psd(self, h):
@@ -291,7 +270,7 @@ class TestSeriesLimits:
         assert_close(s_n(model, 64), 2.0 * q0**2, 1e-10, "white s_n")
 
     def test_s_1_is_twice_hs0_squared(self, heat3):
-        g0 = hs_norm(autocov_matrix(heat3, 0.0))
+        g0 = np.linalg.norm(stationary_covariance(heat3))
         assert_close(s_n(heat3, 1), 2.0 * g0**2, 1e-12, "s_1")
 
     def test_s_n_monotone_to_limit(self):
@@ -319,7 +298,7 @@ class TestSeriesLimits:
         model = custom_model([1.0], 1.0, h)
 
         def g(t):
-            return hs_norm(autocov_matrix(model, t)) ** 2
+            return closed_form(1.0, 1.0, h, t)[0] ** 2
 
         upper = 512.0
         partial = sum(
@@ -351,18 +330,18 @@ class TestProjectionCovariance:
         model = build_pointwise_model(0.5, 8, 1.0, 0.55)
         w = projection_sine(4, 8)
         for t in (0.0, 0.5, 1.0, 7.0):
-            assert abs(r_z(model, w, t)) < 1e-30
+            assert abs(_r_z_lags(model, w, t, 2)[1]) < 1e-30
 
     def test_single_mode_alignment(self, heat3):
         w = projection_sine(2, 3)
-        r = r_z(heat3, w, 0.9)
-        mode = autocov_matrix(heat3, 0.9).entries[1]
+        r = _r_z_lags(heat3, w, 0.9, 2)[1]
+        mode = mode_lag_table(heat3, 0.9, 2)[1, 1]
         assert_close(r, 0.5 * mode, 1e-12, "aligned projection")
 
     def test_window_positive_on_pointwise_model(self):
         model = build_pointwise_model(0.5, 8, 1.0, 0.55)
         w = projection_indicator(0.0, 0.5, 8)
-        assert r_z(model, w, 0.0) > 0
+        assert _r_z_lags(model, w, 1.0, 1)[0] > 0
         assert qww(model, w) > 0
 
     def test_projected_series_and_integral(self, heat3):
@@ -378,5 +357,28 @@ class TestLagTables:
     def test_hs_norm_lags_match_matrix_route(self, heat3, pointwise8):
         for model in (heat3, pointwise8):
             table = hs_norm_lags(model, 1.0, 6)
-            direct = [hs_norm(autocov_matrix(model, float(t))) for t in range(6)]
+            diagonal = model.noise.kind == DIAGONAL
+            direct = [np.linalg.norm(_lag_table(model.rates, model.noise.loadings, model.hurst,
+                                                diagonal, np.array([float(t)])))
+                      for t in range(6)]
             assert np.allclose(table, direct, rtol=1e-9)
+
+
+class TestSingleEvaluator:
+    """The normalizers read the same lag-0 values as the samplers' lag table."""
+
+    @pytest.mark.parametrize("h", [0.3, 0.55, 0.7])
+    def test_trace_and_qww_equal_lag_table_lag0(self, h):
+        models = [build_distributed_model(1, 1, 20, 2.0, h),
+                  build_distributed_model(1, 1, 3, 2.0, h),
+                  build_pointwise_model(0.3, 12, 1.0, h)]
+        for model in models:
+            # Contiguous, as R(0) is: matmul may round differently on a strided view.
+            r0 = np.ascontiguousarray(mode_lag_table(model, 1.0, 1)[..., 0])
+            w = projection_indicator(0.0, 0.5, model.n_modes).coefficients
+            if r0.ndim == 1:
+                trace, form = np.sum(r0), np.sum(w**2 * r0)
+            else:
+                trace, form = np.sum(np.diagonal(r0)), w @ r0 @ w
+            assert trace_q(model) == float(trace)
+            assert qww(model, projection_indicator(0.0, 0.5, model.n_modes)) == float(form)

@@ -7,9 +7,9 @@ from scipy.stats import ks_2samp
 
 from fracdrift._rng import substream
 from fracdrift.covariance import (
-    autocov_matrix,
     block_covariance,
-    stationary_variance_mode,
+    mode_lag_table,
+    stationary_covariance,
     trace_q,
 )
 from fracdrift.fgn import fgn_autocov
@@ -35,6 +35,7 @@ from fracdrift.simulate import (
     trajectory_to_npz,
 )
 from fracdrift.simulate import _ar1_scan
+from oracles import stationary_variance_mode
 
 
 def euler_chain_variance(a: float, phi: float, h: float, dt: float, n_terms: int = 20_000) -> float:
@@ -197,7 +198,7 @@ class TestStationarySampling:
 
     def test_lag1_autocovariance_entrywise(self, heat3):
         n, reps = 8, 20_000
-        traj_cov = autocov_matrix(heat3, 1.0).entries
+        traj_cov = mode_lag_table(heat3, 1.0, 2)[:, 1]
         sampler = StationaryModeSampler(heat3, n, 1.0)
         for k in range(3):
             draws = sampler.draw(k, substream(23, k), reps)
@@ -237,7 +238,7 @@ class TestStationarySampling:
             sq0.append(traj.modes[:, 0])
             cross.append(traj.modes[0, 0] * traj.modes[1, 0])
         sq0 = np.asarray(sq0)
-        target = autocov_matrix(model, 0.0).entries
+        target = stationary_covariance(model)
         for k in range(3):
             se = target[k, k] * np.sqrt(2.0 / reps)
             assert abs(np.mean(sq0[:, k] ** 2) - target[k, k]) <= 4 * se
@@ -354,9 +355,3 @@ class TestProjectionsAndExports:
         assert np.array_equal(back.modes, traj.modes)
         assert back.init_kind == "stationary"
         assert back.grid.dt == traj.grid.dt
-
-    def test_subsample(self, heat3):
-        traj = sample_stationary_sequence(heat3, 20, 0.25, seed=3)
-        sub = traj.subsample(4)
-        assert np.array_equal(sub.sq_norms, traj.sq_norms[::4])
-        assert sub.grid.dt == pytest.approx(1.0)
