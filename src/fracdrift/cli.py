@@ -2,21 +2,26 @@
 
 Subcommands::
 
-    fracdrift theory      --config cfg.json --out DIR [--format csv|json]
+    fracdrift theory      --config cfg.json --out DIR
     fracdrift simulate    --config cfg.json --out DIR [--seed N]
     fracdrift estimate    --config cfg.json --out DIR
     fracdrift experiment KIND --config cfg.json --out DIR [--seed N] [--threads K]
 
 Every run writes its outputs under a single directory together with a
 ``manifest.json`` recording the configuration, its hash, the effective seed
-and library versions.  Exit codes: 0 success / all thresholds passed,
-1 execution error, 2 experiment threshold failure, 3 degenerate normalizer.
+and library versions; ``theory`` and ``experiment`` write both JSON and CSV.
+An experiment config's keys are the fields of
+:class:`fracdrift.harness.ExperimentSpec` (plus ``model_file``), passed
+through, so the spec alone sets their defaults, types and rules.  Exit codes:
+0 success / all thresholds passed, 1 execution error, 2 experiment threshold
+failure, 3 degenerate normalizer.
 Errors are written to stderr as ``error: <category>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -48,7 +53,7 @@ from .estimators import (
     qww1,
     trace_q1,
 )
-from .harness import ExperimentSpec, run_experiment
+from .harness import _RUNNERS, ExperimentSpec, run_experiment
 from .models import (
     ModelConfig,
     _require_keys,
@@ -79,17 +84,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _config_keys(obj: dict, allowed: set, required: set, where: str) -> None:
+def _parsed(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on config values; a bad value is a config error."""
     try:
-        _require_keys(obj, allowed, required, where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_projection(obj, n_modes: int):
-    try:
-        return projection_from_dict(obj, n_modes)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -112,13 +111,16 @@ def _model_from_config(cfg: dict) -> ModelConfig:
     if "model" in cfg and "model_file" in cfg:
         raise ConfigError("give either 'model' or 'model_file', not both")
     if "model_file" in cfg:
-        return model_from_dict(_load_config(cfg["model_file"]))
+        return _parsed(model_from_dict, _load_config(_parsed(Path, cfg["model_file"])))
     if "model" not in cfg:
         raise ConfigError("config needs a 'model' (or 'model_file') entry")
-    try:
-        return model_from_dict(cfg["model"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _parsed(model_from_dict, cfg["model"])
+
+
+def _projection_from_config(cfg: dict, model: ModelConfig):
+    if "projection" not in cfg:
+        return None
+    return _parsed(projection_from_dict, cfg["projection"], model.n_modes)
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) -> None:
@@ -153,14 +155,12 @@ def _out_dir(args) -> Path:
 
 def cmd_theory(args) -> int:
     cfg = _load_config(args.config)
-    _config_keys(cfg, {"model", "model_file", "projection", "n_values", "dt"},
-                  set(), "theory config")
+    _parsed(_require_keys, cfg, {"model", "model_file", "projection", "n_values", "dt"},
+            set(), "theory config")
     model = _model_from_config(cfg)
-    dt = float(cfg.get("dt", 1.0))
-    n_values = [int(v) for v in cfg.get("n_values", [16, 64, 256, 1024])]
-    projection = None
-    if "projection" in cfg:
-        projection = _parse_projection(cfg["projection"], model.n_modes)
+    dt = _parsed(float, cfg.get("dt", 1.0))
+    n_values = _parsed(lambda: [int(v) for v in cfg.get("n_values", [16, 64, 256, 1024])])
+    projection = _projection_from_config(cfg, model)
 
     tail_ratio = trace_tail_ratio(model)
     rows: list[tuple[str, float, str]] = []
@@ -204,13 +204,9 @@ def cmd_theory(args) -> int:
         "clt_regime": clt_regime,
         "quantities": [{"name": n, "value": v, "note": note} for n, v, note in rows],
     }
-    if args.format in ("json", "both"):
-        (out / "theory.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    if args.format in ("csv", "both"):
-        lines = ["quantity,value,note"]
-        for name, value, note in rows:
-            lines.append(f"{name},{value!r},{note}")
-        (out / "theory.csv").write_text("\n".join(lines) + "\n")
+    (out / "theory.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    lines = ["quantity,value,note"] + [f"{name},{value!r},{note}" for name, value, note in rows]
+    (out / "theory.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out, "theory", cfg, None)
     return EXIT_OK
 
@@ -221,7 +217,8 @@ def cmd_theory(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    _config_keys(
+    _parsed(
+        _require_keys,
         cfg,
         {"model", "model_file", "grid", "init", "method", "projection",
          "store_modes", "observe_every", "seed"},
@@ -230,29 +227,30 @@ def cmd_simulate(args) -> int:
     )
     model = _model_from_config(cfg)
     grid_cfg = cfg["grid"]
-    _config_keys(grid_cfg, {"dt", "n_steps", "burn_in_steps"}, {"dt", "n_steps"},
-                  "simulate config grid")
-    grid = TrajectoryGrid(
+    _parsed(_require_keys, grid_cfg, {"dt", "n_steps", "burn_in_steps"}, {"dt", "n_steps"},
+            "simulate config grid")
+    grid = _parsed(lambda: TrajectoryGrid(
         float(grid_cfg["dt"]), int(grid_cfg["n_steps"]), int(grid_cfg.get("burn_in_steps", 0))
-    )
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    ))
+    seed = args.seed if args.seed is not None else _parsed(int, cfg.get("seed", 0))
     method = cfg.get("method", "integrate")
     if method == "integrate":
         init = cfg.get("init", "zero")
         if isinstance(init, dict):
-            _config_keys(init, {"given"}, {"given"}, "simulate config init")
-            init = np.asarray(init["given"], dtype=float)
+            _parsed(_require_keys, init, {"given"}, {"given"}, "simulate config init")
+            init = _parsed(np.asarray, init["given"], dtype=float)
         traj = integrate_path(
             model, grid, init, seed,
             store_modes=bool(cfg.get("store_modes", True)),
-            observe_every=int(cfg.get("observe_every", 1)),
+            observe_every=_parsed(int, cfg.get("observe_every", 1)),
         )
     elif method == "exact_stationary":
         traj = sample_stationary_sequence(model, grid.n_steps, grid.dt, seed)
     else:
         raise ConfigError(f"unknown simulate method {method!r}")
-    if "projection" in cfg:
-        traj = attach_projection(traj, _parse_projection(cfg["projection"], model.n_modes))
+    projection = _projection_from_config(cfg, model)
+    if projection is not None:
+        traj = attach_projection(traj, projection)
 
     out = _out_dir(args)
     (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
@@ -266,7 +264,7 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------
 
 def _load_trajectory(path: str):
-    p = Path(path)
+    p = _parsed(Path, path)
     if not p.exists():
         raise ConfigError(f"trajectory file not found: {path}")
     if p.suffix == ".npz":
@@ -276,7 +274,8 @@ def _load_trajectory(path: str):
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
-    _config_keys(
+    _parsed(
+        _require_keys,
         cfg,
         {"model", "model_file", "trajectory", "estimator", "projection", "true_alpha"},
         {"trajectory", "estimator"},
@@ -285,10 +284,8 @@ def cmd_estimate(args) -> int:
     model = _model_from_config(cfg)
     traj = _load_trajectory(cfg["trajectory"])
     kind = cfg["estimator"]
-    true_alpha = cfg.get("true_alpha")
-    projection = None
-    if "projection" in cfg:
-        projection = _parse_projection(cfg["projection"], model.n_modes)
+    true_alpha = _parsed(float, cfg["true_alpha"]) if "true_alpha" in cfg else None
+    projection = _projection_from_config(cfg, model)
 
     if kind in (DISCRETE_NORM, CONTINUOUS_NORM):
         normalizer, values = trace_q1(model), traj.sq_norms
@@ -317,52 +314,27 @@ def cmd_estimate(args) -> int:
 # experiment
 # --------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "model", "model_file", "grid", "replications", "seed", "estimators",
-    "projection", "dt", "source", "sim_dt", "n_batches", "localize",
-    "mc_cumulant_max_n", "thresholds",
-}
-
-
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
-    _config_keys(cfg, _EXPERIMENT_KEYS, {"grid", "replications"}, "experiment config")
+    keys = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"kind", "threads"}
+    _parsed(_require_keys, cfg, keys | {"model_file"}, {"grid", "replications"},
+            "experiment config")
     model = _model_from_config(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    projection = None
-    if "projection" in cfg:
-        projection = _parse_projection(cfg["projection"], model.n_modes)
-    try:
-        spec = ExperimentSpec(
-            kind=args.kind,
-            model=model,
-            grid=tuple(cfg["grid"]),
-            replications=int(cfg["replications"]),
-            seed=seed,
-            estimators=tuple(cfg.get("estimators", (DISCRETE_NORM,))),
-            projection=projection,
-            dt=float(cfg.get("dt", 1.0)),
-            source=cfg.get("source", "stationary"),
-            sim_dt=float(cfg.get("sim_dt", 0.01)),
-            n_batches=int(cfg.get("n_batches", 20)),
-            threads=max(int(args.threads), 1),
-            localize=float(cfg.get("localize", 3.0)),
-            mc_cumulant_max_n=int(cfg.get("mc_cumulant_max_n", 64)),
-            thresholds=cfg.get("thresholds", {}),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"experiment config: {exc}") from None
+    seed = args.seed if args.seed is not None else _parsed(int, cfg.get("seed", 0))
+    # Every other key is an ExperimentSpec field of the same name.
+    passthrough = {k: cfg[k] for k in cfg.keys() - {"model", "model_file", "seed", "projection"}}
+    spec = _parsed(ExperimentSpec, kind=args.kind, model=model, seed=seed,
+                   projection=_projection_from_config(cfg, model),
+                   threads=max(args.threads, 1), **passthrough)
     report = run_experiment(spec)
 
     out = _out_dir(args)
     summary = report.to_json_dict()
     summary["model"] = model_to_dict(model)
-    if args.format in ("json", "both"):
-        (out / f"experiment_{args.kind}_summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n"
-        )
-    if args.format in ("csv", "both"):
-        (out / f"experiment_{args.kind}_report.csv").write_text(report.to_csv())
+    (out / f"experiment_{args.kind}_summary.json").write_text(
+        json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    )
+    (out / f"experiment_{args.kind}_report.csv").write_text(report.to_csv())
     _write_manifest(out, f"experiment {args.kind}", cfg, seed)
     return EXIT_OK if report.passed else EXIT_THRESHOLD
 
@@ -382,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, with_seed=True):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--format", choices=["csv", "json", "both"], default="both")
         if with_seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the seed in the config")
@@ -400,10 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p_exp.add_argument("kind", choices=[
-        "consistency", "moment_clt", "estimator_clt", "cumulants",
-        "rosenblatt", "degenerate_projection",
-    ])
+    p_exp.add_argument("kind", choices=list(_RUNNERS))
     common(p_exp)
     p_exp.add_argument("--threads", type=int, default=1)
     p_exp.set_defaults(func=cmd_experiment)

@@ -16,6 +16,9 @@ Experiment kinds:
 * ``degenerate_projection`` -- vanishing projected normalizer is detected and
   estimation refuses, while a window projection works.
 
+:class:`ExperimentSpec` is the one schema of an experiment: its fields are the
+keys of a ``fracdrift experiment`` config, cast and validated once.
+
 All randomness derives from per-(experiment, grid point, batch, mode)
 substreams, so reports are byte-identical regardless of worker count.
 Monte Carlo standard errors are computed by batching (>= 20 batches), and all
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from .estimators import (
     qww1,
     trace_q1,
 )
-from .models import ModelConfig, ProjectionVector
+from .models import ModelConfig, ProjectionVector, projection_indicator
 from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
 
 __all__ = [
@@ -77,10 +80,17 @@ _TAGS = {
     "rosenblatt": 0xB0,
 }
 
+#: Half-width K of the localized Kolmogorov window; the default
+#: ``ks_localized_max`` of 0.06 was calibrated at this K.
+LOCALIZE = 3.0
+#: Window [a, b] whose projection ``degenerate_projection`` shows to be usable.
+DEGENERATE_WINDOW = (0.0, 0.5)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run; the runners read its
+    fields as cast here (``grid`` a tuple of ints, counts int, steps float)."""
 
     kind: str
     model: ModelConfig
@@ -94,17 +104,21 @@ class ExperimentSpec:
     sim_dt: float = 0.01            # integrator internal step
     n_batches: int = 20
     threads: int = 1
-    localize: float = 3.0
     mc_cumulant_max_n: int = 64
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.kind not in _RUNNERS:
+            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        casts = {"grid": lambda g: tuple(int(n) for n in g), "replications": int,
+                 "n_batches": int, "mc_cumulant_max_n": int, "dt": float,
+                 "sim_dt": float, "estimators": tuple, "thresholds": dict}
+        for name, cast in casts.items():
+            object.__setattr__(self, name, cast(getattr(self, name)))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        grid = tuple(self.grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        if not self.grid or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be non-empty and strictly increasing")
-        object.__setattr__(self, "grid", grid)
         if self.n_batches < 1:
             raise ValueError("n_batches must be >= 1")
         if self.source not in ("stationary", "integrator"):
@@ -112,6 +126,16 @@ class ExperimentSpec:
         if not self.estimators or not set(self.estimators) <= {DISCRETE_NORM, DISCRETE_PROJ}:
             raise ValueError(f"estimators must be a non-empty subset of {DISCRETE_NORM!r} "
                              f"and {DISCRETE_PROJ!r}, got {list(self.estimators)}")
+        if self.projection is None:
+            if self.kind == "degenerate_projection":
+                raise ValueError("degenerate_projection requires the candidate projection")
+            if DISCRETE_PROJ in self.estimators:
+                raise ValueError("projection estimator requested without a projection")
+
+    def report(self, defaults: dict) -> ExperimentReport:
+        """An empty report for this run; the spec's thresholds override ``defaults``."""
+        return ExperimentReport(self.kind, self.seed, self.replications, self.n_batches,
+                                {**defaults, **self.thresholds})
 
 
 @dataclass(frozen=True)
@@ -168,16 +192,8 @@ class ExperimentReport:
             "n_batches": self.n_batches,
             "thresholds": self.thresholds,
             "passed": self.passed,
-            "rows": [
-                {"grid": r.grid, "statistic": r.statistic, "value": r.value,
-                 "mc_se": r.mc_se, "n_reps": r.n_reps}
-                for r in self.rows
-            ],
-            "checks": [
-                {"name": c.name, "passed": c.passed, "observed": c.observed,
-                 "threshold": c.threshold, "direction": c.direction, "note": c.note}
-                for c in self.checks
-            ],
+            "rows": [asdict(r) for r in self.rows],
+            "checks": [asdict(c) for c in self.checks],
             "regression": self.regression,
         }
         if include_raw:
@@ -199,18 +215,12 @@ class ExperimentReport:
 # Shared sampling machinery.
 # --------------------------------------------------------------------------
 
-def _batch_sizes(replications: int, n_batches: int) -> list[int]:
-    n_batches = min(n_batches, replications)
-    base, extra = divmod(replications, n_batches)
-    return [base + (1 if b < extra else 0) for b in range(n_batches)]
-
-
-def _batch_slices(sizes: list[int]) -> list[slice]:
-    out, off = [], 0
-    for s in sizes:
-        out.append(slice(off, off + s))
-        off += s
-    return out
+def _batches(spec: ExperimentSpec) -> list[slice]:
+    """Replication columns of each batch; sizes differ by at most one, longer first."""
+    n_batches = min(spec.n_batches, spec.replications)
+    base, extra = divmod(spec.replications, n_batches)
+    bounds = [b * base + min(b, extra) for b in range(n_batches + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_tasks(task, n_tasks: int, threads: int) -> None:
@@ -237,8 +247,7 @@ def _stationary_moment_samples(
     the modes in order.
     """
     tag = _TAGS[spec.kind]
-    sizes = _batch_sizes(spec.replications, spec.n_batches)
-    slices = _batch_slices(sizes)
+    batches = _batches(spec)
     sq = np.zeros((n, spec.replications))
     proj = np.zeros((n, spec.replications)) if need_proj else None
     coeffs = spec.projection.coefficients if need_proj else None
@@ -248,28 +257,31 @@ def _stationary_moment_samples(
 
     def add_sequence(b: int, s: int) -> None:
         # A function of its own, so one draw is freed before the next.
-        x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), sizes[b])
+        cols = batches[b]
+        n_reps = cols.stop - cols.start
+        x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), n_reps)
         # Mode s + c: diagonal noise has one mode per sequence, rank-one
         # noise a single sequence of all modes.
-        for c, mode in enumerate(x.reshape(-1, n, sizes[b])):
-            sq[:, slices[b]] += mode * mode
+        for c, mode in enumerate(x.reshape(-1, n, n_reps)):
+            sq[:, cols] += mode * mode
             if proj is not None:
-                proj[:, slices[b]] += coeffs[s + c] * mode
+                proj[:, cols] += coeffs[s + c] * mode
 
     def batch(b: int) -> None:
         for s in range(sampler.n_sequences):
             add_sequence(b, s)
 
-    _run_tasks(batch, len(sizes), spec.threads)
+    _run_tasks(batch, len(batches), spec.threads)
     return sq, proj
 
 
-def _batched_statistic(values: np.ndarray, sizes: list[int], stat) -> tuple[float, float]:
+def _batched_statistic(values: np.ndarray, spec: ExperimentSpec, stat) -> tuple[float, float]:
     """(full-sample statistic, batch-spread standard error)."""
     full = float(stat(values))
-    if len(sizes) < 2:
+    batches = _batches(spec)
+    if len(batches) < 2:
         return full, float("nan")
-    parts = [stat(values[sl]) for sl in _batch_slices(sizes)]
+    parts = [stat(values[sl]) for sl in batches]
     return full, float(np.std(parts, ddof=1) / np.sqrt(len(parts)))
 
 
@@ -297,23 +309,18 @@ def _check_kolmogorov_wasserstein(report: ExperimentReport, grid, d_k: float, d_
 def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
     """Gaussian limit of ``sqrt(n) (mean |Z(i)|^2 - trace)`` with rate check."""
     model = spec.model
-    thresholds = dict(spec.thresholds)
-    if "slope_max" not in thresholds:
-        base = -0.5 if model.hurst <= 0.625 else -(3.0 - 4.0 * model.hurst)
-        tol = 0.2 if model.hurst <= 0.625 else 0.25
-        thresholds["slope_max"] = base + tol
-    report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
+    base = -0.5 if model.hurst <= 0.625 else -(3.0 - 4.0 * model.hurst)
+    tol = 0.2 if model.hurst <= 0.625 else 0.25
+    report = spec.report({"slope_max": base + tol})
 
     trace_alpha = trace_q(model)
     s_star = s_infty_star(model, spec.dt).value
-    sizes = _batch_sizes(spec.replications, spec.n_batches)
     ks_values = []
     for gi, n in enumerate(spec.grid):
-        n = int(n)
         sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
         standardized = np.sqrt(n) * (sq.mean(axis=0) - trace_alpha) / np.sqrt(s_star)
-        ks, ks_se = _batched_statistic(standardized, sizes, ks_distance)
-        w1, w1_se = _batched_statistic(standardized, sizes, wasserstein1_distance)
+        ks, ks_se = _batched_statistic(standardized, spec, ks_distance)
+        w1, w1_se = _batched_statistic(standardized, spec, wasserstein1_distance)
         report.add_row(n, "ks_distance", ks, ks_se, spec.replications)
         report.add_row(n, "wasserstein1", w1, w1_se, spec.replications)
         report.add_row(n, "xi_H", xi_H(model.hurst, n), None, 0)
@@ -325,8 +332,8 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
         slope, intercept, r2 = _loglog_fit(np.asarray(spec.grid, float), np.asarray(ks_values))
         # Slope spread across batches.
         batch_slopes = []
-        for sl in _batch_slices(sizes):
-            ys = [ks_distance(report.raw[f"standardized_n{int(n)}"][sl]) for n in spec.grid]
+        for sl in _batches(spec):
+            ys = [ks_distance(report.raw[f"standardized_n{n}"][sl]) for n in spec.grid]
             batch_slopes.append(_loglog_fit(np.asarray(spec.grid, float), np.asarray(ys))[0])
         slope_se = float(np.std(batch_slopes, ddof=1) / np.sqrt(len(batch_slopes)))
         report.regression = {
@@ -334,7 +341,7 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
             "r_squared": r2, "slope_se": slope_se,
         }
         report.add_check(
-            "ks_slope_vs_rate", slope, thresholds["slope_max"], "<=",
+            "ks_slope_vs_rate", slope, report.thresholds["slope_max"], "<=",
             note="log-log KS decay no slower than the rate function within tolerance",
         )
         report.add_check("ks_decreasing", ks_values[-1], ks_values[0], "<=",
@@ -345,13 +352,8 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
 def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
     """Normality of standardized minimum-contrast errors (localized Kolmogorov)."""
     model = spec.model
-    thresholds = {"ks_localized_max": 0.06}
-    thresholds.update(spec.thresholds)
-    report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
-
+    report = spec.report({"ks_localized_max": 0.06})
     want_proj = DISCRETE_PROJ in spec.estimators
-    if want_proj and spec.projection is None:
-        raise ValueError("projection estimator requested without a projection")
     # (normalizer, sigma) per kind, in report order; asymptotic_sigma checks
     # H < 3/4 and the degeneracy of the normalizers.
     targets = {}
@@ -365,9 +367,7 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
             asymptotic_sigma(model, DISCRETE_PROJ, spec.projection, spec.dt),
         )
 
-    sizes = _batch_sizes(spec.replications, spec.n_batches)
     for gi, n in enumerate(spec.grid):
-        n = int(n)
         sq, proj = _stationary_moment_samples(spec, n, gi, need_proj=want_proj)
         for name, (normalizer, sigma) in targets.items():
             # No name holds proj**2: freeing it before the next grid point's
@@ -376,10 +376,10 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
             alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             z = np.sqrt(n) * (alphas - model.alpha) / sigma
             ks_loc, ks_loc_se = _batched_statistic(
-                z, sizes, lambda v: ks_distance(v, localize=spec.localize)
+                z, spec, lambda v: ks_distance(v, localize=LOCALIZE)
             )
-            ks_all, ks_all_se = _batched_statistic(z, sizes, ks_distance)
-            w1, w1_se = _batched_statistic(z, sizes, wasserstein1_distance)
+            ks_all, ks_all_se = _batched_statistic(z, spec, ks_distance)
+            w1, w1_se = _batched_statistic(z, spec, wasserstein1_distance)
             pvalue = kolmogorov_sf(len(z), ks_all)
             report.add_row(n, f"{name}_ks_localized", ks_loc, ks_loc_se, spec.replications)
             report.add_row(n, f"{name}_ks", ks_all, ks_all_se, spec.replications)
@@ -388,8 +388,8 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
             report.add_row(n, f"{name}_mean_std_error", float(z.mean()),
                            float(z.std(ddof=1) / np.sqrt(len(z))), spec.replications)
             report.add_check(
-                f"{name}_ks_localized_n{n}", ks_loc, thresholds["ks_localized_max"], "<=",
-                note=f"localized (K={spec.localize:g}) Kolmogorov distance to N(0,1)",
+                f"{name}_ks_localized_n{n}", ks_loc, report.thresholds["ks_localized_max"], "<=",
+                note=f"localized (K={LOCALIZE:g}) Kolmogorov distance to N(0,1)",
             )
             _check_kolmogorov_wasserstein(report, n, ks_all, w1)
             report.raw[f"{name}_standardized_n{n}"] = z
@@ -399,21 +399,16 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
 def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     """Median absolute error decreasing along the observation grid."""
     model = spec.model
-    thresholds = {"max_median_error": 0.05}
-    thresholds.update(spec.thresholds)
-    report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
-
+    report = spec.report({"max_median_error": 0.05})
     trace1 = trace_q1(model)
     if trace1.degenerate:
         raise DegenerateModelError("stationary trace is degenerate; drift not identifiable")
     want_proj = DISCRETE_PROJ in spec.estimators
-    if want_proj and spec.projection is None:
-        raise ValueError("projection estimator requested without a projection")
     qw1 = qww1(model, spec.projection) if want_proj else None
     if want_proj and qw1.degenerate:
         raise DegenerateModelError("projected normalizer is degenerate")
 
-    n_max = int(spec.grid[-1])
+    n_max = spec.grid[-1]
     if spec.source == "stationary":
         sq, proj = _stationary_moment_samples(spec, n_max, 0, need_proj=want_proj)
     else:
@@ -423,7 +418,6 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     cum_pr = np.cumsum(proj**2, axis=0) if want_proj else None
     medians: dict[str, list[float]] = {}
     for n in spec.grid:
-        n = int(n)
         rows = [(DISCRETE_NORM, cum_sq[n - 1] / n, trace1)]
         if want_proj:
             rows.append((DISCRETE_PROJ, cum_pr[n - 1] / n, qw1))
@@ -443,7 +437,7 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
         report.add_check(f"{name}_median_strictly_decreasing", float(decreasing), 1.0, ">=",
                          note=f"medians over grid: {[round(m, 5) for m in meds]}")
         report.add_check(f"{name}_final_median_error", meds[-1],
-                         thresholds["max_median_error"], "<=",
+                         report.thresholds["max_median_error"], "<=",
                          note="threshold from pilot Monte Carlo standard-error budget")
     return report
 
@@ -478,15 +472,10 @@ def _integrated_moment_samples(
 def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
     """Exact cumulants vs bound shapes vs Monte Carlo k-statistics."""
     model = spec.model
-    thresholds = {"se_multiple": 4.0, "uniformity_margin": 1.5}
-    thresholds.update(spec.thresholds)
-    report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
-
-    sizes = _batch_sizes(spec.replications, spec.n_batches)
+    report = spec.report({"se_multiple": 4.0, "uniformity_margin": 1.5})
     ratios3, ratios4, fit3, fit4 = [], [], [], []
     fit_cut = spec.grid[len(spec.grid) // 2]
     for gi, n in enumerate(spec.grid):
-        n = int(n)
         rep = exact_cumulants(model, n, spec.dt)
         report.add_row(n, "kappa3_exact", rep.kappa3_exact)
         report.add_row(n, "kappa4_exact", rep.kappa4_exact)
@@ -504,13 +493,13 @@ def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
         if n <= spec.mc_cumulant_max_n:
             sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
             f = (sq.sum(axis=0) - n * trace_q(model)) / np.sqrt(n * rep.s_n)
-            k2, k2_se = _batched_statistic(f, sizes, lambda v: k_statistics(v)[0])
-            k3, k3_se = _batched_statistic(f, sizes, lambda v: k_statistics(v)[1])
-            k4, k4_se = _batched_statistic(f, sizes, lambda v: k_statistics(v)[2])
+            k2, k2_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[0])
+            k3, k3_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[1])
+            k4, k4_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[2])
             report.add_row(n, "k2_mc", k2, k2_se, spec.replications)
             report.add_row(n, "k3_mc", k3, k3_se, spec.replications)
             report.add_row(n, "k4_mc", k4, k4_se, spec.replications)
-            mult = thresholds["se_multiple"]
+            mult = report.thresholds["se_multiple"]
             report.add_check(f"k3_match_n{n}", abs(k3 - rep.kappa3_exact), mult * k3_se, "<=",
                              note="Monte Carlo k3 within SE multiple of the exact value")
             report.add_check(f"k4_match_n{n}", abs(k4 - rep.kappa4_exact), mult * k4_se, "<=",
@@ -521,9 +510,8 @@ def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
     # One fitted constant per cumulant order, uniform over the whole grid.
     c3 = max(fit3) if fit3 else max(ratios3)
     c4 = max(fit4) if fit4 else max(ratios4)
-    margin = thresholds["uniformity_margin"]
-    report.regression = {"fitted_c3": c3, "fitted_c4": c4,
-                         "fit_grid_max_n": int(fit_cut)}
+    margin = report.thresholds["uniformity_margin"]
+    report.regression = {"fitted_c3": c3, "fitted_c4": c4, "fit_grid_max_n": fit_cut}
     report.add_check("kappa3_bound_uniform", max(ratios3), margin * c3, "<=",
                      note="kappa3 <= C3 * B3(n) with one constant fitted on small n")
     report.add_check("kappa4_bound_uniform", max(ratios4), margin * c4, "<=",
@@ -536,19 +524,14 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
     model = spec.model
     h = model.hurst
     noncentral = h > 0.75
-    thresholds = (
-        {"ks_floor": 0.03, "variance_ratio_max": 2.0}
-        if noncentral else {"ks_max": 0.05}
+    report = spec.report(
+        {"ks_floor": 0.03, "variance_ratio_max": 2.0} if noncentral else {"ks_max": 0.05}
     )
-    thresholds.update(spec.thresholds)
-    report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
 
     trace_alpha = trace_q(model)
-    sizes = _batch_sizes(spec.replications, spec.n_batches)
     variances = []
     ks_fit_values = []
     for gi, n in enumerate(spec.grid):
-        n = int(n)
         sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
         centered_sum = sq.sum(axis=0) - n * trace_alpha
         if noncentral:
@@ -556,13 +539,13 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
         else:
             scaled = centered_sum / np.sqrt(n * s_infty_star(model, spec.dt).value)
 
-        var, var_se = _batched_statistic(scaled, sizes, np.var)
+        var, var_se = _batched_statistic(scaled, spec, np.var)
         variances.append(var)
         skew, skew_se = _batched_statistic(
-            scaled, sizes, lambda v: float(np.mean(((v - v.mean()) / v.std()) ** 3))
+            scaled, spec, lambda v: float(np.mean(((v - v.mean()) / v.std()) ** 3))
         )
         ks_fit, ks_fit_se = _batched_statistic(
-            scaled, sizes, lambda v: ks_distance((v - v.mean()) / v.std(ddof=0))
+            scaled, spec, lambda v: ks_distance((v - v.mean()) / v.std(ddof=0))
         )
         ks_fit_values.append(ks_fit)
         report.add_row(n, "variance", var, var_se, spec.replications)
@@ -573,24 +556,24 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
             report.add_check(f"skewness_positive_n{n}", skew, 3.0 * skew_se, ">=",
                              note="persistent positive skew rules out the normal limit")
 
-    n_last = int(spec.grid[-1])
+    n_last = spec.grid[-1]
     if noncentral:
         report.add_check("ks_to_best_normal_floor", ks_fit_values[-1],
-                         thresholds["ks_floor"], ">=",
+                         report.thresholds["ks_floor"], ">=",
                          note=f"mean/variance-fitted normal at n={n_last} (pilot floor)")
         for n, ks_fit in zip(spec.grid[:-1], ks_fit_values[:-1]):
-            report.add_check(f"ks_to_best_normal_floor_n{int(n)}", ks_fit,
-                             thresholds["ks_floor"], ">=",
+            report.add_check(f"ks_to_best_normal_floor_n{n}", ks_fit,
+                             report.thresholds["ks_floor"], ">=",
                              note="distance to every normal stays above the floor along the grid")
         if len(variances) >= 2:
             ratio = variances[-1] / variances[0]
             report.add_check("variance_stabilizes", ratio,
-                             thresholds["variance_ratio_max"], "<=",
+                             report.thresholds["variance_ratio_max"], "<=",
                              note="variance of the rescaled statistic does not diverge")
     else:
         z = report.raw[f"scaled_n{n_last}"]
         report.add_check("control_normality_ks", ks_distance(z),
-                         thresholds["ks_max"], "<=",
+                         report.thresholds["ks_max"], "<=",
                          note="CLT scaling passes normality in the H < 3/4 control")
     return report
 
@@ -598,14 +581,11 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
 def run_degenerate_projection(spec: ExperimentSpec) -> ExperimentReport:
     """Vanishing vs non-vanishing projected normalizers on one model."""
     model = spec.model
-    thresholds = {"qww_tol": 1e-12}
-    thresholds.update(spec.thresholds)
-    report = ExperimentReport(spec.kind, spec.seed, spec.replications, spec.n_batches, thresholds)
-    if spec.projection is None:
-        raise ValueError("degenerate_projection requires the candidate projection")
+    report = spec.report({"qww_tol": 1e-12})
+    tol = report.thresholds["qww_tol"]
     cand = qww1(model, spec.projection)
     report.add_row(0, "qww_candidate", cand.value)
-    report.add_check("qww_candidate_degenerate", cand.value, thresholds["qww_tol"], "<=",
+    report.add_check("qww_candidate_degenerate", cand.value, tol, "<=",
                      note="projected normalizer vanishes for the degenerate pair")
     refused = False
     try:
@@ -615,13 +595,9 @@ def run_degenerate_projection(spec: ExperimentSpec) -> ExperimentReport:
     report.add_check("estimator_refuses", float(refused), 1.0, ">=",
                      note="projection estimator refuses on the degenerate normalizer")
 
-    window = spec.thresholds.get("window", (0.0, 0.5))
-    from .models import projection_indicator
-
-    w_ok = projection_indicator(window[0], window[1], model.n_modes)
-    good = qww1(model, w_ok)
+    good = qww1(model, projection_indicator(*DEGENERATE_WINDOW, model.n_modes))
     report.add_row(0, "qww_window", good.value)
-    report.add_check("qww_window_positive", good.value, thresholds["qww_tol"], ">=",
+    report.add_check("qww_window_positive", good.value, tol, ">=",
                      note="window projection keeps the normalizer positive")
     report.add_row(0, "window_unit_ratio_estimate",
                    alpha_from_moment(good.value, good, model.hurst, DISCRETE_PROJ))
@@ -639,8 +615,4 @@ _RUNNERS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    try:
-        runner = _RUNNERS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown experiment kind {spec.kind!r}") from None
-    return runner(spec)
+    return _RUNNERS[spec.kind](spec)

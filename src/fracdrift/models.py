@@ -201,8 +201,10 @@ def custom_model(
     noise_kind: str = DIAGONAL,
 ) -> ModelConfig:
     """Model with explicitly given eigenvalues and loadings."""
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    lo = np.broadcast_to(np.asarray(loadings, dtype=float), ev.shape).copy()
+    ev = np.asarray(eigenvalues, dtype=float)
+    order = np.argsort(ev, kind="stable")
+    lo = np.broadcast_to(np.asarray(loadings, dtype=float), ev.shape)[order]
+    ev = ev[order]
     return ModelConfig(
         alpha=float(alpha),
         hurst=float(hurst),
@@ -242,6 +244,8 @@ def projection_from_coefficients(values: np.ndarray) -> ProjectionVector:
 # --------------------------------------------------------------------------
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import substream
-from .covariance import _mode_variances, lag_blocks
+from .covariance import lag_blocks
 from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
 from .fgn import sample_fgn, stationary_draw, stationary_factor, validate_hurst
 from .models import DIAGONAL, ModelConfig, ProjectionVector
@@ -160,9 +160,9 @@ def integrate_path(
     ``init`` is one of ``"zero"``, ``"burn_in"``, ``"stationary"`` or an array
     of initial mode coordinates.  ``"burn_in"`` simulates ``grid.burn_in_steps``
     extra steps (the default amount if the grid carries none) and discards
-    them.  ``"stationary"`` draws the initial state from the stationary
-    marginal, independently of the subsequent noise; for H != 1/2 this is only
-    marginally (not jointly) stationary -- use
+    them.  ``"stationary"`` draws the initial state exactly from the stationary
+    law of X(0), all modes jointly, independently of the subsequent noise; for
+    H != 1/2 the path is then only marginally (not jointly) stationary -- use
     :func:`sample_stationary_sequence` where that matters.
 
     ``observe_every`` subsamples the simulated grid on output, so a fine
@@ -180,8 +180,7 @@ def integrate_path(
     if kind == "burn_in":
         burn = grid.burn_in_steps or default_burn_in_steps(model, grid.dt)
     elif kind == "stationary":
-        rng0 = substream(seed, _FGN_STREAM, 0x1217)
-        x0 = rng0.standard_normal(model.n_modes) * np.sqrt(_mode_variances(model))
+        x0 = sample_stationary_sequence(model, 1, grid.dt, seed).modes[:, 0]
     elif kind == "given":
         x0 = np.asarray(init, dtype=float)
         if x0.shape != (model.n_modes,):

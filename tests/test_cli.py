@@ -9,7 +9,13 @@ import pytest
 
 from fracdrift.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, EXIT_THRESHOLD, main
 from fracdrift.estimators import asymptotic_sigma, estimate, qww1, trace_q1
-from fracdrift.models import model_from_dict, projection_from_dict
+from fracdrift.harness import ExperimentSpec, run_experiment
+from fracdrift.models import (
+    model_from_dict,
+    model_to_dict,
+    projection_from_dict,
+    projection_indicator,
+)
 from fracdrift.simulate import trajectory_from_csv
 
 HEAT3 = {"kind": "distributed", "d": 1, "m": 1, "n_modes": 3, "alpha": 1.0, "hurst": 0.55}
@@ -302,6 +308,41 @@ class TestExperimentCommand:
         assert message in err
         assert not out.exists()
 
+    def test_summary_matches_library_run(self, tmp_path):
+        # Every config key reaches the ExperimentSpec field of the same name.
+        model = model_from_dict(HEAT3)
+        cases = [
+            ({"model": HEAT3, "grid": [20, 40], "replications": 12, "seed": 3,
+              "source": "integrator", "sim_dt": 0.05, "dt": 0.5,
+              "estimators": ["discrete_norm", "discrete_projection"], "projection": WINDOW,
+              "n_batches": 4, "thresholds": {"max_median_error": 10.0}},
+             ExperimentSpec("consistency", model, (20, 40), 12, 3,
+                            estimators=("discrete_norm", "discrete_projection"),
+                            projection=projection_indicator(0.0, 0.5, 3), dt=0.5,
+                            source="integrator", sim_dt=0.05, n_batches=4,
+                            thresholds={"max_median_error": 10.0})),
+            ({"model": HEAT3, "grid": [16, 32, 64], "replications": 200, "seed": 3,
+              "mc_cumulant_max_n": 32},
+             ExperimentSpec("cumulants", model, (16, 32, 64), 200, 3, mc_cumulant_max_n=32)),
+        ]
+        for cfg, spec in cases:
+            out = tmp_path / spec.kind
+            main(["experiment", spec.kind, "--config", write(tmp_path, "exp.json", cfg),
+                  "--out", str(out)])
+            summary = json.loads((out / f"experiment_{spec.kind}_summary.json").read_text())
+            expected = {**run_experiment(spec).to_json_dict(), "model": model_to_dict(model)}
+            assert summary == json.loads(json.dumps(expected))
+
+    def test_localize_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = write(tmp_path, "exp.json", {
+            "model": HEAT3, "grid": [16], "replications": 8, "localize": 2.0,
+        })
+        code = main(["experiment", "estimator_clt", "--config", cfg, "--out",
+                     str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert "error: config: unknown keys in experiment config: ['localize']" \
+            in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         cfg = write(tmp_path, "exp.json", {
             "model": HEAT3, "grid": [16, 32], "replications": 30, "seed": 4,
@@ -374,6 +415,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("command,cfg", [
+        pytest.param(["theory"], [HEAT3], id="top_level_list"),
+        pytest.param(["theory"], {"model_file": "model.json"}, id="invalid_model_file"),
+        pytest.param(["theory"], {"model_file": ["model.json"]}, id="model_file_list"),
+        pytest.param(["simulate"], {"model": HEAT3, "grid": 64}, id="simulate_grid_scalar"),
+        pytest.param(["simulate"], {"model": HEAT3, "grid": {"dt": 0.1, "n_steps": 4},
+                                    "seed": "one"}, id="seed_string"),
+        pytest.param(["experiment", "consistency"],
+                     {"model": HEAT3, "grid": [16], "replications": 8, "thresholds": [1, 2]},
+                     id="thresholds_list"),
+        pytest.param(["estimate"], {"model": HEAT3, "trajectory": "traj.csv",
+                                    "estimator": "discrete_norm", "true_alpha": "one"},
+                     id="true_alpha_string"),
+        pytest.param(["estimate"], {"model": HEAT3, "trajectory": 5, "estimator": "discrete_norm"},
+                     id="trajectory_number"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, monkeypatch, command, cfg):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "model.json", dict(HEAT3, hurst=1.5))
+        (tmp_path / "traj.csv").write_text("t,sq_norm\n0,1.0\n1,0.5\n2,0.8\n")
+        argv = command + ["--config", write(tmp_path, "cfg.json", cfg), "--out", "out"]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: config:")
 
     def test_bad_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import pytest
 from fracdrift.estimators import DegenerateModelError
 from fracdrift.harness import (
     ExperimentSpec,
-    _batch_sizes,
+    _batches,
     run_consistency,
     run_degenerate_projection,
     run_estimator_clt,
@@ -51,11 +51,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="estimators must be"):
             ExperimentSpec("estimator_clt", heat3, (8,), 4, 1, estimators=estimators)
 
-    def test_batch_sizes_partition(self):
+    def test_batch_sizes_partition(self, heat3):
         for reps, batches in ((100, 20), (7, 20), (41, 6)):
-            sizes = _batch_sizes(reps, batches)
+            spec = ExperimentSpec("consistency", heat3, (8,), reps, 1, n_batches=batches)
+            slices = _batches(spec)
+            assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
+            sizes = [sl.stop - sl.start for sl in slices]
             assert sum(sizes) == reps
             assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)
 
 
 class TestReproducibility:
@@ -137,10 +141,9 @@ class TestConsistencyExperiment:
         assert "discrete_projection_median_abs_error" in stats
 
     def test_projection_estimator_needs_projection(self, heat3):
-        spec = ExperimentSpec("consistency", heat3, (8,), 4, seed=1,
-                              estimators=("discrete_projection",))
         with pytest.raises(ValueError, match="projection"):
-            run_consistency(spec)
+            run_consistency(ExperimentSpec("consistency", heat3, (8,), 4, seed=1,
+                                           estimators=("discrete_projection",)))
 
     def test_degenerate_projection_refuses(self):
         model = build_pointwise_model(0.5, 8, 1.0, 0.55)
@@ -184,10 +187,9 @@ class TestDistributionExperiments:
         assert pval > 1e-4
 
     def test_estimator_clt_needs_projection(self, heat3):
-        spec = ExperimentSpec("estimator_clt", heat3, (64,), 20, seed=1,
-                              estimators=("discrete_projection",))
         with pytest.raises(ValueError, match="projection"):
-            run_estimator_clt(spec)
+            run_estimator_clt(ExperimentSpec("estimator_clt", heat3, (64,), 20, seed=1,
+                                             estimators=("discrete_projection",)))
 
     def test_rosenblatt_control_mode(self):
         model = custom_model([1.0], 1.0, 0.55)
@@ -222,9 +224,9 @@ class TestDegenerateProjectionExperiment:
         assert unit == [pytest.approx(1.0, abs=1e-13)]
 
     def test_requires_projection(self, pointwise8):
-        spec = ExperimentSpec("degenerate_projection", pointwise8, (1,), 1, seed=1)
         with pytest.raises(ValueError, match="projection"):
-            run_degenerate_projection(spec)
+            run_degenerate_projection(
+                ExperimentSpec("degenerate_projection", pointwise8, (1,), 1, seed=1))
 
 
 class TestReportFormats:

@@ -163,3 +163,8 @@ class TestValidationAndSerialization:
     def test_custom_model_sorts(self):
         m = custom_model([3.0, 1.0, 2.0], 1.0, 0.5)
         assert np.allclose(m.operator.eigenvalues, [1.0, 2.0, 3.0])
+
+    def test_custom_model_sorts_loadings_with_eigenvalues(self):
+        m = custom_model([4.0, 1.0], 1.0, 0.55, loadings=[2.0, 3.0])
+        assert m.operator.eigenvalues.tolist() == [1.0, 4.0]
+        assert m.noise.loadings.tolist() == [3.0, 2.0]

@@ -9,6 +9,7 @@ from fracdrift._rng import substream
 from fracdrift.covariance import (
     block_covariance,
     mode_lag_table,
+    qww,
     stationary_covariance,
     trace_q,
 )
@@ -18,6 +19,7 @@ from fracdrift.models import (
     build_pointwise_model,
     custom_model,
     projection_from_coefficients,
+    projection_indicator,
     projection_sine,
 )
 from fracdrift.simulate import (
@@ -144,6 +146,18 @@ class TestIntegratePath:
         # Allow the O(dt) scheme bias on top of the Monte Carlo band.
         bias_allowance = 0.02 * target
         assert abs(values.mean() - target) <= 3.0 * se + bias_allowance
+
+    def test_stationary_start_keeps_cross_mode_covariance(self):
+        # Point-source modes are correlated at t = 0: Var <X(0), w> = <Qw, w>,
+        # which independent coordinates with the right variances miss by 40%.
+        model = build_pointwise_model(0.3, 12, 1.0, 0.55)
+        w = projection_indicator(0.0, 0.5, 12)
+        grid = TrajectoryGrid(0.01, 1)
+        reps = 1000
+        x = np.array([w.coefficients @ integrate_path(model, grid, "stationary", s).modes[:, 0]
+                      for s in range(reps)])
+        var = x.var(ddof=1)
+        assert abs(var - qww(model, w)) <= 4.0 * var * np.sqrt(2.0 / (reps - 1))
 
     def test_observe_every_subsamples(self, heat3):
         grid = TrajectoryGrid(0.01, 100)
