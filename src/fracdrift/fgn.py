@@ -12,6 +12,8 @@ FFT.  The first ``n <= m+1`` points then have exactly the block-Toeplitz
 covariance ``S_ij = R(i-j)``.  When the embedding has more negative mass
 than that, the one fallback is a jittered Cholesky factor of the dense
 block-Toeplitz matrix, guarded by :data:`DENSE_GUARD` and physical memory.
+Draws are replication-major, shape (n_reps, p, n), and may reuse a caller's
+workspace of normals, spectrum and irfft output (:func:`sample_circulant`).
 
 Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
 of :mod:`fracdrift.simulate` feed the mode sequences through the same
@@ -186,40 +188,47 @@ def stationary_factor(lags: np.ndarray, n: int) -> tuple[str, np.ndarray]:
 
 
 def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
-                     n_reps: int) -> np.ndarray:
+                     n_reps: int, work: dict | None = None) -> np.ndarray:
     """Draw step of the circulant route: ``n_reps`` sequences of ``n`` points.
 
     Multiplies complex normals by each frequency's factor (the two end bins
     are real with full variance) and inverts the rfft.  Returns shape
-    (p n, n_reps), component-major like :func:`block_toeplitz`.
+    (n_reps, p, n), replication-major: a view of the irfft output.  ``work``
+    is an optional dict that keeps the normals, the spectrum and the irfft
+    output for the next call of the same shape; the result then lives in it
+    and that call overwrites it.  Without ``work`` every call allocates.
     """
     m, p = len(factor) - 1, factor.shape[-1]
-    g = rng.standard_normal((2, n_reps, p, m + 1))
+    shape = (n_reps, p, m + 1)
+    work = {} if work is None else work
+    if work.get("shape") != shape:
+        work.update(shape=shape, g=np.empty((2, *shape)), spec=np.empty(shape, complex),
+                    x=np.empty((n_reps, p, 2 * m)))
+    g, spec = rng.standard_normal(out=work["g"]), work["spec"]
     if p == 1:
         # Built in place, elementwise: the same bits as the former
         # ``amp * (g0 + 1j*g1) / sqrt(2)`` except the sign of zeros where
         # amp = 0, which the irfft does not see.
         amp, scl = factor[:, 0, 0], 1.0 / np.sqrt(2.0)
-        spec = np.empty(g.shape[1:], complex)
         np.multiply(amp, g[0], out=spec.real)
         np.multiply(amp, g[1], out=spec.imag)
         spec *= scl
         spec[..., 0] = amp[0] * g[0, ..., 0]
         spec[..., m] = amp[m] * g[0, ..., m]
     else:
-        spec = (factor @ (g[0] + 1j * g[1]).T).T / np.sqrt(2.0)
+        np.divide((factor @ (g[0] + 1j * g[1]).T).T, np.sqrt(2.0), out=spec)
         spec[..., 0] = g[0, ..., 0] @ factor[0].real.T
         spec[..., m] = g[0, ..., m] @ factor[m].real.T
-    x = np.fft.irfft(spec, n=2 * m)[..., :n]
-    return x.transpose(1, 2, 0).reshape(p * n, n_reps)
+    return np.fft.irfft(spec, n=2 * m, out=work["x"])[..., :n]
 
 
 def stationary_draw(method: str, factor: np.ndarray, n: int, rng: np.random.Generator,
-                    n_reps: int) -> np.ndarray:
-    """``n_reps`` draws from a :func:`stationary_factor` result, shape (p n, n_reps)."""
+                    n_reps: int, work: dict | None = None) -> np.ndarray:
+    """``n_reps`` draws from a :func:`stationary_factor` result, shape
+    (n_reps, p, n); the Cholesky route ignores ``work``."""
     if method == "cholesky":
-        return factor @ rng.standard_normal((len(factor), n_reps))
-    return sample_circulant(factor, n, rng, n_reps)
+        return (factor @ rng.standard_normal((len(factor), n_reps))).T.reshape(n_reps, -1, n)
+    return sample_circulant(factor, n, rng, n_reps, work)
 
 
 _FGN_FACTOR_LOCK = threading.Lock()
@@ -256,4 +265,4 @@ def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = No
         return rng.standard_normal(1)
     with _FGN_FACTOR_LOCK:  # one miss per key, even from pool threads
         method, factor = _fgn_factor(h, n)
-    return stationary_draw(method, factor, n, rng, 1)[:, 0]
+    return stationary_draw(method, factor, n, rng, 1)[0, 0]

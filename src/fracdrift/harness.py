@@ -20,7 +20,9 @@ Experiment kinds:
 keys of a ``fracdrift experiment`` config, cast and validated once.
 
 All randomness derives from per-(experiment, grid point, batch, mode)
-substreams, so reports are byte-identical regardless of worker count.
+substreams, so reports are byte-identical regardless of worker count.  Each
+batch reduces its draws to per-replication time sums, so Monte Carlo memory
+is of order threads x n x replications / n_batches.
 Monte Carlo standard errors are computed by batching (>= 20 batches), and all
 pass/fail thresholds are recorded in the report next to the observed values.
 """
@@ -117,6 +119,9 @@ class ExperimentSpec:
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        for name, value in self.thresholds.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"threshold {name!r} must be a number, got {value!r}")
         if not self.grid or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be non-empty and strictly increasing")
         if self.n_batches < 1:
@@ -238,41 +243,45 @@ def _stationary_moment_samples(
     n: int,
     grid_index: int,
     need_proj: bool,
+    cuts: tuple = (),
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact stationary draws aggregated to (sq_norms, projections).
+    """Exact stationary draws reduced to per-replication prefix sums.
 
-    Returns arrays of shape (n, replications); column r is replication r.
-    Deterministic in (seed, kind, grid_index, batch, sequence) regardless of
-    the thread count: each task is one batch, which owns its columns and adds
-    the modes in order.
+    Returns ``(sq, proj)`` of shape (len(cuts), replications), ``cuts``
+    defaulting to ``(n,)``: the sums of |X(t)|^2 and <X(t), w>^2 over the
+    first ``cuts[i]`` points.  Each task is one batch: it draws through one
+    workspace, adds the modes in order into (batch, n) accumulators and takes
+    a sequential cumsum along t.  Deterministic in (seed, kind, grid_index,
+    batch, sequence) regardless of the thread count.
     """
     tag = _TAGS[spec.kind]
     batches = _batches(spec)
-    sq = np.zeros((n, spec.replications))
-    proj = np.zeros((n, spec.replications)) if need_proj else None
+    at = np.asarray(cuts or (n,)) - 1
+    sums = np.empty((2 if need_proj else 1, len(at), spec.replications))
     coeffs = spec.projection.coefficients if need_proj else None
     sampler = StationaryModeSampler(spec.model, n, spec.dt)
     for s in range(sampler.n_sequences):
         sampler.factor(s)  # factor once before any parallel draws
 
-    def add_sequence(b: int, s: int) -> None:
-        # A function of its own, so one draw is freed before the next.
-        cols = batches[b]
-        n_reps = cols.stop - cols.start
-        x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), n_reps)
-        # Mode s + c: diagonal noise has one mode per sequence, rank-one
-        # noise a single sequence of all modes.
-        for c, mode in enumerate(x.reshape(-1, n, n_reps)):
-            sq[:, cols] += mode * mode
-            if proj is not None:
-                proj[:, cols] += coeffs[s + c] * mode
-
     def batch(b: int) -> None:
+        cols, work = batches[b], {}
+        n_reps = cols.stop - cols.start
+        acc = np.zeros((len(sums), n_reps, n))
+        term = np.empty((n_reps, n))
         for s in range(sampler.n_sequences):
-            add_sequence(b, s)
+            x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), n_reps, work)
+            # Mode s + c: diagonal noise has one mode per sequence, rank-one
+            # noise a single sequence of all modes.
+            for c, mode in enumerate(x.swapaxes(0, 1)):
+                acc[0] += np.multiply(mode, mode, out=term)
+                if need_proj:
+                    acc[1] += np.multiply(coeffs[s + c], mode, out=term)
+        np.square(acc[1:], out=acc[1:])  # the projection, if any
+        np.cumsum(acc, axis=2, out=acc)
+        sums[:, :, cols] = acc[..., at].transpose(0, 2, 1)
 
     _run_tasks(batch, len(batches), spec.threads)
-    return sq, proj
+    return sums[0], (sums[1] if need_proj else None)
 
 
 def _batched_statistic(values: np.ndarray, spec: ExperimentSpec, stat) -> tuple[float, float]:
@@ -318,7 +327,7 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
     ks_values = []
     for gi, n in enumerate(spec.grid):
         sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
-        standardized = np.sqrt(n) * (sq.mean(axis=0) - trace_alpha) / np.sqrt(s_star)
+        standardized = np.sqrt(n) * (sq[0] / n - trace_alpha) / np.sqrt(s_star)
         ks, ks_se = _batched_statistic(standardized, spec, ks_distance)
         w1, w1_se = _batched_statistic(standardized, spec, wasserstein1_distance)
         report.add_row(n, "ks_distance", ks, ks_se, spec.replications)
@@ -370,9 +379,7 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
     for gi, n in enumerate(spec.grid):
         sq, proj = _stationary_moment_samples(spec, n, gi, need_proj=want_proj)
         for name, (normalizer, sigma) in targets.items():
-            # No name holds proj**2: freeing it before the next grid point's
-            # draws raises glibc's mmap threshold, which keeps them off mmap.
-            moments = (sq if name == DISCRETE_NORM else proj**2).mean(axis=0)
+            moments = (sq if name == DISCRETE_NORM else proj)[0] / n
             alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             z = np.sqrt(n) * (alphas - model.alpha) / sigma
             ks_loc, ks_loc_se = _batched_statistic(
@@ -410,17 +417,15 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
 
     n_max = spec.grid[-1]
     if spec.source == "stationary":
-        sq, proj = _stationary_moment_samples(spec, n_max, 0, need_proj=want_proj)
+        sq, proj = _stationary_moment_samples(spec, n_max, 0, want_proj, spec.grid)
     else:
-        sq, proj = _integrated_moment_samples(spec, n_max, want_proj)
+        sq, proj = _integrated_moment_samples(spec, n_max, want_proj, spec.grid)
 
-    cum_sq = np.cumsum(sq, axis=0)
-    cum_pr = np.cumsum(proj**2, axis=0) if want_proj else None
     medians: dict[str, list[float]] = {}
-    for n in spec.grid:
-        rows = [(DISCRETE_NORM, cum_sq[n - 1] / n, trace1)]
+    for i, n in enumerate(spec.grid):
+        rows = [(DISCRETE_NORM, sq[i] / n, trace1)]
         if want_proj:
-            rows.append((DISCRETE_PROJ, cum_pr[n - 1] / n, qw1))
+            rows.append((DISCRETE_PROJ, proj[i] / n, qw1))
         for name, moments, normalizer in rows:
             alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             err = np.abs(alphas - model.alpha)
@@ -443,15 +448,16 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _integrated_moment_samples(
-    spec: ExperimentSpec, n_obs: int, want_proj: bool
+    spec: ExperimentSpec, n_obs: int, want_proj: bool, cuts: tuple
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exponential-Euler replications observed at unit spacing ``spec.dt``."""
+    """Exponential-Euler replications at spacing ``spec.dt``, as prefix sums at ``cuts``."""
     model = spec.model
     observe_every = max(int(round(spec.dt / spec.sim_dt)), 1)
     sim_dt = spec.dt / observe_every
     grid = TrajectoryGrid(sim_dt, n_obs * observe_every, 0)
-    sq = np.empty((n_obs, spec.replications))
-    proj = np.empty((n_obs, spec.replications)) if want_proj else None
+    at = np.asarray(cuts) - 1
+    sq = np.empty((len(at), spec.replications))
+    proj = np.empty_like(sq) if want_proj else None
     coeffs = spec.projection.coefficients if want_proj else None
     tag = _TAGS[spec.kind]
 
@@ -461,9 +467,9 @@ def _integrated_moment_samples(
             seed=int(substream(spec.seed, tag, rep).integers(2**63)),
             store_modes=want_proj, observe_every=observe_every,
         )
-        sq[:, rep] = traj.sq_norms[1:]
+        sq[:, rep] = np.cumsum(traj.sq_norms[1:])[at]
         if want_proj:
-            proj[:, rep] = coeffs @ traj.modes[:, 1:]
+            proj[:, rep] = np.cumsum((coeffs @ traj.modes[:, 1:]) ** 2)[at]
 
     _run_tasks(one, spec.replications, spec.threads)
     return sq, proj
@@ -492,7 +498,7 @@ def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
 
         if n <= spec.mc_cumulant_max_n:
             sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
-            f = (sq.sum(axis=0) - n * trace_q(model)) / np.sqrt(n * rep.s_n)
+            f = (sq[0] - n * trace_q(model)) / np.sqrt(n * rep.s_n)
             k2, k2_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[0])
             k3, k3_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[1])
             k4, k4_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[2])
@@ -533,7 +539,7 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
     ks_fit_values = []
     for gi, n in enumerate(spec.grid):
         sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
-        centered_sum = sq.sum(axis=0) - n * trace_alpha
+        centered_sum = sq[0] - n * trace_alpha
         if noncentral:
             scaled = centered_sum / n ** (2.0 * h - 1.0)
         else:

@@ -240,11 +240,12 @@ class StationaryModeSampler:
             self._factors[b] = stationary_factor(self._lags[b], self.n)
         return self._factors[b]
 
-    def draw(self, b: int, rng: np.random.Generator, n_reps: int) -> np.ndarray:
+    def draw(self, b: int, rng: np.random.Generator, n_reps: int,
+             work: dict | None = None) -> np.ndarray:
         """Sample ``n_reps`` independent stationary draws of sequence ``b``;
-        returns shape (p n, n_reps), mode-major: (n, n_reps) for one mode of
-        diagonal noise, (N n, n_reps) for rank-one noise."""
-        return stationary_draw(*self.factor(b), self.n, rng, n_reps)
+        returns shape (n_reps, p, n): p = 1 for diagonal noise, N for rank-one
+        noise.  A ``work`` dict is reused as :func:`fgn.sample_circulant` says."""
+        return stationary_draw(*self.factor(b), self.n, rng, n_reps, work)
 
 
 def sample_stationary_sequence(
@@ -259,7 +260,7 @@ def sample_stationary_sequence(
         raise ValueError("n must be >= 1")
     sampler = StationaryModeSampler(model, n, dt)
     modes = np.concatenate([
-        sampler.draw(b, substream(seed, _STATIONARY_STREAM, b), 1).reshape(-1, n)
+        sampler.draw(b, substream(seed, _STATIONARY_STREAM, b), 1)[0]
         for b in range(sampler.n_sequences)
     ])
     return Trajectory(

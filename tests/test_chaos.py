@@ -138,7 +138,7 @@ class TestExactCumulants:
         n, reps = 16, 20_000
         rep = exact_cumulants(model, n)
         sampler = StationaryModeSampler(model, n, 1.0)
-        draws = sampler.draw(0, substream(71, 0), reps)
+        draws = sampler.draw(0, substream(71, 0), reps)[:, 0].T
         f = (np.sum(draws**2, axis=0) - n * trace_q(model)) / np.sqrt(n * rep.s_n)
         batches = np.array_split(np.arange(reps), 20)
         for idx, exact in ((1, rep.kappa3_exact), (2, rep.kappa4_exact)):

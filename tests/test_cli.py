@@ -426,6 +426,10 @@ class TestEntryPoint:
         pytest.param(["experiment", "consistency"],
                      {"model": HEAT3, "grid": [16], "replications": 8, "thresholds": [1, 2]},
                      id="thresholds_list"),
+        pytest.param(["experiment", "estimator_clt"],
+                     {"model": HEAT3, "grid": [32], "replications": 8,
+                      "thresholds": {"ks_localized_max": "x"}},
+                     id="threshold_string"),
         pytest.param(["estimate"], {"model": HEAT3, "trajectory": "traj.csv",
                                     "estimator": "discrete_norm", "true_alpha": "one"},
                      id="true_alpha_string"),

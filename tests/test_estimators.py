@@ -261,7 +261,7 @@ class TestEmpiricalConsistency:
         nz = trace_q1(model)
         reps, n_max = 150, 800
         sampler = StationaryModeSampler(model, n_max, 1.0)
-        draws = sampler.draw(0, substream(33, 0), reps) ** 2
+        draws = sampler.draw(0, substream(33, 0), reps)[:, 0].T ** 2
         cums = np.cumsum(draws, axis=0)
         medians = []
         for n in (100, 400, 800):

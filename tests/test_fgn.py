@@ -20,7 +20,7 @@ from fracdrift.fgn import (
     stationary_factor,
     validate_hurst,
 )
-from fracdrift.models import build_distributed_model
+from fracdrift.models import build_distributed_model, build_pointwise_model
 from fracdrift.simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
 from fracdrift._rng import substream
 
@@ -145,7 +145,7 @@ class TestSampling:
         h, n, m = 0.7, 24, 4000
         method, lower = stationary_factor(fgn_autocov(h, np.arange(32))[:, None, None], n)
         assert method == "cholesky"
-        draws = stationary_draw(method, lower, n, substream(5, 6), m)
+        draws = stationary_draw(method, lower, n, substream(5, 6), m).reshape(m, n).T
         target = np.array([[fgn_autocov(h, i - j) for j in range(n)] for i in range(n)])
         assert_covariance_matches(draws, target, 4.5)
 
@@ -168,7 +168,7 @@ class TestEngine:
         m = 1 << max(n - 1, 1).bit_length()
         table = mode_lag_table(model, 1.0, m + 1)
         for k in (0, 7, 19):
-            ours = sampler.draw(k, substream(11, k), 6)
+            ours = sampler.draw(k, substream(11, k), 6)[:, 0].T
             oracle = scalar_recipe_modes(table[k], n, substream(11, k), 6)
             assert np.array_equal(ours, oracle)
 
@@ -184,8 +184,8 @@ class TestEngine:
         method, lower = stationary_factor(lags, n)
         assert method == "cholesky"
         draws = stationary_draw(method, lower, n, substream(8, 1), reps)
-        assert draws.shape == (2 * n, reps)
-        assert_covariance_matches(draws, block_toeplitz(lags, n), 4.0)
+        assert draws.shape == (reps, 2, n)
+        assert_covariance_matches(draws.reshape(reps, -1).T, block_toeplitz(lags, n), 4.0)
 
     def test_dense_guard_applies_to_fallback_only(self, monkeypatch):
         monkeypatch.setattr(fgn, "DENSE_GUARD", 8)
@@ -204,6 +204,31 @@ class TestEngine:
         monkeypatch.setattr(fgn, "_physical_memory", lambda: 24 * 16**2 - 1)
         with pytest.raises(ValueError, match="guard"):
             stationary_factor(lags, 16)
+
+    @pytest.mark.parametrize("route", ["circulant", "cholesky"])
+    def test_workspace_draws_equal_fresh_draws(self, monkeypatch, route):
+        # One workspace carried over the sequences of a diagonal and a
+        # rank-one sampler and two batch sizes gives the fresh draws bit for
+        # bit; the fresh draws, made without it, are never overwritten.
+        if route == "cholesky":
+            monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
+        n = 24
+        samplers = [StationaryModeSampler(build_distributed_model(1, 1, 4, 1.0, 0.55), n, 1.0),
+                    StationaryModeSampler(build_pointwise_model(0.3, 3, 1.0, 0.55), n, 1.0)]
+        calls = [(sampler, s, reps) for reps in (5, 3) for sampler in samplers
+                 for s in range(sampler.n_sequences)]
+        assert {sampler.factor(s)[0] for sampler, s, _ in calls} == {route}
+        fresh = [sampler.draw(s, substream(13, s, reps), reps) for sampler, s, reps in calls]
+        kept = [x.copy() for x in fresh]
+        work, previous = {}, None
+        for (sampler, s, reps), x in zip(calls, fresh):
+            reused = sampler.draw(s, substream(13, s, reps), reps, work)
+            assert np.array_equal(reused, x)
+            if route == "circulant" and previous is not None and previous.shape == x.shape:
+                assert np.shares_memory(reused, previous)
+            previous = reused
+        for x, k in zip(fresh, kept):
+            assert np.array_equal(x, k)
 
 
 class TestJitteredCholesky:

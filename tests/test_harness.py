@@ -37,6 +37,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec("consistency", heat3, (), 5, 1)
 
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    def test_thresholds_are_numbers(self, heat3, value):
+        with pytest.raises(ValueError, match="threshold"):
+            ExperimentSpec("estimator_clt", heat3, (32,), 8, 1,
+                           thresholds={"ks_localized_max": value})
+
+    def test_integer_threshold_is_not_cast(self, heat3):
+        spec = ExperimentSpec("estimator_clt", heat3, (32,), 8, 1,
+                              thresholds={"ks_localized_max": 1})
+        assert '"ks_localized_max": 1\n' in spec.report({}).to_json()
+
     def test_replications_positive(self, heat3):
         with pytest.raises(ValueError):
             ExperimentSpec("consistency", heat3, (10,), 0, 1)
@@ -255,30 +266,52 @@ class TestReportFormats:
     @pytest.mark.parametrize("rank_one", [False, True])
     def test_moment_samples_sum_each_draws_modes(self, heat3, rank_one):
         # Each batch adds every mode of every sequence it drew into its own
-        # columns, on a pool of two threads.
+        # replications and sums them up to each cut, on a pool of two threads.
         from fracdrift._rng import substream
         from fracdrift.harness import _TAGS, _stationary_moment_samples
         from fracdrift.simulate import StationaryModeSampler
 
         model = build_pointwise_model(0.3, 3, 1.0, 0.55) if rank_one else heat3
         w = projection_indicator(0.0, 0.5, 3)
-        n, size = 12, 3
+        n, size, cuts = 12, 3, (1, 5, 12)
         spec = ExperimentSpec("moment_clt", model, (n,), 3 * size, seed=5,
                               projection=w, n_batches=3, threads=2)
-        sq, proj = _stationary_moment_samples(spec, n, 0, need_proj=True)
+        sq, proj = _stationary_moment_samples(spec, n, 0, need_proj=True, cuts=cuts)
         sampler = StationaryModeSampler(model, n, 1.0)
         modes = np.concatenate([
             np.concatenate([
                 sampler.draw(s, substream(5, _TAGS["moment_clt"], 0, b, s), size)
-                .reshape(-1, n, size)
                 for s in range(sampler.n_sequences)
-            ])
+            ], axis=1)
             for b in range(3)
-        ], axis=2)
-        assert modes.shape == (3, n, 3 * size)
-        np.testing.assert_allclose(sq, np.sum(modes**2, axis=0), rtol=1e-12)
-        np.testing.assert_allclose(proj, np.einsum("k,knr->nr", w.coefficients, modes),
-                                   rtol=1e-12, atol=1e-15)
+        ])
+        assert modes.shape == (3 * size, 3, n)
+        assert sq.shape == proj.shape == (len(cuts), 3 * size)
+        projected = np.einsum("k,rkn->rn", w.coefficients, modes)
+        for i, c in enumerate(cuts):
+            np.testing.assert_allclose(sq[i], np.sum(modes[..., :c] ** 2, axis=(1, 2)),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(proj[i], np.sum(projected[:, :c] ** 2, axis=1),
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_moment_samples_build_no_full_array(self, heat3):
+        # Each batch reduces its own draws, so the traced peak stays below
+        # one (n, replications) float64 array (a column layout needs 2.3).
+        import tracemalloc
+
+        from fracdrift.harness import _stationary_moment_samples
+
+        n, reps = 256, 2000
+        spec = ExperimentSpec("moment_clt", heat3, (n,), reps, seed=3, threads=1,
+                              projection=projection_indicator(0.0, 0.5, 3))
+        tracemalloc.start()
+        try:
+            sq, proj = _stationary_moment_samples(spec, n, 0, need_proj=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * reps * 8
+        assert sq.shape == proj.shape == (1, reps)
 
     def test_rank_one_sampling_checks_dense_guard(self, monkeypatch):
         # A negative TOL_EIG sends every sequence to the dense fallback.

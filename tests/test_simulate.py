@@ -215,7 +215,7 @@ class TestStationarySampling:
         traj_cov = mode_lag_table(heat3, 1.0, 2)[:, 1]
         sampler = StationaryModeSampler(heat3, n, 1.0)
         for k in range(3):
-            draws = sampler.draw(k, substream(23, k), reps)
+            draws = sampler.draw(k, substream(23, k), reps)[:, 0].T
             est = float(np.mean(draws[:-1] * draws[1:]))
             spread = np.std(draws[:-1] * draws[1:]) / np.sqrt((n - 1) * reps) * 3.0
             assert abs(est - traj_cov[k]) <= 4.0 * spread + 1e-12
@@ -280,7 +280,7 @@ class TestStationarySampling:
         sampler = StationaryModeSampler(model, n, dt)
         assert sampler.n_sequences == 1
         assert sampler.factor(0)[0] == "circulant"
-        draws = sampler.draw(0, substream(41, 0), reps)
+        draws = sampler.draw(0, substream(41, 0), reps).reshape(reps, -1).T
         target = block_covariance(model, n, dt)
         emp = draws @ draws.T / reps
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / reps)
