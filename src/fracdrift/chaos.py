@@ -37,8 +37,9 @@ upper-bound expressions (with their unspecified absolute constants stripped):
     B_4(n) = n^{-1}   s_n^{-2}   ( sum_{|i|<n} ||R(i dt)||^{4/3} )^3.
 
 The distances to the normal law are the Kolmogorov and 1-Wasserstein
-distances; ``kolmogorov_sf(n, ks_distance(z))`` is the exact two-sided
-Kolmogorov p-value of a sample ``z`` of size n.
+distances; ``kolmogorov_sf(n, ks_distance(z))`` is the two-sided Kolmogorov
+p-value of a sample ``z`` of size n, from Stephens' finite-n form of the
+asymptotic law.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import kolmogorov, ndtr, ndtri
 
-from ._kolmogorov import kolmogorov_sf
 from .covariance import hs_norm_lags, lag_blocks, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
 
@@ -67,7 +67,7 @@ __all__ = [
 #: Largest stacked dimension (n for diagonal noise, n*N for rank-one) accepted
 #: by the exact-cumulant traces.  No dense matrix is built; the cap bounds the
 #: O(n^2 p^3) time of the displacement recurrence.
-CUMULANT_DENSE_GUARD = 8192
+CUMULANT_DIM_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ def exact_cumulants(model: ModelConfig, n: int, dt: float = 1.0) -> CumulantRepo
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = n if model.noise.kind == DIAGONAL else n * model.n_modes
-    if dim > CUMULANT_DENSE_GUARD:
+    if dim > CUMULANT_DIM_CAP:
         raise ValueError(
-            f"stacked dimension {dim} exceeds guard {CUMULANT_DENSE_GUARD} of the "
+            f"stacked dimension {dim} exceeds cap {CUMULANT_DIM_CAP} of the "
             "O(n^2 p^3) trace recurrence; use Monte Carlo k-statistics for "
             "cumulants at this size"
         )
@@ -211,6 +211,15 @@ def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
         emp = np.searchsorted(xs, z, side="right") / m
         candidates.append(abs(emp - ndtr(z)))
     return float(max(candidates))
+
+
+def kolmogorov_sf(n: int, d: float) -> float:
+    """Two-sided Kolmogorov p-value ``P(D_n >= d)`` for ``n`` samples, by
+    Stephens' finite-n correction of the asymptotic law (JRSS B 32, 1970)."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"sample size must be a positive integer, got {n}")
+    root = np.sqrt(n)
+    return float(kolmogorov((root + 0.12 + 0.11 / root) * d))
 
 
 def wasserstein1_distance(samples: np.ndarray) -> float:

@@ -23,8 +23,9 @@ All randomness derives from per-(experiment, grid point, batch, mode)
 substreams, so reports are byte-identical regardless of worker count.  Each
 batch reduces its draws to per-replication time sums, so Monte Carlo memory
 is of order threads x n x replications / n_batches.
-Monte Carlo standard errors are computed by batching (>= 20 batches), and all
-pass/fail thresholds are recorded in the report next to the observed values.
+Monte Carlo standard errors are computed by batching (``n_batches``, 20 by
+default, at least 2), and all pass/fail thresholds are recorded in the report
+next to the observed values.
 """
 
 from __future__ import annotations
@@ -126,6 +127,17 @@ class ExperimentSpec:
             raise ValueError("grid must be non-empty and strictly increasing")
         if self.n_batches < 1:
             raise ValueError("n_batches must be >= 1")
+        # Batch-spread standard errors need two batches, k-statistics four
+        # samples per batch; degenerate_projection samples nothing.
+        batches = min(self.n_batches, self.replications)
+        if self.kind != "degenerate_projection" and batches < 2:
+            raise ValueError(f"{self.kind} needs replications >= 2 and n_batches >= 2 "
+                             "for its batch standard errors")
+        smallest = self.replications // batches
+        if self.kind == "cumulants" and self.grid[0] <= self.mc_cumulant_max_n and smallest < 4:
+            raise ValueError(f"cumulants batches hold {smallest} replications at the smallest; "
+                             "k-statistics need at least four (raise replications or "
+                             "lower n_batches)")
         if self.source not in ("stationary", "integrator"):
             raise ValueError("source must be 'stationary' or 'integrator'")
         if not self.estimators or not set(self.estimators) <= {DISCRETE_NORM, DISCRETE_PROJ}:
@@ -286,12 +298,8 @@ def _stationary_moment_samples(
 
 def _batched_statistic(values: np.ndarray, spec: ExperimentSpec, stat) -> tuple[float, float]:
     """(full-sample statistic, batch-spread standard error)."""
-    full = float(stat(values))
-    batches = _batches(spec)
-    if len(batches) < 2:
-        return full, float("nan")
-    parts = [stat(values[sl]) for sl in batches]
-    return full, float(np.std(parts, ddof=1) / np.sqrt(len(parts)))
+    parts = [stat(values[sl]) for sl in _batches(spec)]
+    return float(stat(values)), float(np.std(parts, ddof=1) / np.sqrt(len(parts)))
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

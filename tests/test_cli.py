@@ -295,6 +295,10 @@ class TestExperimentCommand:
         pytest.param({"grid": [64, 32]}, "grid must be non-empty and strictly increasing",
                      id="grid_decreasing"),
         pytest.param({"replications": 0}, "replications must be >= 1", id="replications_0"),
+        pytest.param({"replications": 1}, "needs replications >= 2 and n_batches >= 2",
+                     id="replications_1"),
+        pytest.param({"n_batches": 1}, "needs replications >= 2 and n_batches >= 2",
+                     id="n_batches_1"),
     ])
     def test_unsupported_estimator_is_an_error(self, tmp_path, capsys, entry, message):
         cfg = write(tmp_path, "exp.json", {

@@ -52,6 +52,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec("consistency", heat3, (10,), 0, 1)
 
+    @pytest.mark.parametrize("kind", ["consistency", "moment_clt", "estimator_clt",
+                                      "cumulants", "rosenblatt"])
+    def test_monte_carlo_kinds_need_two_batches(self, heat3, kind):
+        # One batch leaves every batch standard error NaN.
+        for reps, batches in ((1, 20), (80, 1)):
+            with pytest.raises(ValueError, match="n_batches >= 2"):
+                ExperimentSpec(kind, heat3, (128,), reps, 1, n_batches=batches)
+
+    def test_cumulants_batches_hold_four_replications(self, heat3):
+        # 40 replications in 20 batches leave 2 per batch for the k-statistics.
+        with pytest.raises(ValueError, match="k-statistics need at least four"):
+            ExperimentSpec("cumulants", heat3, (32, 64), 40, 1)
+        ExperimentSpec("cumulants", heat3, (32, 64), 80, 1)
+        ExperimentSpec("cumulants", heat3, (32, 64), 40, 1, n_batches=10)
+        ExperimentSpec("cumulants", heat3, (128,), 40, 1)  # no Monte Carlo above 64
+
+    def test_degenerate_projection_accepts_one_replication(self, heat3):
+        w = projection_indicator(0.0, 0.5, 3)
+        spec = ExperimentSpec("degenerate_projection", heat3, (1,), 1, 1, projection=w)
+        assert spec.replications == 1
+
     def test_unknown_kind(self, heat3):
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment(ExperimentSpec("mystery", heat3, (8,), 4, 1))
