@@ -64,6 +64,7 @@ from .models import (
 from .simulate import (
     TrajectoryGrid,
     attach_projection,
+    check_integration,
     integrate_path,
     sample_stationary_sequence,
     trajectory_from_csv,
@@ -239,11 +240,10 @@ def cmd_simulate(args) -> int:
         if isinstance(init, dict):
             _parsed(_require_keys, init, {"given"}, {"given"}, "simulate config init")
             init = _parsed(np.asarray, init["given"], dtype=float)
-        traj = integrate_path(
-            model, grid, init, seed,
-            store_modes=bool(cfg.get("store_modes", True)),
-            observe_every=_parsed(int, cfg.get("observe_every", 1)),
-        )
+        observe_every = _parsed(int, cfg.get("observe_every", 1))
+        _parsed(check_integration, model, grid, init, observe_every)
+        traj = integrate_path(model, grid, init, seed, bool(cfg.get("store_modes", True)),
+                              observe_every)
     elif method == "exact_stationary":
         traj = sample_stationary_sequence(model, grid.n_steps, grid.dt, seed)
     else:
@@ -325,7 +325,7 @@ def cmd_experiment(args) -> int:
     passthrough = {k: cfg[k] for k in cfg.keys() - {"model", "model_file", "seed", "projection"}}
     spec = _parsed(ExperimentSpec, kind=args.kind, model=model, seed=seed,
                    projection=_projection_from_config(cfg, model),
-                   threads=max(args.threads, 1), **passthrough)
+                   threads=args.threads, **passthrough)
     report = run_experiment(spec)
 
     out = _out_dir(args)

@@ -248,12 +248,13 @@ def _fgn_factor(h: float, n: int) -> tuple[str, np.ndarray]:
     return method, factor
 
 
-def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = None,
+               work: dict | None = None) -> np.ndarray:
     """Exact sample of ``n`` unit-step fGN values with Hurst parameter ``h``.
 
     The engine with p = 1 on lags ``0..m``, ``m`` the next power of two at or
     above ``n-1``.  Deterministic in ``(h, n, seed)`` unless an explicit
-    generator is passed.
+    generator is passed; ``work`` is reused as :func:`sample_circulant` says.
     """
     h = validate_hurst(h)
     n = int(n)
@@ -265,4 +266,4 @@ def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = No
         return rng.standard_normal(1)
     with _FGN_FACTOR_LOCK:  # one miss per key, even from pool threads
         method, factor = _fgn_factor(h, n)
-    return stationary_draw(method, factor, n, rng, 1)[0, 0]
+    return stationary_draw(method, factor, n, rng, 1, work)[0, 0]

@@ -120,6 +120,8 @@ class ExperimentSpec:
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         for name, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"threshold {name!r} must be a number, got {value!r}")

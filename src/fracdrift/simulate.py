@@ -4,10 +4,10 @@ Two sources of trajectories with different roles:
 
 * :func:`integrate_path` -- per-mode exponential-Euler recursion
   ``x_k(t_{j+1}) = e^{-a_k dt} x_k(t_j) + phi_k dB_j^k`` driven by exact fGN
-  increments.  The scheme applies the semigroup to the state but adds the bare
-  noise increment, so it carries an O(dt) weak bias at fixed step size; it is
-  the tool for transient/consistency studies where the bias vanishes under
-  grid refinement.
+  increments, one mode at a time.  The scheme applies the semigroup to the
+  state but adds the bare noise increment, so it carries an O(dt) weak bias
+  at fixed step size; it is the tool for transient/consistency studies where
+  the bias vanishes under grid refinement.
 * :func:`sample_stationary_sequence` -- an exact draw of the stationary
   solution at the observation times from the circulant engine of
   :mod:`fracdrift.fgn`, fed with the autocovariance table read as block
@@ -28,13 +28,14 @@ import numpy as np
 from ._rng import substream
 from .covariance import lag_blocks
 from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
-from .fgn import sample_fgn, stationary_draw, stationary_factor, validate_hurst
+from .fgn import sample_fgn, stationary_draw, stationary_factor
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
 __all__ = [
     "TrajectoryGrid",
     "Trajectory",
     "default_burn_in_steps",
+    "check_integration",
     "integrate_path",
     "StationaryModeSampler",
     "sample_stationary_sequence",
@@ -92,23 +93,6 @@ def default_burn_in_steps(model: ModelConfig, dt: float) -> int:
     return int(math.ceil(20.0 / (a1 * dt)))
 
 
-def _mode_increments(model: ModelConfig, n: int, seed: int) -> np.ndarray:
-    """Unit-step fGN drivers, shape (N, n).
-
-    Diagonal noise: one independent stream per mode.  Rank-one noise: a single
-    shared stream replicated across modes (the loadings are applied later).
-    """
-    h = model.hurst
-    if model.noise.kind == DIAGONAL:
-        rows = [
-            sample_fgn(h, n, 0, rng=substream(seed, _FGN_STREAM, k))
-            for k in range(model.n_modes)
-        ]
-        return np.vstack(rows)
-    shared = sample_fgn(h, n, 0, rng=substream(seed, _FGN_STREAM, 0))
-    return np.broadcast_to(shared, (model.n_modes, n))
-
-
 #: Block length of :func:`_ar1_scan`.
 SCAN_BLOCK = 64
 
@@ -147,6 +131,20 @@ def _ar1_scan(u: np.ndarray, rho: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return y
 
 
+def check_integration(model: ModelConfig, grid: TrajectoryGrid, init,
+                      observe_every: int = 1) -> str:
+    """Check :func:`integrate_path`'s arguments before any draw; returns the init kind."""
+    observe_every = int(observe_every)
+    if observe_every < 1 or grid.n_steps % observe_every:
+        raise ValueError("observe_every must be >= 1 and divide n_steps")
+    kind = init if isinstance(init, str) else "given"
+    if kind not in ("zero", "burn_in", "stationary", "given"):
+        raise ValueError(f"unknown init {init!r}")
+    if kind == "given" and np.shape(init) != (model.n_modes,):
+        raise ValueError("initial state must have one coordinate per mode")
+    return kind
+
+
 def integrate_path(
     model: ModelConfig,
     grid: TrajectoryGrid,
@@ -166,49 +164,48 @@ def integrate_path(
     :func:`sample_stationary_sequence` where that matters.
 
     ``observe_every`` subsamples the simulated grid on output, so a fine
-    integration step can feed coarsely observed estimators.  The recursion
-    itself runs for all modes at once in :func:`_ar1_scan`.
+    integration step can feed coarsely observed estimators.  Modes are drawn
+    into one fGN workspace and scanned one at a time, keeping only observed
+    states: memory per path is O(n_total + N n_obs), not O(N n_total).
     """
-    validate_hurst(model.hurst)
+    kind = check_integration(model, grid, init, observe_every)
     observe_every = int(observe_every)
-    if observe_every < 1 or grid.n_steps % observe_every:
-        raise ValueError("observe_every must be >= 1 and divide n_steps")
-
     burn = 0
     x0 = np.zeros(model.n_modes)
-    kind = init if isinstance(init, str) else "given"
     if kind == "burn_in":
         burn = grid.burn_in_steps or default_burn_in_steps(model, grid.dt)
     elif kind == "stationary":
         x0 = sample_stationary_sequence(model, 1, grid.dt, seed).modes[:, 0]
     elif kind == "given":
         x0 = np.asarray(init, dtype=float)
-        if x0.shape != (model.n_modes,):
-            raise ValueError("initial state must have one coordinate per mode")
-    elif kind != "zero":
-        raise ValueError(f"unknown init {init!r}")
 
     n_total = grid.n_steps + burn
-    incr = _mode_increments(model, n_total, seed) * grid.dt**model.hurst
+    n_obs = grid.n_steps // observe_every
     rho = np.exp(-model.rates * grid.dt)
     phi = model.noise.loadings
+    at = burn - 1 + observe_every * np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
+    first = int(burn == 0)  # x0, at index -1, is column 0
+    # A stride of two slots when subsampling, as in a view of the full state
+    # table, keeps ``w @ modes`` in numpy's non-BLAS loop and its rounding.
+    kept = np.empty((model.n_modes, n_obs + 1, 1 + (observe_every > 1)))[..., 0]
+    kept[:, 0] = x0
+    work, noise = {}, None
+    for k in range(model.n_modes):
+        if noise is None or model.noise.kind == DIAGONAL:
+            noise = sample_fgn(model.hurst, n_total, 0,
+                               rng=substream(seed, _FGN_STREAM, k), work=work)
+            noise *= grid.dt**model.hurst
+        states = _ar1_scan((phi[k] * noise)[None], rho[k:k + 1], x0[k:k + 1])[0]
+        kept[k, first:] = states[at[first:]]
 
-    states = np.empty((model.n_modes, n_total + 1))
-    states[:, 0] = x0
-    states[:, 1:] = _ar1_scan(phi[:, None] * incr, rho, x0)
-
-    kept = states[:, burn::observe_every]
-    n_obs = grid.n_steps // observe_every
-    kept = kept[:, : n_obs + 1]
     dt_out = grid.dt * observe_every
-    traj = Trajectory(
+    return Trajectory(
         grid=TrajectoryGrid(dt_out, n_obs, burn),
         t=np.arange(n_obs + 1) * dt_out,
         sq_norms=np.sum(kept**2, axis=0),
         init_kind=kind,
         modes=kept if store_modes else None,
     )
-    return traj
 
 
 # --------------------------------------------------------------------------

@@ -119,6 +119,25 @@ class TestSimulateEstimateRoundTrip:
             == EXIT_ERROR
         assert "error: compute:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,message", [
+        pytest.param({"observe_every": 0}, "observe_every must be >= 1", id="observe_every_0"),
+        pytest.param({"observe_every": 7}, "divide n_steps", id="observe_every_7"),
+        pytest.param({"init": "warm"}, "unknown init 'warm'", id="init_warm"),
+        pytest.param({"init": {"given": [1.0, 2.0]}}, "one coordinate per mode",
+                     id="init_given_short"),
+    ])
+    def test_integrator_config_mistake_is_a_config_error(self, tmp_path, capsys, entry,
+                                                         message):
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 0.01, "n_steps": 100}, **entry,
+        })
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert message in err
+        assert not out.exists()
+
     def test_npz_accepted(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
             "model": HEAT3, "grid": {"dt": 0.5, "n_steps": 64},
@@ -310,6 +329,20 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_is_a_config_error(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path, "exp.json", {
+            "model": HEAT3, "grid": [16], "replications": 8, "seed": 1,
+        })
+        out = tmp_path / "out"
+        code = main(["experiment", "estimator_clt", "--config", cfg, "--out", str(out),
+                     "--threads", threads])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "threads must be >= 1" in err
         assert not out.exists()
 
     def test_summary_matches_library_run(self, tmp_path):

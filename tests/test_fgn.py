@@ -230,6 +230,24 @@ class TestEngine:
         for x, k in zip(fresh, kept):
             assert np.array_equal(x, k)
 
+    def test_fgn_workspace_draws_equal_fresh_draws(self):
+        # One workspace carried over seeds and two lengths, as integrate_path
+        # carries it over modes: the fresh draws bit for bit, each length's
+        # draws in one buffer, and the fresh draws never overwritten.
+        calls = [(n, s) for n in (300, 1000) for s in range(3)]
+        fresh = [sample_fgn(0.3, n, s) for n, s in calls]
+        kept = [x.copy() for x in fresh]
+        work, previous = {}, None
+        for (n, s), x in zip(calls, fresh):
+            reused = sample_fgn(0.3, n, s, work=work)
+            assert np.array_equal(reused, x)
+            assert np.shares_memory(reused, work["x"])
+            if previous is not None and len(previous) == n:
+                assert np.shares_memory(reused, previous)
+            previous = reused
+        for x, k in zip(fresh, kept):
+            assert np.array_equal(x, k)
+
 
 class TestJitteredCholesky:
     def test_positive_definite_factor_is_plain_cholesky(self):

@@ -334,6 +334,28 @@ class TestReportFormats:
         assert peak < n * reps * 8
         assert sq.shape == proj.shape == (1, reps)
 
+    def test_integrated_path_holds_one_mode_at_a_time(self):
+        # Each mode is drawn and scanned on its own through one fGN workspace,
+        # so one path of 16 modes stays below 16 one-mode arrays (about 12.4
+        # on numpy 2.4; whole (N, n_total) arrays need about 5N).
+        import tracemalloc
+
+        from fracdrift.simulate import TrajectoryGrid, integrate_path
+
+        model = build_distributed_model(1, 1, 16, 1.0, 0.3)
+        n_total = 100_000
+        grid = TrajectoryGrid(0.01, n_total)
+        integrate_path(model, grid, "zero", seed=1, store_modes=False)  # factor cache
+        tracemalloc.start()
+        try:
+            traj = integrate_path(model, grid, "zero", seed=2, store_modes=False,
+                                  observe_every=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_total * 8
+        assert traj.sq_norms.shape == (1001,)
+
     def test_rank_one_sampling_checks_dense_guard(self, monkeypatch):
         # A negative TOL_EIG sends every sequence to the dense fallback.
         import fracdrift.fgn as fgn

@@ -13,7 +13,7 @@ from fracdrift.covariance import (
     stationary_covariance,
     trace_q,
 )
-from fracdrift.fgn import fgn_autocov
+from fracdrift.fgn import fgn_autocov, sample_fgn
 from fracdrift.models import (
     build_distributed_model,
     build_pointwise_model,
@@ -36,7 +36,7 @@ from fracdrift.simulate import (
     trajectory_to_csv,
     trajectory_to_npz,
 )
-from fracdrift.simulate import _ar1_scan
+from fracdrift.simulate import _FGN_STREAM, _ar1_scan
 from oracles import stationary_variance_mode
 
 
@@ -50,6 +50,22 @@ def euler_chain_variance(a: float, phi: float, h: float, dt: float, n_terms: int
     d = np.arange(1, n_terms)
     series = 1.0 + 2.0 * float(np.sum(fgn_autocov(h, d) * rho**d))
     return phi**2 * dt ** (2 * h) * series / (1.0 - rho**2)
+
+
+def assert_sequential_recursion(traj, model, grid, init, seed):
+    """``traj.modes`` against a step-by-step loop over the same fGN draws,
+    burn-in included; the loop differs from the blocked scan by rounding."""
+    burn = grid.burn_in_steps if isinstance(init, str) and init == "burn_in" else 0
+    shared = model.noise.kind != "diagonal"
+    noise = np.array([sample_fgn(model.hurst, grid.n_steps + burn, 0,
+                                 rng=substream(seed, _FGN_STREAM, 0 if shared else k))
+                      for k in range(model.n_modes)]) * grid.dt**model.hurst
+    states = [traj.modes[:, 0] if burn == 0 else np.zeros(model.n_modes)]
+    for step in noise.T:
+        states.append(np.exp(-model.rates * grid.dt) * states[-1] + model.noise.loadings * step)
+    np.testing.assert_allclose(traj.modes, np.array(states[burn:]).T, rtol=1e-12, atol=1e-15)
+    if not isinstance(init, str):
+        assert np.array_equal(traj.modes[:, 0], init)
 
 
 class TestIntegratePath:
@@ -160,11 +176,19 @@ class TestIntegratePath:
         assert abs(var - qww(model, w)) <= 4.0 * var * np.sqrt(2.0 / (reps - 1))
 
     def test_observe_every_subsamples(self, heat3):
-        grid = TrajectoryGrid(0.01, 100)
-        fine = integrate_path(heat3, grid, "zero", seed=2)
-        coarse = integrate_path(heat3, grid, "zero", seed=2, observe_every=10)
-        assert np.array_equal(coarse.sq_norms, fine.sq_norms[::10])
-        assert coarse.grid.dt == pytest.approx(0.1)
+        # Diagonal and rank-one noise, every init; the burn-in of 13 steps is
+        # not a multiple of observe_every, so the kept states start off the
+        # observation grid of the simulated steps.
+        grid = TrajectoryGrid(0.01, 100, burn_in_steps=13)
+        for model in (heat3, build_pointwise_model(0.3, 3, 1.0, 0.55)):
+            for init in ("zero", "burn_in", "stationary", np.array([0.5, -1.0, 2.0])):
+                fine = integrate_path(model, grid, init, seed=2)
+                coarse = integrate_path(model, grid, init, seed=2, observe_every=10)
+                assert np.array_equal(coarse.modes, fine.modes[:, ::10])
+                assert np.array_equal(coarse.sq_norms, fine.sq_norms[::10])
+                assert coarse.grid.dt == pytest.approx(0.1)
+                assert fine.modes.shape == (3, 101) and coarse.modes.shape == (3, 11)
+                assert_sequential_recursion(fine, model, grid, init, seed=2)
         with pytest.raises(ValueError):
             integrate_path(heat3, grid, "zero", seed=2, observe_every=7)
 
