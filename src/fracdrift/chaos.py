@@ -39,15 +39,21 @@ upper-bound expressions (with their unspecified absolute constants stripped):
 The distances to the normal law are the Kolmogorov and 1-Wasserstein
 distances; ``kolmogorov_sf(n, ks_distance(z))`` is the two-sided Kolmogorov
 p-value of a sample ``z`` of size n, from Stephens' finite-n form of the
-asymptotic law.
+asymptotic law.  These laws are evaluated in the package, without
+``scipy.special``: the normal cdf from Cephes' rational approximations of
+``erf`` and ``erfc`` (the ones ``scipy.special.ndtr`` evaluates, to the
+bit), the normal quantiles from ``statistics.NormalDist.inv_cdf`` (Wichura's
+AS 241), cached per sample size, and Kolmogorov's limit law from its theta
+series.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr, ndtri
 
 from .covariance import hs_norm_lags, lag_blocks, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
@@ -186,6 +192,103 @@ def xi_H(hurst: float, x: float) -> float:
     return x ** (4.0 * h - 3.0)
 
 
+# Cephes' rational approximations of erf and erfc (S. L. Moshier, ndtr.c):
+# the cdf below is scipy.special.ndtr to the bit, so ks_distance is
+# scipy.stats.kstest's statistic exactly.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_SQRT_HALF = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _horner(x: np.ndarray, coeffs: tuple) -> np.ndarray:
+    out = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """``erf(x)`` for ``|x| <= 1``."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _ndtr(a) -> np.ndarray:
+    """Standard normal cdf, elementwise.
+
+    ``(1 + erf(a/sqrt 2)) / 2`` near zero and ``erfc(|a|/sqrt 2) / 2`` (or
+    one minus it) beyond; ``erfc(z) = 1 - erf(z)`` below ``z = 1``,
+    ``e^{-z^2} P(z)/Q(z)`` above (``math.exp`` for the factor) and 0 where
+    ``z^2`` exceeds the largest argument of a normal ``exp``.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRT_HALF
+    z = np.abs(x)
+    out = 0.5 + 0.5 * _erf_small(np.where(z < _SQRT_HALF, x, 0.0))
+    tail = z >= _SQRT_HALF
+    if np.any(tail):
+        zt = z[tail]
+        near = zt < 1.0
+        far = zt >= 8.0
+        num, den = _horner(zt, _ERFC_P), _horner(zt, _ERFC_Q)
+        num[far], den[far] = _horner(zt[far], _ERFC_R), _horner(zt[far], _ERFC_S)
+        sq = zt * zt
+        erfc = np.array([math.exp(-v) for v in sq]) * num / den
+        erfc[near] = 1.0 - _erf_small(zt[near])
+        erfc[sq > _MAXLOG] = 0.0
+        y = 0.5 * erfc
+        out[tail] = np.where(x[tail] > 0, 1.0 - y, y)
+    return out.reshape(a.shape)
+
+
+def _ndtri(q) -> np.ndarray:
+    """Standard normal quantile, elementwise, for ``0 < q < 1``."""
+    # statistics pulls in decimal and fractions; only the quantiles need it.
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(v) for v in np.ravel(q)]).reshape(np.shape(q))
+
+
+@lru_cache(maxsize=16)
+def _normal_scores(m: int) -> np.ndarray:
+    """``Phi^{-1}((i - 1/2) / m)`` for ``i = 1..m``, read-only."""
+    scores = _ndtri((np.arange(1, m + 1) - 0.5) / m)
+    scores.flags.writeable = False
+    return scores
+
+
+def _kolmogorov(y: float) -> float:
+    """Survival function of Kolmogorov's limit law, ``P(K >= y)``.
+
+    ``2 sum_{k>=1} (-1)^{k-1} e^{-2 k^2 y^2}`` above ``y = 0.82``; below, one
+    minus the theta-function form of the cdf,
+    ``sqrt(2 pi) / y sum_{k>=1} e^{-(2k-1)^2 pi^2 / (8 y^2)}``.  Both series
+    are summed to below rounding.
+    """
+    if y <= 0.0:
+        return 1.0
+    if y <= 0.82:
+        r = math.pi / y
+        w = -r * r / 8.0
+        return 1.0 - math.sqrt(2.0 * math.pi) / y * sum(
+            math.exp(w * (2 * k - 1) ** 2) for k in range(1, 6))
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * y * y) for k in range(1, 9))
+
+
 def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
     """Kolmogorov distance of the empirical law to the standard normal.
 
@@ -196,7 +299,7 @@ def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
     m = len(xs)
     if m == 0:
         raise ValueError("need at least one sample")
-    cdf = ndtr(xs)
+    cdf = _ndtr(xs)
     upper = np.arange(1, m + 1) / m - cdf   # F_hat(x_i) - Phi(x_i)
     lower = cdf - np.arange(0, m) / m       # Phi(x_i) - F_hat(x_i^-)
     if localize is None:
@@ -209,7 +312,7 @@ def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
         candidates.append(float(lower[inside].max()))
     for z in (-k, k):
         emp = np.searchsorted(xs, z, side="right") / m
-        candidates.append(abs(emp - ndtr(z)))
+        candidates.append(float(abs(emp - _ndtr(z))))
     return float(max(candidates))
 
 
@@ -219,7 +322,7 @@ def kolmogorov_sf(n: int, d: float) -> float:
     if int(n) != n or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n}")
     root = np.sqrt(n)
-    return float(kolmogorov((root + 0.12 + 0.11 / root) * d))
+    return _kolmogorov((root + 0.12 + 0.11 / root) * d)
 
 
 def wasserstein1_distance(samples: np.ndarray) -> float:
@@ -229,8 +332,7 @@ def wasserstein1_distance(samples: np.ndarray) -> float:
     m = len(xs)
     if m == 0:
         raise ValueError("need at least one sample")
-    q = ndtri((np.arange(1, m + 1) - 0.5) / m)
-    return float(np.mean(np.abs(xs - q)))
+    return float(np.mean(np.abs(xs - _normal_scores(m))))
 
 
 def k_statistics(samples: np.ndarray) -> tuple[float, float, float]:

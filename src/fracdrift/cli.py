@@ -126,6 +126,9 @@ def _projection_from_config(cfg: dict, model: ModelConfig):
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
+    # scipy is recorded only when the run loaded it (quad, the Cholesky
+    # fallback); importing it here would cost more than a short run.
+    scipy = sys.modules.get("scipy")
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool": "fracdrift",
@@ -137,7 +140,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) ->
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": None if scipy is None else scipy.__version__,
         },
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -245,6 +248,13 @@ def cmd_simulate(args) -> int:
         traj = integrate_path(model, grid, init, seed, bool(cfg.get("store_modes", True)),
                               observe_every)
     elif method == "exact_stationary":
+        for key in ("init", "observe_every", "store_modes"):
+            if key in cfg:
+                raise ConfigError(f"simulate config: method 'exact_stationary' does not "
+                                  f"use {key!r}")
+        if grid.burn_in_steps:
+            raise ConfigError("simulate config: method 'exact_stationary' does not use "
+                              "'grid.burn_in_steps'; its draws are stationary from the start")
         traj = sample_stationary_sequence(model, grid.n_steps, grid.dt, seed)
     else:
         raise ConfigError(f"unknown simulate method {method!r}")

@@ -57,7 +57,7 @@ from .estimators import (
     trace_q1,
 )
 from .models import ModelConfig, ProjectionVector, projection_indicator
-from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
+from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, project_modes
 
 __all__ = [
     "ExperimentSpec",
@@ -479,7 +479,7 @@ def _integrated_moment_samples(
         )
         sq[:, rep] = np.cumsum(traj.sq_norms[1:])[at]
         if want_proj:
-            proj[:, rep] = np.cumsum((coeffs @ traj.modes[:, 1:]) ** 2)[at]
+            proj[:, rep] = np.cumsum(project_modes(coeffs, traj.modes[:, 1:]) ** 2)[at]
 
     _run_tasks(one, spec.replications, spec.threads)
     return sq, proj

@@ -39,6 +39,7 @@ __all__ = [
     "integrate_path",
     "StationaryModeSampler",
     "sample_stationary_sequence",
+    "project_modes",
     "attach_projection",
     "trajectory_to_csv",
     "trajectory_from_csv",
@@ -185,9 +186,7 @@ def integrate_path(
     phi = model.noise.loadings
     at = burn - 1 + observe_every * np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
     first = int(burn == 0)  # x0, at index -1, is column 0
-    # A stride of two slots when subsampling, as in a view of the full state
-    # table, keeps ``w @ modes`` in numpy's non-BLAS loop and its rounding.
-    kept = np.empty((model.n_modes, n_obs + 1, 1 + (observe_every > 1)))[..., 0]
+    kept = np.empty((model.n_modes, n_obs + 1))
     kept[:, 0] = x0
     work, noise = {}, None
     for k in range(model.n_modes):
@@ -269,13 +268,26 @@ def sample_stationary_sequence(
     )
 
 
+def project_modes(coefficients: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """``sum_k coefficients[k] * modes[k]``, added in mode order.
+
+    The fixed order makes the bits independent of the memory layout of
+    ``modes``; ``coefficients @ modes`` would round differently in BLAS gemv
+    (unit-stride rows) and in numpy's own loop (any other layout).
+    """
+    out = np.zeros(modes.shape[1:])
+    for c, row in zip(coefficients, modes):
+        out += c * row
+    return out
+
+
 def attach_projection(traj: Trajectory, w: ProjectionVector) -> Trajectory:
     """Add the series ``<X(t_i), w>``; requires stored mode coordinates."""
     if traj.modes is None:
         raise ValueError("trajectory must carry mode coordinates to project")
     if len(w.coefficients) != traj.modes.shape[0]:
         raise ValueError("projection length must match the stored modes")
-    return replace(traj, projections=w.coefficients @ traj.modes)
+    return replace(traj, projections=project_modes(w.coefficients, traj.modes))
 
 
 # --------------------------------------------------------------------------

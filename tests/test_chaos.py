@@ -7,6 +7,10 @@ from scipy.stats import kstat, kstest, kstwo, norm
 from conftest import assert_close
 from fracdrift._rng import substream
 from fracdrift.chaos import (
+    _kolmogorov,
+    _ndtr,
+    _ndtri,
+    _normal_scores,
     cumulant_bound_shapes,
     exact_cumulants,
     k_statistics,
@@ -267,6 +271,39 @@ class TestKolmogorovLaw:
         ref = kstest(z, "norm")
         assert ks_distance(z) == ref.statistic
         assert kolmogorov_sf(n, ks_distance(z)) == pytest.approx(ref.pvalue, rel=1e-2)
+
+
+class TestNormalAndKolmogorovLaws:
+    def test_ndtr_is_scipy_to_the_bit(self):
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-8.0, 8.0, 16001),
+                            substream(3, 0).standard_normal(20000) * 3.0,
+                            [0.0, -1.0 / np.sqrt(2.0), np.sqrt(2.0), -8 * np.sqrt(2.0), -38.0]])
+        assert np.array_equal(_ndtr(x), ndtr(x))
+        assert float(_ndtr(0.3)) == ndtr(0.3)
+
+    def test_ndtri_matches_scipy(self):
+        from scipy.special import ndtri
+
+        tail = np.logspace(-10, np.log10(0.45), 2000)
+        q = np.concatenate([tail, 1.0 - tail])
+        assert float(np.max(np.abs(_ndtri(q) / ndtri(q) - 1.0))) <= 1e-13
+        assert _ndtri(0.5) == 0.0
+
+    def test_normal_scores_cached_read_only(self):
+        scores = _normal_scores(400)
+        assert _normal_scores(400) is scores
+        assert not scores.flags.writeable
+        assert np.array_equal(scores, _ndtri((np.arange(1, 401) - 0.5) / 400))
+
+    def test_kolmogorov_matches_scipy(self):
+        from scipy.special import kolmogorov
+
+        y = np.linspace(3.0 / 6000, 3.0, 6000)
+        ours = np.array([_kolmogorov(v) for v in y])
+        assert float(np.max(np.abs(ours / kolmogorov(y) - 1.0))) <= 1e-13
+        assert _kolmogorov(0.0) == 1.0 == _kolmogorov(1e-300)
 
 
 class TestKStatistics:

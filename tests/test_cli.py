@@ -138,6 +138,32 @@ class TestSimulateEstimateRoundTrip:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry,key", [
+        pytest.param({"init": "burn_in"}, "'init'", id="init"),
+        pytest.param({"observe_every": 1}, "'observe_every'", id="observe_every"),
+        pytest.param({"store_modes": False}, "'store_modes'", id="store_modes"),
+        pytest.param({"grid": {"dt": 1.0, "n_steps": 16, "burn_in_steps": 4}},
+                     "'grid.burn_in_steps'", id="burn_in_steps"),
+    ])
+    def test_exact_stationary_rejects_integrator_keys(self, tmp_path, capsys, entry, key):
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 1.0, "n_steps": 16}, "method": "exact_stationary",
+            **entry,
+        })
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert f"'exact_stationary' does not use {key}" in err
+        assert not out.exists()
+
+    def test_exact_stationary_accepts_zero_burn_in(self, tmp_path):
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 1.0, "n_steps": 16, "burn_in_steps": 0},
+            "method": "exact_stationary",
+        })
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_npz_accepted(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
             "model": HEAT3, "grid": {"dt": 0.5, "n_steps": 64},
@@ -441,17 +467,75 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_guard(self):
-        # Start-up loads numpy and scipy.special only; the heavy scipy
-        # subpackages stay off every command's import path.
-        heavy = ("scipy.stats", "scipy.integrate", "scipy.signal", "scipy.optimize")
+        # Start-up loads numpy and no scipy module at all: the special
+        # functions are the package's own, and scipy is imported only by the
+        # Cholesky fallback and by quad.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys\nfrom fracdrift import cli\n"
-             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"],
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("runs", [
+        pytest.param([(["simulate", "--seed", "3"],
+                       {"model": POINTWISE, "grid": {"dt": 1.0, "n_steps": 64},
+                        "method": "exact_stationary", "projection": WINDOW}),
+                      (["estimate"],
+                       {"model": POINTWISE, "trajectory": "{tmp}/run0/trajectory.npz",
+                        "estimator": "discrete_projection", "projection": WINDOW,
+                        "true_alpha": 1.0})], id="simulate_estimate"),
+        pytest.param([(["experiment", "estimator_clt", "--threads", "2"],
+                       {"model": HEAT3, "grid": [64], "replications": 200,
+                        "estimators": ["discrete_norm", "discrete_projection"],
+                        "projection": WINDOW})], id="estimator_clt"),
+        pytest.param([(["experiment", "cumulants"],
+                       {"model": HEAT3, "grid": [32, 64], "replications": 400,
+                        "mc_cumulant_max_n": 64})], id="cumulants"),
+        pytest.param([(["experiment", "consistency", "--threads", "2"],
+                       {"model": dict(HEAT3, alpha=0.1, hurst=0.3), "grid": [16, 64],
+                        "replications": 8, "source": "integrator", "sim_dt": 0.1})],
+                     id="consistency_integrator"),
+    ])
+    def test_import_guard_commands(self, tmp_path, runs):
+        # Each command kind of the benchmark, at toy size, in a fresh
+        # interpreter: no scipy module is loaded when main returns.
+        argvs = []
+        for i, (args, cfg) in enumerate(runs):
+            cfg = json.loads(json.dumps(cfg).replace("{tmp}", str(tmp_path)))
+            argvs.append(args + ["--config", write(tmp_path, f"run{i}.json", cfg),
+                                 "--out", str(tmp_path / f"run{i}")])
+        script = (
+            "import json, sys\nfrom fracdrift.cli import main\n"
+            f"codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert all(code in (EXIT_OK, EXIT_THRESHOLD) for code in codes), proc.stderr
+        assert loaded == []
+
+    def test_manifest_records_scipy_only_when_loaded(self, tmp_path):
+        # In a fresh interpreter: simulate never loads scipy, theory loads quad.
+        import scipy
+
+        sim = write(tmp_path, "sim.json", {"model": HEAT3, "grid": {"dt": 1.0, "n_steps": 16},
+                                           "method": "exact_stationary"})
+        theory = write(tmp_path, "theory.json", {"model": HEAT3, "n_values": [16]})
+        argvs = [["simulate", "--config", sim, "--out", str(tmp_path / "sim")],
+                 ["theory", "--config", theory, "--out", str(tmp_path / "theory")]]
+        script = f"from fracdrift.cli import main\nassert [main(a) for a in {argvs!r}] == [0, 0]"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
+                    for name in ("sim", "theory")}
+        assert versions["sim"]["scipy"] is None
+        assert versions["theory"]["scipy"] == scipy.__version__
+        assert versions["sim"]["numpy"] == np.__version__
 
     @pytest.mark.parametrize("command,cfg", [
         pytest.param(["theory"], [HEAT3], id="top_level_list"),

@@ -9,6 +9,9 @@ from oracles import stationary_variance_mode
 from fracdrift.covariance import (
     QuadratureError,
     _c_spectral,
+    _hurwitz_zeta,
+    _incgamma_scaled,
+    _kummer_m1,
     _lag_table,
     _r_z_lags,
     _unit_spectral,
@@ -382,3 +385,72 @@ class TestSingleEvaluator:
                 trace, form = np.sum(np.diagonal(r0)), w @ r0 @ w
             assert trace_q(model) == float(trace)
             assert qww(model, projection_indicator(0.0, 0.5, model.n_modes)) == float(form)
+
+
+# The grids of the special-function checks: H in [0.05, 0.95] and lags
+# x = a t in [1e-6, 1e8], across every regime switch (1, 40, 256).
+SPECIAL_HURST = np.linspace(0.05, 0.95, 10)
+SPECIAL_X = np.logspace(-6, 8, 281)
+
+
+def scipy_incgamma_scaled(q, x):
+    """``e^x Gamma(q, x)`` for ``q > 0`` from scipy: ``gammaincc`` up to x = 100,
+    ``hyperu(1-q, 1-q, x)`` beyond, where ``gammaincc`` underflows."""
+    from scipy.special import gamma, gammaincc, hyperu
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x <= 100.0, np.exp(x) * gammaincc(q, x) * gamma(q),
+                        hyperu(1.0 - q, 1.0 - q, x))
+
+
+def max_rel(actual, expected):
+    return float(np.max(np.abs(actual / expected - 1.0)))
+
+
+class TestSpecialFunctions:
+    @pytest.mark.parametrize("h", SPECIAL_HURST)
+    def test_incgamma_scaled_matches_scipy(self, h):
+        p = 2.0 * h - 1.0
+        x = SPECIAL_X
+        g = _incgamma_scaled(p, x)
+        if p > 0:
+            assert max_rel(g, scipy_incgamma_scaled(p, x)) <= 1e-13
+            return
+        # scipy needs q > 0: Gamma(p+1, x) = p Gamma(p, x) + x^p e^{-x}, read
+        # downwards below x = 1 and upwards above, where each side is well
+        # conditioned.
+        lo = x < 1.0
+        down = (scipy_incgamma_scaled(p + 1.0, x[lo]) - x[lo] ** p) / p
+        assert max_rel(g[lo], down) <= 1e-13
+        up = p * g[~lo] + x[~lo] ** p
+        assert max_rel(up, scipy_incgamma_scaled(p + 1.0, x[~lo])) <= 1e-13
+
+    @pytest.mark.parametrize("h", SPECIAL_HURST)
+    def test_kummer_matches_scipy(self, h):
+        from scipy.special import hyp1f1
+
+        p = 2.0 * h - 1.0
+        # scipy's hyp1f1 is itself up to 1.9e-13 off 40-digit mpmath on this
+        # grid (near x = 40, and near the zero of M for H < 1/2), so its
+        # comparison allows 3e-13; the mpmath check below holds 1e-13.
+        assert max_rel(_kummer_m1(p, SPECIAL_X), hyp1f1(1.0, p + 1.0, -SPECIAL_X)) <= 3e-13
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 0.45, 0.499, 0.5 - 1e-7, 0.5 + 1e-7, 0.501,
+                                   0.55, 0.7, 0.95])
+    def test_lag_functions_match_mpmath(self, h):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        p = 2.0 * h - 1.0
+        mp_p = 2 * mpmath.mpf(h) - 1
+        x = SPECIAL_X[::4]
+        ref_g = [mpmath.exp(mpmath.mpf(v)) * mpmath.gammainc(mp_p, mpmath.mpf(v)) for v in x]
+        ref_m = [mpmath.hyp1f1(1, mp_p + 1, -mpmath.mpf(v)) for v in x]
+        assert max_rel(_incgamma_scaled(p, x), np.array(ref_g, dtype=float)) <= 1e-13
+        assert max_rel(_kummer_m1(p, x), np.array(ref_m, dtype=float)) <= 1e-13
+
+    @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.01, 1.5, 2.2, 3.0, 4.0 - 1e-6])
+    def test_hurwitz_zeta_matches_scipy(self, s):
+        from scipy.special import zeta
+
+        for a in (256, 257, 1000, 4096, 1 << 20):
+            assert_close(_hurwitz_zeta(s, a), zeta(s, a), 1e-13, f"zeta({s}, {a})")

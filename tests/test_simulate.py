@@ -1,5 +1,7 @@
 """Path integration, exact stationary sampling, projections, export formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -30,6 +32,7 @@ from fracdrift.simulate import (
     attach_projection,
     default_burn_in_steps,
     integrate_path,
+    project_modes,
     sample_stationary_sequence,
     trajectory_from_csv,
     trajectory_from_npz,
@@ -355,6 +358,28 @@ class TestProjectionsAndExports:
         pv = attach_projection(traj, projection_from_coefficients(v)).projections
         puv = attach_projection(traj, projection_from_coefficients(u + 2 * v)).projections
         assert np.allclose(puv, pu + 2 * pv, rtol=1e-12)
+
+    def test_projection_bits_do_not_depend_on_layout(self):
+        # 20 modes are enough for BLAS gemv to round differently from a loop.
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=20)
+        modes = rng.normal(size=(20, 501))
+        strided = np.empty((20, 501, 2))[..., 0]
+        strided[...] = modes
+        copies = [modes, np.asfortranarray(modes), strided, np.ascontiguousarray(modes.T).T]
+        ref = project_modes(w, modes)
+        for layout in copies:
+            assert np.array_equal(project_modes(w, layout), ref)
+        expected = np.zeros(501)
+        for k in range(20):
+            expected += w[k] * modes[k]
+        assert np.array_equal(ref, expected)
+        traj = Trajectory(grid=TrajectoryGrid(1.0, 500), t=np.arange(501.0),
+                          sq_norms=np.sum(modes**2, axis=0), init_kind="given")
+        for layout in copies:
+            projected = attach_projection(replace(traj, modes=layout),
+                                          projection_from_coefficients(w))
+            assert np.array_equal(projected.projections, ref)
 
     def test_projection_requires_modes(self, heat3):
         traj = sample_stationary_sequence(heat3, 8, 1.0, seed=1)
