@@ -8,6 +8,7 @@ reproducible independently of scheduling or worker count.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = ["substream"]
 
@@ -18,5 +19,5 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same ``(seed, path)`` always yields the same stream; distinct paths
     yield statistically independent streams (numpy ``SeedSequence`` spawning).
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.PCG64(ss))
+    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(PCG64(ss))

@@ -30,6 +30,7 @@ import threading
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from ._rng import substream
 
@@ -106,7 +107,7 @@ def circulant_embedding_eigs(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least lags 0 and 1")
     mid = 0.5 * (lags[m:] + lags[m:].swapaxes(-1, -2))
     circle = np.concatenate([lags[:m], mid, lags[m - 1:0:-1].swapaxes(-1, -2)])
-    spectrum = np.fft.rfft(circle, axis=0)
+    spectrum = rfft(circle, axis=0)
     if p == 1:  # a 1 x 1 Hermitian matrix is its own eigenvalue
         return np.ascontiguousarray(spectrum.real[..., 0]), None
     eigs, vecs = np.linalg.eigh(spectrum)
@@ -219,7 +220,7 @@ def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
         np.divide((factor @ (g[0] + 1j * g[1]).T).T, np.sqrt(2.0), out=spec)
         spec[..., 0] = g[0, ..., 0] @ factor[0].real.T
         spec[..., m] = g[0, ..., m] @ factor[m].real.T
-    return np.fft.irfft(spec, n=2 * m, out=work["x"])[..., :n]
+    return irfft(spec, n=2 * m, out=work["x"])[..., :n]
 
 
 def stationary_draw(method: str, factor: np.ndarray, n: int, rng: np.random.Generator,
