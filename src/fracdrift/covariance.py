@@ -203,9 +203,9 @@ def _kummer_m1(p: float, x: np.ndarray) -> np.ndarray:
         (p/x) sum_k (1-p)_k x^{-k} + Gamma(p+1) cos(pi p) x^{-p} e^{-x},
 
     summed by :func:`_asymptotic_sum` in two bands split at ``x = 256``, so
-    that the many large arguments of a lag table take about 12 terms; its
-    smallest term is about ``sqrt(2 pi x) e^{-x}`` relative, 1e-16 at
-    ``x = 40``.
+    that the many large arguments of a lag table take about 12 terms and no
+    Stokes term; its smallest term is about ``sqrt(2 pi x) e^{-x}``
+    relative, 1e-16 at ``x = 40``.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -222,12 +222,16 @@ def _kummer_m1(p: float, x: np.ndarray) -> np.ndarray:
             if step[worst] <= _EPS * series[worst]:
                 break
         out[small] = np.exp(-xs) * (1.0 + p * series)
-    stokes = math.gamma(p + 1.0) * math.cos(math.pi * p)
-    for band in (~small & (x < _ASYMPTOTIC_SWITCH), x >= _ASYMPTOTIC_SWITCH):
-        if np.any(band):
-            xb = x[band]
-            out[band] = (p / xb * _asymptotic_sum(xb, 1.0 - p, 1.0)
-                         + stokes * xb**-p * np.exp(-xb))
+    mid = ~small & (x < _ASYMPTOTIC_SWITCH)
+    if np.any(mid):
+        xm = x[mid]
+        stokes = math.gamma(p + 1.0) * math.cos(math.pi * p) * xm**-p * np.exp(-xm)
+        out[mid] = p / xm * _asymptotic_sum(xm, 1.0 - p, 1.0) + stokes
+    large = x >= _ASYMPTOTIC_SWITCH
+    if np.any(large):
+        # e^{-x} < 1e-111 here: the Stokes term is below rounding.
+        xl = x[large]
+        out[large] = p / xl * _asymptotic_sum(xl, 1.0 - p, 1.0)
     return out
 
 
