@@ -213,44 +213,59 @@ _SQRT_HALF = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843E2
 
 
-def _horner(x: np.ndarray, coeffs: tuple) -> np.ndarray:
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
+def _pair(num: tuple, den: tuple) -> np.ndarray:
+    """Stack two coefficient lists, highest power first, for one Horner pass
+    over both; the shorter is padded with leading zeros (``0 x + c = c``)."""
+    k = max(len(num), len(den))
+    return np.array([(0.0,) * (k - len(num)) + num,
+                     (0.0,) * (k - len(den)) + den]).T[:, :, None]
+
+
+_ERF = _pair(_ERF_T, _ERF_U)
+_ERFC_NEAR = _pair(_ERFC_P, _ERFC_Q)    # 1 <= z < 8
+_ERFC_FAR = _pair(_ERFC_R, _ERFC_S)     # z >= 8
+
+
+def _rational(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Numerator and denominator of ``table`` at ``x``, shape (2, len(x))."""
+    out = table[0] * x + table[1]
+    for c in table[2:]:
+        out *= x
+        out += c
     return out
-
-
-def _erf_small(x: np.ndarray) -> np.ndarray:
-    """``erf(x)`` for ``|x| <= 1``."""
-    z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
 
 
 def _ndtr(a) -> np.ndarray:
     """Standard normal cdf, elementwise.
 
-    ``(1 + erf(a/sqrt 2)) / 2`` near zero and ``erfc(|a|/sqrt 2) / 2`` (or
-    one minus it) beyond; ``erfc(z) = 1 - erf(z)`` below ``z = 1``,
+    With ``x = a/sqrt 2`` and ``z = |x|``: ``(1 + erf(x)) / 2`` below
+    ``z = 1/sqrt 2``, and beyond ``erfc(z) / 2`` (one minus it for
+    ``x > 0``), where ``erfc(z) = 1 - erf(z)`` below ``z = 1``,
     ``e^{-z^2} P(z)/Q(z)`` above (``math.exp`` for the factor) and 0 where
     ``z^2`` exceeds the largest argument of a normal ``exp``.
     """
     a = np.asarray(a, dtype=float)
     x = a.reshape(-1) * _SQRT_HALF
     z = np.abs(x)
-    out = 0.5 + 0.5 * _erf_small(np.where(z < _SQRT_HALF, x, 0.0))
-    tail = z >= _SQRT_HALF
-    if np.any(tail):
-        zt = z[tail]
-        near = zt < 1.0
-        far = zt >= 8.0
-        num, den = _horner(zt, _ERFC_P), _horner(zt, _ERFC_Q)
-        num[far], den[far] = _horner(zt[far], _ERFC_R), _horner(zt[far], _ERFC_S)
-        sq = zt * zt
-        erfc = np.array([math.exp(-v) for v in sq]) * num / den
-        erfc[near] = 1.0 - _erf_small(zt[near])
-        erfc[sq > _MAXLOG] = 0.0
-        y = 0.5 * erfc
-        out[tail] = np.where(x[tail] > 0, 1.0 - y, y)
+    erfc = np.full_like(x, np.nan)
+    small = z < 1.0
+    if np.any(small):
+        xs = x[small]
+        num, den = _rational(xs * xs, _ERF)
+        erf = xs * num / den
+        erfc[small] = 1.0 - np.abs(erf)
+    for part, table in ((z >= 1.0) & (z < 8.0), _ERFC_NEAR), (z >= 8.0, _ERFC_FAR):
+        if np.any(part):
+            zp = z[part]
+            sq = zp * zp
+            num, den = _rational(zp, table)
+            expo = np.fromiter(map(math.exp, (-sq).tolist()), float, sq.size)
+            erfc[part] = np.where(sq > _MAXLOG, 0.0, expo * num / den)
+    y = 0.5 * erfc
+    out = np.where(x > 0, 1.0 - y, y)
+    centre = z < _SQRT_HALF
+    if np.any(centre):
+        out[centre] = 0.5 + 0.5 * erf[centre[small]]
     return out.reshape(a.shape)
 
 
@@ -310,9 +325,9 @@ def ks_distance(samples: np.ndarray, localize: float | None = None) -> float:
     if np.any(inside):
         candidates.append(float(upper[inside].max()))
         candidates.append(float(lower[inside].max()))
-    for z in (-k, k):
-        emp = np.searchsorted(xs, z, side="right") / m
-        candidates.append(float(abs(emp - _ndtr(z))))
+    ends = np.array([-k, k])
+    emp = np.searchsorted(xs, ends, side="right") / m
+    candidates.extend(np.abs(emp - _ndtr(ends)).tolist())
     return float(max(candidates))
 
 

@@ -31,6 +31,7 @@ next to the observed values.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -263,10 +264,13 @@ def _stationary_moment_samples(
 
     Returns ``(sq, proj)`` of shape (len(cuts), replications), ``cuts``
     defaulting to ``(n,)``: the sums of |X(t)|^2 and <X(t), w>^2 over the
-    first ``cuts[i]`` points.  Each task is one batch: it draws through one
-    workspace, adds the modes in order into (batch, n) accumulators and takes
-    a sequential cumsum along t.  Deterministic in (seed, kind, grid_index,
-    batch, sequence) regardless of the thread count.
+    first ``cuts[i]`` points.  Each task is one batch: it draws through its
+    thread's workspace, adds the modes in order into the thread's (batch, n)
+    accumulators and takes a sequential cumsum along t.  Reusing them across
+    batches keeps the batches from allocating, and from page-faulting fresh
+    memory (about 11k minor faults per estimator_clt run at heat20 scale).
+    Deterministic in (seed, kind, grid_index, batch, sequence) regardless of
+    the thread count.
     """
     tag = _TAGS[spec.kind]
     batches = _batches(spec)
@@ -277,11 +281,16 @@ def _stationary_moment_samples(
     for s in range(sampler.n_sequences):
         sampler.factor(s)  # factor once before any parallel draws
 
+    local = threading.local()
+
     def batch(b: int) -> None:
-        cols, work = batches[b], {}
+        cols = batches[b]
         n_reps = cols.stop - cols.start
-        acc = np.zeros((len(sums), n_reps, n))
-        term = np.empty((n_reps, n))
+        if getattr(local, "n_reps", None) != n_reps:
+            local.n_reps, local.work = n_reps, {}
+            local.acc, local.term = np.empty((len(sums), n_reps, n)), np.empty((n_reps, n))
+        work, acc, term = local.work, local.acc, local.term
+        acc.fill(0.0)
         for s in range(sampler.n_sequences):
             x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), n_reps, work)
             # Mode s + c: diagonal noise has one mode per sequence, rank-one
