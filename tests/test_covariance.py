@@ -439,12 +439,12 @@ class TestSpecialFunctions:
                                    0.55, 0.7, 0.95])
     def test_lag_functions_match_mpmath(self, h):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
         p = 2.0 * h - 1.0
-        mp_p = 2 * mpmath.mpf(h) - 1
         x = SPECIAL_X[::4]
-        ref_g = [mpmath.exp(mpmath.mpf(v)) * mpmath.gammainc(mp_p, mpmath.mpf(v)) for v in x]
-        ref_m = [mpmath.hyp1f1(1, mp_p + 1, -mpmath.mpf(v)) for v in x]
+        with mpmath.workdps(40):
+            mp_p = 2 * mpmath.mpf(h) - 1
+            ref_g = [mpmath.exp(v) * mpmath.gammainc(mp_p, v) for v in map(mpmath.mpf, x)]
+            ref_m = [mpmath.hyp1f1(1, mp_p + 1, -v) for v in map(mpmath.mpf, x)]
         assert max_rel(_incgamma_scaled(p, x), np.array(ref_g, dtype=float)) <= 1e-13
         assert max_rel(_kummer_m1(p, x), np.array(ref_m, dtype=float)) <= 1e-13
 
