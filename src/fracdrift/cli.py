@@ -59,6 +59,7 @@ from .models import (
     _require_keys,
     model_from_dict,
     model_to_dict,
+    positive_finite,
     projection_from_dict,
 )
 from .simulate import (
@@ -126,9 +127,6 @@ def _projection_from_config(cfg: dict, model: ModelConfig):
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
-    # scipy is recorded only when the run loaded it (quad, the Cholesky
-    # fallback); importing it here would cost more than a short run.
-    scipy = sys.modules.get("scipy")
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool": "fracdrift",
@@ -140,7 +138,6 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) ->
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": None if scipy is None else scipy.__version__,
         },
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -162,8 +159,9 @@ def cmd_theory(args) -> int:
     _parsed(_require_keys, cfg, {"model", "model_file", "projection", "n_values", "dt"},
             set(), "theory config")
     model = _model_from_config(cfg)
-    dt = _parsed(float, cfg.get("dt", 1.0))
-    n_values = _parsed(lambda: [int(v) for v in cfg.get("n_values", [16, 64, 256, 1024])])
+    dt = _parsed(lambda: positive_finite(float(cfg.get("dt", 1.0)), "dt"))
+    n_values = _parsed(lambda: [positive_finite(int(v), "each of n_values")
+                                for v in cfg.get("n_values", [16, 64, 256, 1024])])
     projection = _projection_from_config(cfg, model)
 
     tail_ratio = trace_tail_ratio(model)

@@ -16,9 +16,9 @@ variance limits that standardize the central limit theorems:
 
 together with the projected analogues built from ``r_z(t) = w' R(t) w``.
 Lag sums are truncated with a fitted ``t^{2H-2}`` power tail (reported
-separately); the time integrals are computed exactly through Parseval in the
-frequency domain, where the squared Hilbert-Schmidt norms collapse to smooth
-one-dimensional integrals.
+separately); the time integrals are exact closed forms through Parseval in
+the frequency domain, sums over mode pairs of elementary Lorentzian-product
+integrals.
 
 ``_lag_table`` is the one evaluator of ``r_kl`` in production, in closed form
 for every ``H in (0,1)``; the stationary covariance, the cached lag tables and
@@ -44,7 +44,7 @@ needs ``2N`` single-rate vectors and one broadcast outer sum.  ``M``,
 ``G_p`` and the Hurwitz zeta of the series tails are evaluated in the
 package (:func:`_kummer_m1`, :func:`_incgamma_scaled`,
 :func:`_hurwitz_zeta`) by series, continued-fraction and asymptotic regimes,
-so a command starts on numpy alone; ``scipy.special`` is their test oracle.
+so no command needs scipy; ``scipy.special`` is their test oracle.
 
 The independent test oracle is ``spectral_cross_autocov``: the
 frequency-domain integral
@@ -473,12 +473,12 @@ def s_n(model: ModelConfig, n: int, dt: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SeriesLimit:
-    """A truncated series/integral limit with its fitted power-law tail."""
+    """A series limit with its fitted power-law tail, or an exact integral (tail 0)."""
 
     value: float          # partial + tail estimate
     partial: float
     tail_estimate: float
-    cutoff: float         # last lag (sum) or time (integral) included
+    cutoff: float         # last lag included (sum); inf (integral)
 
     def __float__(self) -> float:
         return self.value
@@ -553,58 +553,38 @@ def s_infty_star(model: ModelConfig, dt: float = 1.0, rtol: float = TAIL_RTOL) -
                          model.hurst, dt, rtol, "s_inf*")
 
 
-def _frequency_square_integral(model: ModelConfig, density_sq, what: str,
-                               rtol: float = TAIL_RTOL) -> SeriesLimit:
-    """``2 int_R g(t)^2 dt`` via Parseval, g built from the mode spectra.
+def _expm1_ratio(x: np.ndarray) -> np.ndarray:
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
 
-    Every time-autocovariance here is the Fourier transform of a spectral
-    density of the form ``c_H |w|^{1-2H} * (rational in w)``, so the squared
-    time integrals reduce to one smooth frequency integral:
 
-        2 int_R g(t)^2 dt = 8 pi c_H^2 int_0^inf w^{2-4H} density_sq(w) dw,
-
-    with ``density_sq(w)`` the rational mode aggregate (vectorized in w).
-    Exact up to quadrature error -- no time-domain truncation or tail fit;
-    the reported tail estimate is the quadrature error bound.
+def _lorentzian_square_integral(model: ModelConfig, weights: np.ndarray,
+                                what: str) -> SeriesLimit:
+    """``8 pi c_H^2 int_0^inf w^{2-4H} sum_kl g_kl / ((A_k+w^2)(A_l+w^2)) dw``,
+    ``A = a^2``: by Parseval, ``2 int_R g(t)^2 dt`` for every autocovariance
+    here, with pair weights ``g``.  With ``q = 1/2 - 2H``, ``L = log(A_l/A_k)``
+    and ``E(x) = expm1(x)/x``, ``E(0) = 1``, each pair integral is exactly
+    ``1/2 A_k^{q-1} (pi q / sin(pi q)) E(qL) / E(L)`` (no tail).
     """
-    from scipy.integrate import quad  # lazily: only the continuous-time limits need it
-
-    h = model.hurst
-    expo = 2.0 - 4.0 * h
-    w0 = float(np.min(model.rates))
-
-    def integrand(w):
-        return w**expo * density_sq(w)
-
-    head, e1 = quad(lambda w: density_sq(w), 0.0, w0, weight="alg",
-                    wvar=(expo, 0.0), epsabs=1e-14, epsrel=1e-11, limit=200)[:2]
-    body, e2 = quad(integrand, w0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=200)[:2]
-    factor = 8.0 * math.pi * _c_spectral(h) ** 2
-    value = factor * (head + body)
-    err = factor * (e1 + e2)
-    if err > max(min(rtol, 1e-8) * abs(value), 1e-300):
-        raise QuadratureError(f"{what}: frequency integral error {err:.3g} too large")
-    return SeriesLimit(value=float(value), partial=float(value),
-                       tail_estimate=float(err), cutoff=math.inf)
+    _require_summable(model.hurst, what)
+    q = 0.5 - 2.0 * model.hurst
+    a2 = model.rates**2
+    log_ratio = np.log(a2[None, :] / a2[:, None])
+    pairs = (a2[:, None] ** (q - 1.0) * _expm1_ratio(q * log_ratio)
+             / (2.0 * np.sinc(q) * _expm1_ratio(log_ratio)))
+    value = float(8.0 * math.pi * _c_spectral(model.hurst) ** 2 * np.sum(weights * pairs))
+    return SeriesLimit(value=value, partial=value, tail_estimate=0.0, cutoff=math.inf)
 
 
-def u_infty_star(model: ModelConfig, rtol: float = TAIL_RTOL) -> SeriesLimit:
+def u_infty_star(model: ModelConfig) -> SeriesLimit:
     """Integral limit ``2 int_R ||R(t)||^2 dt`` for ``H < 3/4``.
 
     Computed in the frequency domain: the Hilbert-Schmidt square sums over
     mode pairs collapse to ``(sum_k phi_k^2/(a_k^2+w^2))^2`` for rank-one
     noise and ``sum_k phi_k^4/(a_k^2+w^2)^2`` for diagonal noise.
     """
-    _require_summable(model.hurst, "u_inf*")
-    a2 = model.rates**2
     phi2 = model.noise.loadings**2
-    if model.noise.kind == DIAGONAL:
-        def density_sq(w):
-            return float(np.sum(phi2**2 / (a2 + w * w) ** 2))
-    else:
-        def density_sq(w):
-            return float(np.sum(phi2 / (a2 + w * w))) ** 2
-    return _frequency_square_integral(model, density_sq, "u_inf*", rtol)
+    weights = np.diag(phi2**2) if model.noise.kind == DIAGONAL else np.outer(phi2, phi2)
+    return _lorentzian_square_integral(model, weights, "u_inf*")
 
 
 def _r_z_lags(model: ModelConfig, w: ProjectionVector, dt: float, n_lags: int) -> np.ndarray:
@@ -622,32 +602,25 @@ def r_z_sum(model: ModelConfig, w: ProjectionVector, dt: float = 1.0,
                          model.hurst, dt, rtol, "projected series limit")
 
 
-def r_z_integral(model: ModelConfig, w: ProjectionVector, rtol: float = TAIL_RTOL) -> SeriesLimit:
+def r_z_integral(model: ModelConfig, w: ProjectionVector) -> SeriesLimit:
     """``2 int_R r_z(t)^2 dt`` for ``H < 3/4`` (frequency domain, exact).
 
     The projected process has spectral density ``c_H |w|^{1-2H} |B(w)|^2``
-    with ``B(w) = sum_k w_k phi_k / (a_k + i w)`` for rank-one noise, and
-    ``c_H |w|^{1-2H} sum_k w_k^2 phi_k^2/(a_k^2+w^2)`` for diagonal noise.
+    with ``B(w) = sum_k c_k / (a_k + i w)``, ``c = w * phi``, for rank-one
+    noise, and ``c_H |w|^{1-2H} sum_k c_k^2/(a_k^2+w^2)`` for diagonal noise.
+    By partial fractions ``|B|^2 = sum_k beta_k / (a_k^2+w^2)``, ``beta_k =
+    2 a_k c_k sum_l c_l / (a_k+a_l)``.
     """
-    _require_summable(model.hurst, "projected integral limit")
     coeffs = w.coefficients
     if len(coeffs) != model.n_modes:
         raise ValueError("projection length must match the model truncation")
-    a = model.rates
-    a2 = a**2
-    wphi = coeffs * model.noise.loadings
+    c = coeffs * model.noise.loadings
     if model.noise.kind == DIAGONAL:
-        wphi2 = coeffs**2 * model.noise.loadings**2
-
-        def density_sq(om):
-            return float(np.sum(wphi2 / (a2 + om * om))) ** 2
+        beta = c**2
     else:
-        def density_sq(om):
-            denom = a2 + om * om
-            re = float(np.sum(wphi * a / denom))
-            im = float(np.sum(wphi / denom))
-            return (re * re + om * om * im * im) ** 2
-    return _frequency_square_integral(model, density_sq, "projected integral limit", rtol)
+        a = model.rates
+        beta = 2.0 * a * c * (c @ (1.0 / np.add.outer(a, a)))
+    return _lorentzian_square_integral(model, np.outer(beta, beta), "projected integral limit")
 
 
 # --------------------------------------------------------------------------

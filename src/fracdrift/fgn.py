@@ -123,12 +123,10 @@ def jittered_cholesky(cov: np.ndarray, first: float, limit: float) -> np.ndarray
     ``first, 100 first, ...`` is added to the diagonal of a single copy while
     it stays within ``limit``; returns None when every attempt fails.
     """
-    from scipy.linalg import cholesky
-
     jittered, jitter = cov, 0.0
     while True:
         try:
-            return cholesky(jittered, lower=True)
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, first)
             if jitter > limit:

@@ -57,7 +57,7 @@ from .estimators import (
     qww1,
     trace_q1,
 )
-from .models import ModelConfig, ProjectionVector, projection_indicator
+from .models import ModelConfig, ProjectionVector, positive_finite, projection_indicator
 from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, project_modes
 
 __all__ = [
@@ -119,6 +119,8 @@ class ExperimentSpec:
                  "sim_dt": float, "estimators": tuple, "thresholds": dict}
         for name, cast in casts.items():
             object.__setattr__(self, name, cast(getattr(self, name)))
+        positive_finite(self.dt, "dt")
+        positive_finite(self.sim_dt, "sim_dt")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.threads < 1:
@@ -128,6 +130,7 @@ class ExperimentSpec:
                 raise ValueError(f"threshold {name!r} must be a number, got {value!r}")
         if not self.grid or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be non-empty and strictly increasing")
+        positive_finite(self.grid[0], "the smallest grid size")
         if self.n_batches < 1:
             raise ValueError("n_batches must be >= 1")
         # Batch-spread standard errors need two batches, k-statistics four

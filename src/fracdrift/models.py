@@ -12,6 +12,7 @@ and loading ``phi_k``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,18 @@ __all__ = [
     "projection_from_coefficients",
     "model_to_dict",
     "model_from_dict",
+    "positive_finite",
 ]
 
 DIAGONAL = "diagonal"
 RANK_ONE = "rank_one"
+
+
+def positive_finite(value, name: str):
+    """Return ``value`` unchanged after checking ``0 < value < inf`` (NaN fails)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,8 @@ class SpectralOperator:
         object.__setattr__(self, "eigenvalues", ev)
         if ev.ndim != 1 or len(ev) < 1:
             raise ValueError("eigenvalues must be a non-empty vector")
-        if np.any(ev <= 0):
-            raise ValueError("all eigenvalues must be positive (exponential stability)")
+        if not np.all((ev > 0) & (ev < np.inf)):
+            raise ValueError("all eigenvalues must be positive and finite (exponential stability)")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
 
@@ -69,6 +78,8 @@ class NoiseStructure:
         object.__setattr__(self, "loadings", lo)
         if lo.ndim != 1 or len(lo) < 1:
             raise ValueError("loadings must be a non-empty vector")
+        if not np.all(np.isfinite(lo)):
+            raise ValueError("noise loadings must be finite")
         if not np.any(lo != 0.0):
             raise ValueError("noise loadings must not all vanish (drift not identifiable)")
 
@@ -83,8 +94,7 @@ class ModelConfig:
     noise: NoiseStructure
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        positive_finite(self.alpha, "alpha")
         validate_hurst(self.hurst)
         if len(self.noise.loadings) != len(self.operator.eigenvalues):
             raise ValueError("loadings and eigenvalues must have equal length")

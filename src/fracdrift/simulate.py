@@ -29,7 +29,7 @@ from ._rng import substream
 from .covariance import lag_blocks
 from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
 from .fgn import sample_fgn, stationary_draw, stationary_factor
-from .models import DIAGONAL, ModelConfig, ProjectionVector
+from .models import DIAGONAL, ModelConfig, ProjectionVector, positive_finite
 
 __all__ = [
     "TrajectoryGrid",
@@ -63,8 +63,7 @@ class TrajectoryGrid:
     burn_in_steps: int = 0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        positive_finite(self.dt, "dt")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.burn_in_steps < 0:

@@ -1,6 +1,12 @@
 """Independent reference values that the production closed forms are checked against."""
 
+import math
+
+import numpy as np
 from scipy.special import gamma as gamma_fn
+
+from fracdrift.covariance import TAIL_RTOL, QuadratureError, SeriesLimit, _c_spectral
+from fracdrift.models import DIAGONAL
 
 
 def stationary_variance_mode(a: float, phi: float, hurst: float) -> float:
@@ -14,3 +20,64 @@ def stationary_variance_mode(a: float, phi: float, hurst: float) -> float:
         raise ValueError("mode rate a must be positive")
     h = float(hurst)
     return phi * phi * h * gamma_fn(2.0 * h) * a ** (-2.0 * h)
+
+
+def _frequency_square_integral(model, density_sq, what: str, rtol: float = TAIL_RTOL):
+    """``2 int_R g(t)^2 dt`` via Parseval, g built from the mode spectra.
+
+    Every time-autocovariance here is the Fourier transform of a spectral
+    density of the form ``c_H |w|^{1-2H} * (rational in w)``, so the squared
+    time integrals reduce to one smooth frequency integral:
+
+        2 int_R g(t)^2 dt = 8 pi c_H^2 int_0^inf w^{2-4H} density_sq(w) dw,
+
+    with ``density_sq(w)`` the rational mode aggregate (vectorized in w).
+    Exact up to quadrature error -- no time-domain truncation or tail fit;
+    the reported tail estimate is the quadrature error bound.
+    """
+    from scipy.integrate import quad
+
+    h = model.hurst
+    expo = 2.0 - 4.0 * h
+    w0 = float(np.min(model.rates))
+
+    def integrand(w):
+        return w**expo * density_sq(w)
+
+    head, e1 = quad(lambda w: density_sq(w), 0.0, w0, weight="alg",
+                    wvar=(expo, 0.0), epsabs=1e-14, epsrel=1e-11, limit=200)[:2]
+    body, e2 = quad(integrand, w0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=200)[:2]
+    factor = 8.0 * math.pi * _c_spectral(h) ** 2
+    value = factor * (head + body)
+    err = factor * (e1 + e2)
+    if err > max(min(rtol, 1e-8) * abs(value), 1e-300):
+        raise QuadratureError(f"{what}: frequency integral error {err:.3g} too large")
+    return SeriesLimit(value=float(value), partial=float(value),
+                       tail_estimate=float(err), cutoff=math.inf)
+
+
+def norm_density_sq(model):
+    """``||spectral density||_HS^2 / (c_H |w|^{1-2H})^2`` of ``R``: the
+    ``u_inf*`` integrand of :func:`_frequency_square_integral`."""
+    a2 = model.rates**2
+    phi2 = model.noise.loadings**2
+    if model.noise.kind == DIAGONAL:
+        return lambda w: float(np.sum(phi2**2 / (a2 + w * w) ** 2))
+    return lambda w: float(np.sum(phi2 / (a2 + w * w))) ** 2
+
+
+def projection_density_sq(model, w):
+    """The squared spectral density of ``r_z``, with ``B(w) = sum_k w_k phi_k /
+    (a_k + i w)`` summed as its real and imaginary parts for rank-one noise."""
+    a = model.rates
+    a2 = a**2
+    wphi = w.coefficients * model.noise.loadings
+    if model.noise.kind == DIAGONAL:
+        return lambda om: float(np.sum(wphi**2 / (a2 + om * om))) ** 2
+
+    def density_sq(om):
+        denom = a2 + om * om
+        re = float(np.sum(wphi * a / denom))
+        im = float(np.sum(wphi / denom))
+        return (re * re + om * om * im * im) ** 2
+    return density_sq

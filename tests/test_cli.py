@@ -468,8 +468,8 @@ class TestEntryPoint:
 
     def test_import_guard(self):
         # Start-up loads numpy and no scipy module at all: the special
-        # functions are the package's own, and scipy is imported only by the
-        # Cholesky fallback and by quad.
+        # functions, the continuous-time limits and the Cholesky fallback are
+        # numpy-only, and scipy is a test dependency.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys\nfrom fracdrift import cli\n"
@@ -479,28 +479,51 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
-    @pytest.mark.parametrize("runs", [
+    @pytest.mark.parametrize("runs,prelude", [
         pytest.param([(["simulate", "--seed", "3"],
                        {"model": POINTWISE, "grid": {"dt": 1.0, "n_steps": 64},
                         "method": "exact_stationary", "projection": WINDOW}),
                       (["estimate"],
                        {"model": POINTWISE, "trajectory": "{tmp}/run0/trajectory.npz",
                         "estimator": "discrete_projection", "projection": WINDOW,
-                        "true_alpha": 1.0})], id="simulate_estimate"),
+                        "true_alpha": 1.0})], "", id="simulate_estimate"),
         pytest.param([(["experiment", "estimator_clt", "--threads", "2"],
                        {"model": HEAT3, "grid": [64], "replications": 200,
                         "estimators": ["discrete_norm", "discrete_projection"],
-                        "projection": WINDOW})], id="estimator_clt"),
+                        "projection": WINDOW})], "", id="estimator_clt"),
         pytest.param([(["experiment", "cumulants"],
                        {"model": HEAT3, "grid": [32, 64], "replications": 400,
-                        "mc_cumulant_max_n": 64})], id="cumulants"),
+                        "mc_cumulant_max_n": 64})], "", id="cumulants"),
         pytest.param([(["experiment", "consistency", "--threads", "2"],
                        {"model": dict(HEAT3, alpha=0.1, hurst=0.3), "grid": [16, 64],
-                        "replications": 8, "source": "integrator", "sim_dt": 0.1})],
+                        "replications": 8, "source": "integrator", "sim_dt": 0.1})], "",
                      id="consistency_integrator"),
+        pytest.param([(["theory"], {"model": POINTWISE, "projection": WINDOW,
+                                    "n_values": [16]})], "", id="theory_pointwise_window"),
+        pytest.param([(["simulate", "--seed", "3"],
+                       {"model": POINTWISE, "grid": {"dt": 0.1, "n_steps": 64},
+                        "method": "exact_stationary", "projection": WINDOW}),
+                      (["estimate"],
+                       {"model": POINTWISE, "trajectory": "{tmp}/run0/trajectory.npz",
+                        "estimator": "continuous_norm", "true_alpha": 1.0})], "",
+                     id="estimate_continuous_norm"),
+        pytest.param([(["simulate", "--seed", "3"],
+                       {"model": POINTWISE, "grid": {"dt": 0.1, "n_steps": 64},
+                        "method": "exact_stationary", "projection": WINDOW}),
+                      (["estimate"],
+                       {"model": POINTWISE, "trajectory": "{tmp}/run0/trajectory.npz",
+                        "estimator": "continuous_projection", "projection": WINDOW,
+                        "true_alpha": 1.0})], "", id="estimate_continuous_projection"),
+        # TOL_EIG = -1 sends every embedding to the dense Cholesky fallback.
+        pytest.param([(["simulate", "--seed", "3"],
+                       {"model": POINTWISE, "grid": {"dt": 1.0, "n_steps": 32},
+                        "method": "exact_stationary"})],
+                     "import fracdrift.fgn as fgn\nfgn.TOL_EIG = -1\n",
+                     id="simulate_cholesky_fallback"),
     ])
-    def test_import_guard_commands(self, tmp_path, runs):
-        # Each command kind of the benchmark, at toy size, in a fresh
+    def test_import_guard_commands(self, tmp_path, runs, prelude):
+        # Each command kind of the benchmark, theory, the continuous-kind
+        # estimates and the Cholesky fallback, at toy size, in a fresh
         # interpreter: no scipy module is loaded when main returns.
         argvs = []
         for i, (args, cfg) in enumerate(runs):
@@ -508,7 +531,7 @@ class TestEntryPoint:
             argvs.append(args + ["--config", write(tmp_path, f"run{i}.json", cfg),
                                  "--out", str(tmp_path / f"run{i}")])
         script = (
-            "import json, sys\nfrom fracdrift.cli import main\n"
+            f"import json, sys\n{prelude}from fracdrift.cli import main\n"
             f"codes = [main(argv) for argv in {argvs!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules"
             " if m.split('.')[0] == 'scipy')]))"
@@ -519,23 +542,12 @@ class TestEntryPoint:
         assert all(code in (EXIT_OK, EXIT_THRESHOLD) for code in codes), proc.stderr
         assert loaded == []
 
-    def test_manifest_records_scipy_only_when_loaded(self, tmp_path):
-        # In a fresh interpreter: simulate never loads scipy, theory loads quad.
-        import scipy
-
+    def test_manifest_records_versions(self, tmp_path):
         sim = write(tmp_path, "sim.json", {"model": HEAT3, "grid": {"dt": 1.0, "n_steps": 16},
                                            "method": "exact_stationary"})
-        theory = write(tmp_path, "theory.json", {"model": HEAT3, "n_values": [16]})
-        argvs = [["simulate", "--config", sim, "--out", str(tmp_path / "sim")],
-                 ["theory", "--config", theory, "--out", str(tmp_path / "theory")]]
-        script = f"from fracdrift.cli import main\nassert [main(a) for a in {argvs!r}] == [0, 0]"
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        versions = {name: json.loads((tmp_path / name / "manifest.json").read_text())["versions"]
-                    for name in ("sim", "theory")}
-        assert versions["sim"]["scipy"] is None
-        assert versions["theory"]["scipy"] == scipy.__version__
-        assert versions["sim"]["numpy"] == np.__version__
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == EXIT_OK
+        versions = json.loads((tmp_path / "sim" / "manifest.json").read_text())["versions"]
+        assert versions == {"python": sys.version.split()[0], "numpy": np.__version__}
 
     @pytest.mark.parametrize("command,cfg", [
         pytest.param(["theory"], [HEAT3], id="top_level_list"),
@@ -564,6 +576,38 @@ class TestEntryPoint:
         argv = command + ["--config", write(tmp_path, "cfg.json", cfg), "--out", "out"]
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: config:")
+
+    @pytest.mark.parametrize("command,cfg", [
+        pytest.param(["theory"], {"model": dict(HEAT3, alpha=float("nan"))}, id="alpha_nan"),
+        pytest.param(["theory"], {"model": dict(HEAT3, loadings=[1.0, float("nan"), 1.0])},
+                     id="loadings_nan"),
+        pytest.param(["theory"], {"model": {"kind": "custom", "alpha": 1.0, "hurst": 0.55,
+                                            "eigenvalues": [1.0, float("inf")],
+                                            "noise": {"kind": "diagonal",
+                                                      "loadings": [1.0, 1.0]}}},
+                     id="eigenvalue_inf"),
+        pytest.param(["theory"], {"model": HEAT3, "dt": 0}, id="theory_dt_zero"),
+        pytest.param(["theory"], {"model": HEAT3, "dt": -1}, id="theory_dt_negative"),
+        pytest.param(["theory"], {"model": HEAT3, "dt": float("nan")}, id="theory_dt_nan"),
+        pytest.param(["theory"], {"model": HEAT3, "n_values": [0]}, id="theory_n_zero"),
+        pytest.param(["simulate"], {"model": HEAT3, "grid": {"dt": float("nan"), "n_steps": 8}},
+                     id="simulate_dt_nan"),
+        pytest.param(["experiment", "estimator_clt"],
+                     {"model": HEAT3, "grid": [16], "replications": 8, "dt": float("nan")},
+                     id="experiment_dt_nan"),
+        pytest.param(["experiment", "consistency"],
+                     {"model": HEAT3, "grid": [16], "replications": 8, "source": "integrator",
+                      "sim_dt": 0}, id="experiment_sim_dt_zero"),
+        pytest.param(["experiment", "estimator_clt"],
+                     {"model": HEAT3, "grid": [0], "replications": 8}, id="experiment_grid_zero"),
+    ])
+    def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        # Rejected before any computation and before the output directory exists.
+        out = tmp_path / "out"
+        argv = command + ["--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not out.exists()
 
     def test_bad_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

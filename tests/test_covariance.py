@@ -5,7 +5,12 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from conftest import assert_close
-from oracles import stationary_variance_mode
+from oracles import (
+    _frequency_square_integral,
+    norm_density_sq,
+    projection_density_sq,
+    stationary_variance_mode,
+)
 from fracdrift.covariance import (
     QuadratureError,
     _c_spectral,
@@ -326,6 +331,26 @@ class TestSeriesLimits:
             s_infty_star(model)
         with pytest.raises(ValueError, match="non-summable"):
             u_infty_star(model)
+
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.7, 0.74])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda h: build_distributed_model(1, 1, 20, 1.0, h), id="heat20"),
+        pytest.param(lambda h: build_pointwise_model(0.3, 12, 1.0, h), id="pointwise12"),
+        # Rates repeat on the unit square (L = 0 pairs off the diagonal).
+        pytest.param(lambda h: build_distributed_model(2, 1, 6, 1.0, h), id="heat2d_repeated"),
+    ])
+    def test_integral_limits_match_quadrature_oracle(self, build, h):
+        # Independent route: adaptive quadrature of the squared spectral
+        # densities, against the closed-form Lorentzian pair integrals.
+        model = build(h)
+        window = projection_indicator(0.0, 0.5, model.n_modes)
+        assert_close(u_infty_star(model).value,
+                     _frequency_square_integral(model, norm_density_sq(model), "u").value,
+                     1e-10, "u* closed form vs quadrature")
+        assert_close(r_z_integral(model, window).value,
+                     _frequency_square_integral(model, projection_density_sq(model, window),
+                                                "r_z").value,
+                     1e-10, "r_z integral closed form vs quadrature")
 
 
 class TestProjectionCovariance:
