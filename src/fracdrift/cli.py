@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__
 from .chaos import xi_H
 from .covariance import (
-    QuadratureError,
     s_infty_star,
     s_n,
     trace_q,
@@ -395,8 +394,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("config", str(exc), EXIT_ERROR)
     except DegenerateModelError as exc:
         return _fail("degenerate", str(exc), EXIT_DEGENERATE)
-    except QuadratureError as exc:
-        return _fail("compute", str(exc), EXIT_ERROR)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return _fail("compute", str(exc), EXIT_ERROR)
     except OSError as exc:

@@ -15,10 +15,10 @@ variance limits that standardize the central limit theorems:
     u_inf*   = 2 * int_R ||R(t)||_HS^2 dt                 (H < 3/4)
 
 together with the projected analogues built from ``r_z(t) = w' R(t) w``.
-Lag sums are truncated with a fitted ``t^{2H-2}`` power tail (reported
-separately); the time integrals are exact closed forms through Parseval in
-the frequency domain, sums over mode pairs of elementary Lorentzian-product
-integrals.
+Lag sums add the tail of the large-lag expansion of ``r_kl`` in closed form
+(reported separately); the time integrals are exact closed forms through
+Parseval in the frequency domain, sums over mode pairs of elementary
+Lorentzian-product integrals.
 
 ``_lag_table`` is the one evaluator of ``r_kl`` in production, in closed form
 for every ``H in (0,1)``; the stationary covariance, the cached lag tables and
@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fgn import block_toeplitz
+from . import fgn
 from .models import DIAGONAL, ModelConfig, ProjectionVector
 
 __all__ = [
@@ -85,7 +85,8 @@ __all__ = [
 
 QUAD_RTOL = 1e-8
 SUMMABLE_HURST = 0.75
-TAIL_RTOL = 1e-6
+TAIL_TERMS = 16
+TAIL_ONSET = 64.0
 
 
 class QuadratureError(RuntimeError):
@@ -239,8 +240,8 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz ``zeta(s, a) = sum_{i>=0} (a+i)^{-s}`` for ``s > 1``, ``a >= 256``.
 
     Euler-Maclaurin summation from ``a`` (DLMF 2.10.1) with the Bernoulli
-    terms up to ``B_6``; the first omitted term is below 1e-19 relative for
-    ``s < 4``.
+    terms up to ``B_6``; the first omitted term is below 2e-15 relative for
+    ``s < 19``, the largest order :func:`_power_tail` asks for.
     """
     total = a ** (1.0 - s) / (s - 1.0) + 0.5 * a**-s
     rising, power = s, a ** (-s - 1.0)
@@ -431,9 +432,18 @@ def _mode_lag_table(key: tuple, dt: float, n_lags: int) -> np.ndarray:
 
 
 def mode_lag_table(model: ModelConfig, dt: float, n_lags: int) -> np.ndarray:
-    """Cached autocovariance values on the lag grid ``0, dt, .., (n_lags-1)dt``."""
+    """Cached autocovariance values on the lag grid ``0, dt, .., (n_lags-1)dt``; refused
+    before allocation when the table and the <= 16 (N, lags) temporaries of
+    :func:`_rate_terms` would exceed physical memory."""
     # Request in growth-friendly chunks so repeated calls share cache entries.
     padded = 1 << (max(int(n_lags), 64) - 1).bit_length()
+    n = model.n_modes
+    entries = n if model.noise.kind == DIAGONAL else n * n
+    need, memory = 8.0 * padded * (entries + 16 * n), fgn._physical_memory()
+    if need > memory:
+        raise ValueError(f"lag table of {padded} lags for N = {n} modes needs "
+                         f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+                         "of physical memory; use a larger dt or drift, or fewer steps")
     table = _mode_lag_table(model.cache_key(), float(dt), padded)
     return table[..., :n_lags]
 
@@ -473,24 +483,15 @@ def s_n(model: ModelConfig, n: int, dt: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SeriesLimit:
-    """A series limit with its fitted power-law tail, or an exact integral (tail 0)."""
+    """A series limit as lag sum plus closed-form tail, or an exact integral (tail 0)."""
 
-    value: float          # partial + tail estimate
+    value: float          # partial + tail
     partial: float
-    tail_estimate: float
+    tail_estimate: float  # exact to rounding: the expansion tail past the cutoff
     cutoff: float         # last lag included (sum); inf (integral)
 
     def __float__(self) -> float:
         return self.value
-
-
-def _fit_decay_constant(ts: np.ndarray, gs: np.ndarray, h: float) -> float:
-    """Least-squares fit of ``g ~ C t^{2H-2}`` through the origin."""
-    x = ts ** (2.0 * h - 2.0)
-    denom = float(np.sum(x * x))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(gs * x) / denom)
 
 
 def _require_summable(h: float, what: str) -> None:
@@ -500,57 +501,56 @@ def _require_summable(h: float, what: str) -> None:
         )
 
 
-def _tail_loop_converged(totals: list[float], tail: float, rtol: float, stage: int) -> bool:
-    """Stop doubling when the raw tail bound is relatively negligible, or --
-    for slowly decaying models where that is unattainable -- when the
-    tail-augmented total has stabilized under doubling (the added power-law
-    tail makes the residual truncation error second order)."""
-    total = totals[-1]
-    if tail <= rtol * total:
-        return True
-    return (
-        stage >= 2
-        and len(totals) >= 2
-        and abs(totals[-1] - totals[-2]) <= 0.2 * rtol * abs(total)
-    )
+def _tail_coefficients(model: ModelConfig) -> np.ndarray:
+    """``e_j`` of ``r_kl(t) ~ t^{2H-2} sum_{j<J} e_{j,kl} t^{-j}``, J = :data:`TAIL_TERMS`,
+    laid out as the lag table with ``j`` in place of the lag.  By DLMF 13.7.2 and
+    8.11.2 in the closed form, up to ``O(e^{-a_1 t})`` and with ``p = 2H-1``,
 
+        e_{j,kl} = phi_k phi_l H p (1-p)_j (a_k^{-j-1} + (-1)^j a_l^{-j-1}) / (a_k + a_l):
 
-def _series_limit(lag_values, h: float, dt: float, rtol: float, what: str) -> SeriesLimit:
-    """``2 sum_{i in Z} g(i dt)^2`` for a nonnegative lag function with
-    ``g(-t) = g(t)``; ``lag_values(L)`` returns ``g`` on lags ``0..L-1``.
-
-    Summed up to a lag cutoff with the fitted power-law tail
-    ``2 sum_{i>L} (C (i dt)^{2H-2})^2`` (Hurwitz zeta) added as an estimate and
-    reported separately.  The cutoff doubles until either the tail bound falls
-    below ``rtol`` relatively or the tail-augmented total stabilizes.
+    odd ``j`` cancel on the diagonal and all vanish at ``H = 1/2``.  The first
+    omitted term, ``(1-p)_J (a_1 t)^{-J}`` relative, is below 4e-15 from
+    ``a_1 t =`` :data:`TAIL_ONSET` on.
     """
-    _require_summable(h, what)
-    n_lags = 256
-    totals: list[float] = []
-    stage = 0
-    while True:
-        g = lag_values(n_lags)
-        partial = 2.0 * (g[0] ** 2 + 2.0 * np.sum(g[1:] ** 2))
-        idx = np.arange(n_lags // 2, n_lags)
-        c_fit = _fit_decay_constant(idx * dt, g[idx], h)
-        # Hurwitz zeta gives sum_{i>=L} i^{4H-4} exactly.
-        tail = 4.0 * c_fit**2 * dt ** (4.0 * h - 4.0) * _hurwitz_zeta(4.0 - 4.0 * h, n_lags)
-        totals.append(float(partial + tail))
-        if _tail_loop_converged(totals, tail, rtol, stage):
-            return SeriesLimit(totals[-1], float(partial), float(tail),
-                               float((n_lags - 1) * dt))
-        if n_lags >= (1 << 20):
-            raise QuadratureError(
-                f"{what} did not converge to rtol {rtol} by lag {n_lags}"
-            )
-        n_lags *= 2
-        stage += 1
+    a, phi, h = model.rates, model.noise.loadings, model.hurst
+    p = 2.0 * h - 1.0
+    order = np.arange(TAIL_TERMS)
+    rising = np.cumprod(np.concatenate(([1.0], 1.0 - p + order[:-1])))
+    powers = a[:, None] ** (-order - 1.0)
+    if model.noise.kind == DIAGONAL:
+        return (h * p * phi**2 / a)[:, None] * (order % 2 == 0) * rising * powers
+    pair = powers[:, None, :] + (-1.0) ** order * powers[None, :, :]
+    return (h * p * np.outer(phi, phi) / np.add.outer(a, a))[:, :, None] * rising * pair
 
 
-def s_infty_star(model: ModelConfig, dt: float = 1.0, rtol: float = TAIL_RTOL) -> SeriesLimit:
-    """Series limit ``2 sum_{i in Z} ||R(i dt)||^2`` for ``H < 3/4``."""
-    return _series_limit(lambda n_lags: hs_norm_lags(model, dt, n_lags),
-                         model.hurst, dt, rtol, "s_inf*")
+def _power_tail(coefficients: np.ndarray, h: float, dt: float, start: int) -> float:
+    """``4 sum_{i>=start} sum_q g_q(i dt)^2``, ``g_q(t) = t^{2H-2} sum_j c_{q,j} t^{-j}``
+    with rows ``q`` on the leading axes: ``4 sum_{m<J} F_m dt^{-s} zeta(s, start)``,
+    ``s = 4-4H+m``, with the Cauchy square ``F_m = sum_q sum_{i+j=m} c_{q,i} c_{q,j}``."""
+    total = 0.0
+    for m in range(coefficients.shape[-1]):
+        square = float(np.sum(coefficients[..., :m + 1] * coefficients[..., m::-1]))
+        s = 4.0 - 4.0 * h + m
+        total += square * dt**-s * _hurwitz_zeta(s, start)
+    return 4.0 * total
+
+
+def _series_limit(model: ModelConfig, dt: float, contract, what: str) -> SeriesLimit:
+    """``2 sum_{i in Z} |contract(R(i dt))|^2`` for ``contract`` linear on the mode axes:
+    the lag table to ``L = max(256, ceil(64 / (a_1 dt)))`` lags, from where
+    :func:`_tail_coefficients` is exact to rounding, plus the tail from ``L`` on."""
+    _require_summable(model.hurst, what)
+    n_lags = max(256, math.ceil(TAIL_ONSET / (float(np.min(model.rates)) * dt)))
+    lags = contract(mode_lag_table(model, dt, n_lags))
+    squares = np.sum(lags**2, axis=tuple(range(lags.ndim - 1)))
+    partial = float(2.0 * (squares[0] + 2.0 * np.sum(squares[1:])))
+    tail = _power_tail(contract(_tail_coefficients(model)), model.hurst, dt, n_lags)
+    return SeriesLimit(partial + tail, partial, tail, float((n_lags - 1) * dt))
+
+
+def s_infty_star(model: ModelConfig, dt: float = 1.0) -> SeriesLimit:
+    """Series limit ``2 sum_{i in Z} ||R(i dt)||^2`` for ``H < 3/4``, tail in closed form."""
+    return _series_limit(model, dt, lambda table: table, "s_inf*")
 
 
 def _expm1_ratio(x: np.ndarray) -> np.ndarray:
@@ -587,19 +587,21 @@ def u_infty_star(model: ModelConfig) -> SeriesLimit:
     return _lorentzian_square_integral(model, weights, "u_inf*")
 
 
-def _r_z_lags(model: ModelConfig, w: ProjectionVector, dt: float, n_lags: int) -> np.ndarray:
-    table = mode_lag_table(model, dt, n_lags)
-    coeffs = w.coefficients
+def _project(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``w' R w`` along the last axis of a lag table or of its tail coefficients."""
     if table.ndim == 2:
         return np.einsum("k,kt->t", coeffs**2, table)
     return np.einsum("k,l,klt->t", coeffs, coeffs, table)
 
 
-def r_z_sum(model: ModelConfig, w: ProjectionVector, dt: float = 1.0,
-            rtol: float = TAIL_RTOL) -> SeriesLimit:
-    """``2 sum_{i in Z} r_z(i dt)^2`` with fitted power-law tail (H < 3/4)."""
-    return _series_limit(lambda n_lags: np.abs(_r_z_lags(model, w, dt, n_lags)),
-                         model.hurst, dt, rtol, "projected series limit")
+def _r_z_lags(model: ModelConfig, w: ProjectionVector, dt: float, n_lags: int) -> np.ndarray:
+    return _project(mode_lag_table(model, dt, n_lags), w.coefficients)
+
+
+def r_z_sum(model: ModelConfig, w: ProjectionVector, dt: float = 1.0) -> SeriesLimit:
+    """``2 sum_{i in Z} r_z(i dt)^2`` for ``H < 3/4``, tail in closed form."""
+    return _series_limit(model, dt, lambda table: _project(table, w.coefficients),
+                         "projected series limit")
 
 
 def r_z_integral(model: ModelConfig, w: ProjectionVector) -> SeriesLimit:
@@ -664,5 +666,5 @@ def block_covariance(model: ModelConfig, n: int, dt: float = 1.0):
     entry ((k,i),(l,j)) = r_kl((i-j) dt).
     """
     n = int(n)
-    blocks = [block_toeplitz(lags, n) for lags in lag_blocks(model, dt, n)]
+    blocks = [fgn.block_toeplitz(lags, n) for lags in lag_blocks(model, dt, n)]
     return blocks if model.noise.kind == DIAGONAL else blocks[0]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from fracdrift.covariance import TAIL_RTOL, QuadratureError, SeriesLimit, _c_spectral
+from fracdrift.covariance import QuadratureError, SeriesLimit, _c_spectral
 from fracdrift.models import DIAGONAL
 
 
@@ -22,7 +22,7 @@ def stationary_variance_mode(a: float, phi: float, hurst: float) -> float:
     return phi * phi * h * gamma_fn(2.0 * h) * a ** (-2.0 * h)
 
 
-def _frequency_square_integral(model, density_sq, what: str, rtol: float = TAIL_RTOL):
+def _frequency_square_integral(model, density_sq, what: str):
     """``2 int_R g(t)^2 dt`` via Parseval, g built from the mode spectra.
 
     Every time-autocovariance here is the Fourier transform of a spectral
@@ -50,7 +50,7 @@ def _frequency_square_integral(model, density_sq, what: str, rtol: float = TAIL_
     factor = 8.0 * math.pi * _c_spectral(h) ** 2
     value = factor * (head + body)
     err = factor * (e1 + e2)
-    if err > max(min(rtol, 1e-8) * abs(value), 1e-300):
+    if err > max(1e-8 * abs(value), 1e-300):
         raise QuadratureError(f"{what}: frequency integral error {err:.3g} too large")
     return SeriesLimit(value=float(value), partial=float(value),
                        tail_estimate=float(err), cutoff=math.inf)

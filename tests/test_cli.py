@@ -59,6 +59,15 @@ class TestTheory:
         payload = json.loads((out / "theory.json").read_text())
         assert payload["clt_regime"] is False
 
+    def test_lag_table_beyond_memory_is_a_compute_error(self, tmp_path, capsys, monkeypatch):
+        import fracdrift.fgn as fgn
+
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: 1 << 10)
+        cfg = write(tmp_path, "cfg.json", {"model": HEAT3})
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: compute: lag table of 256 lags" in err and "GiB" in err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {"model": HEAT3, "oops": 1})
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_ERROR
@@ -500,6 +509,11 @@ class TestEntryPoint:
                      id="consistency_integrator"),
         pytest.param([(["theory"], {"model": POINTWISE, "projection": WINDOW,
                                     "n_values": [16]})], "", id="theory_pointwise_window"),
+        # Near H = 3/4 at a small drift and step, the series limits need their
+        # longest lag table: 12970 lags.
+        pytest.param([(["theory"], {"model": dict(HEAT3, alpha=0.05, hurst=0.74),
+                                    "projection": WINDOW, "dt": 0.01})], "",
+                     id="theory_slow_series_near_three_quarters"),
         pytest.param([(["simulate", "--seed", "3"],
                        {"model": POINTWISE, "grid": {"dt": 0.1, "n_steps": 64},
                         "method": "exact_stationary", "projection": WINDOW}),

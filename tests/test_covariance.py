@@ -18,7 +18,10 @@ from fracdrift.covariance import (
     _incgamma_scaled,
     _kummer_m1,
     _lag_table,
+    _power_tail,
+    _project,
     _r_z_lags,
+    _tail_coefficients,
     _unit_spectral,
     _unit_spectral_direct,
     block_covariance,
@@ -270,6 +273,15 @@ class TestMatrixAssembly:
         assert np.array_equal(block_covariance(pointwise8, n), ref)
 
 
+LIMIT_HURST = [0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.7, 0.74]
+LIMIT_MODELS = [
+    pytest.param(lambda h: build_distributed_model(1, 1, 20, 1.0, h), id="heat20"),
+    pytest.param(lambda h: build_pointwise_model(0.3, 12, 1.0, h), id="pointwise12"),
+    # Rates repeat on the unit square (L = 0 pairs off the diagonal).
+    pytest.param(lambda h: build_distributed_model(2, 1, 6, 1.0, h), id="heat2d_repeated"),
+]
+
+
 class TestSeriesLimits:
     def test_s_n_single_surviving_term(self):
         # Near-white model: only the lag-0 term contributes measurably.
@@ -289,13 +301,20 @@ class TestSeriesLimits:
         gaps = [limit - v for v in values]
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
-    def test_s_star_dominates_s_n_markov(self):
-        model = custom_model([1.0], 1.0, 0.5)
-        limit = s_infty_star(model).value
-        # All summands are positive at H = 1/2, so s_n increases to s*.
-        assert_close(limit, 0.5 / np.tanh(1.0), 1e-8, "s* closed form")
+    @pytest.mark.parametrize("model,dt", [
+        pytest.param(custom_model([1.0], 1.0, 0.5), 1.0, id="one_mode"),
+        # 12970 lags: the longest table of the series limits' test grid.
+        pytest.param(build_distributed_model(1, 1, 3, 0.05, 0.5), 0.01, id="heat3_slow"),
+    ])
+    def test_s_star_dominates_s_n_markov(self, model, dt):
+        limit = s_infty_star(model, dt).value
+        # r_kk(t) = phi_k^2 e^{-a_k |t|} / (2 a_k) at H = 1/2, and the lag sum
+        # is geometric; all summands are positive, so s_n increases to s*.
+        a, phi = model.rates, model.noise.loadings
+        exact = np.sum(phi**4 / (2.0 * a**2 * np.tanh(a * dt)))
+        assert_close(limit, exact, 1e-13, "s* closed form")
         for n in (1, 10, 100, 1000):
-            assert s_n(model, n) <= limit * (1 + 1e-9)
+            assert s_n(model, n, dt) <= limit * (1 + 1e-9)
 
     @pytest.mark.parametrize("h", [0.3, 0.55])
     def test_u_star_matches_time_domain_oracle(self, h):
@@ -332,13 +351,8 @@ class TestSeriesLimits:
         with pytest.raises(ValueError, match="non-summable"):
             u_infty_star(model)
 
-    @pytest.mark.parametrize("h", [0.05, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.7, 0.74])
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda h: build_distributed_model(1, 1, 20, 1.0, h), id="heat20"),
-        pytest.param(lambda h: build_pointwise_model(0.3, 12, 1.0, h), id="pointwise12"),
-        # Rates repeat on the unit square (L = 0 pairs off the diagonal).
-        pytest.param(lambda h: build_distributed_model(2, 1, 6, 1.0, h), id="heat2d_repeated"),
-    ])
+    @pytest.mark.parametrize("h", LIMIT_HURST)
+    @pytest.mark.parametrize("build", LIMIT_MODELS)
     def test_integral_limits_match_quadrature_oracle(self, build, h):
         # Independent route: adaptive quadrature of the squared spectral
         # densities, against the closed-form Lorentzian pair integrals.
@@ -351,6 +365,56 @@ class TestSeriesLimits:
                      _frequency_square_integral(model, projection_density_sq(model, window),
                                                 "r_z").value,
                      1e-10, "r_z integral closed form vs quadrature")
+
+    @pytest.mark.parametrize("h", LIMIT_HURST)
+    @pytest.mark.parametrize("build", LIMIT_MODELS)
+    def test_tail_coefficients_match_lag_table(self, build, h):
+        # The truncated large-lag expansion against the closed form, from the
+        # onset a_1 t = 64 of the series tail out to a_1 t = 1e4.
+        model = build(h)
+        coef = _tail_coefficients(model)
+        if h == 0.5:
+            assert np.all(coef == 0.0)
+            return
+        ts = np.geomspace(64.0, 1e4, 40) / model.rates.min()
+        table = _lag_table(model.rates, model.noise.loadings, h,
+                           model.noise.kind == DIAGONAL, ts)
+        expansion = ts ** (2.0 * h - 2.0) * (coef @ ts ** -np.arange(coef.shape[-1])[:, None])
+        assert np.all(np.abs(expansion - table) <= 1e-12 * np.abs(table))
+
+    @pytest.mark.parametrize("h", LIMIT_HURST)
+    @pytest.mark.parametrize("build", LIMIT_MODELS)
+    def test_series_limits_do_not_depend_on_the_cutoff(self, build, h):
+        # The lag sum to 16 L plus the closed-form tail from 16 L reproduces
+        # the limit at the production cutoff L, at dt where L = ceil(64/(a_1 dt)).
+        model = build(h)
+        dt = 0.01
+        window = projection_indicator(0.0, 0.5, model.n_modes)
+        coef = _tail_coefficients(model)
+        for limit, lags, tail_coef in (
+            (s_infty_star(model, dt), lambda n: hs_norm_lags(model, dt, n), coef),
+            (r_z_sum(model, window, dt), lambda n: _r_z_lags(model, window, dt, n),
+             _project(coef, window.coefficients)),
+        ):
+            far = 16 * (round(limit.cutoff / dt) + 1)
+            squares = lags(far) ** 2
+            value = 2.0 * (squares[0] + 2.0 * np.sum(squares[1:])) \
+                + _power_tail(tail_coef, h, dt, far)
+            assert_close(value, limit.value, 1e-12, "limit at cutoffs L and 16 L")
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_lag_table_refused_beyond_memory(self, monkeypatch, heat3, pointwise8, diagonal):
+        import fracdrift.fgn as fgn
+
+        # 256 lags of the table and 16 (N, lags) temporaries, 8 bytes each.
+        model = heat3 if diagonal else pointwise8
+        n = model.n_modes
+        need = 8 * 256 * ((n if diagonal else n * n) + 16 * n)
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: need)
+        assert mode_lag_table(model, 0.5, 256).shape[-1] == 256
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="lag table of 256 lags .* GiB"):
+            mode_lag_table(model, 0.5, 256)
 
 
 class TestProjectionCovariance:
@@ -473,7 +537,9 @@ class TestSpecialFunctions:
         assert max_rel(_incgamma_scaled(p, x), np.array(ref_g, dtype=float)) <= 1e-13
         assert max_rel(_kummer_m1(p, x), np.array(ref_m, dtype=float)) <= 1e-13
 
-    @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.01, 1.5, 2.2, 3.0, 4.0 - 1e-6])
+    # Up to s = 4 - 4H + 15 < 19, the highest order of the series tails.
+    @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.01, 1.5, 2.2, 3.0, 4.0 - 1e-6, 8.0, 14.0,
+                                   19.0 - 1e-6])
     def test_hurwitz_zeta_matches_scipy(self, s):
         from scipy.special import zeta
 
