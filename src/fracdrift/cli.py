@@ -56,6 +56,7 @@ from .harness import _RUNNERS, ExperimentSpec, run_experiment
 from .models import (
     ModelConfig,
     _require_keys,
+    integer,
     model_from_dict,
     model_to_dict,
     positive_finite,
@@ -159,7 +160,8 @@ def cmd_theory(args) -> int:
             set(), "theory config")
     model = _model_from_config(cfg)
     dt = _parsed(lambda: positive_finite(float(cfg.get("dt", 1.0)), "dt"))
-    n_values = _parsed(lambda: [positive_finite(int(v), "each of n_values")
+    what = "each of n_values"
+    n_values = _parsed(lambda: [positive_finite(integer(v, what), what)
                                 for v in cfg.get("n_values", [16, 64, 256, 1024])])
     projection = _projection_from_config(cfg, model)
 
@@ -231,19 +233,23 @@ def cmd_simulate(args) -> int:
     _parsed(_require_keys, grid_cfg, {"dt", "n_steps", "burn_in_steps"}, {"dt", "n_steps"},
             "simulate config grid")
     grid = _parsed(lambda: TrajectoryGrid(
-        float(grid_cfg["dt"]), int(grid_cfg["n_steps"]), int(grid_cfg.get("burn_in_steps", 0))
+        float(grid_cfg["dt"]), integer(grid_cfg["n_steps"], "grid.n_steps"),
+        integer(grid_cfg.get("burn_in_steps", 0), "grid.burn_in_steps"),
     ))
-    seed = args.seed if args.seed is not None else _parsed(int, cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _parsed(integer, cfg.get("seed", 0), "seed")
     method = cfg.get("method", "integrate")
     if method == "integrate":
         init = cfg.get("init", "zero")
         if isinstance(init, dict):
             _parsed(_require_keys, init, {"given"}, {"given"}, "simulate config init")
             init = _parsed(np.asarray, init["given"], dtype=float)
-        observe_every = _parsed(int, cfg.get("observe_every", 1))
+        observe_every = _parsed(integer, cfg.get("observe_every", 1), "observe_every")
+        store_modes = cfg.get("store_modes", True)
+        if not isinstance(store_modes, bool):
+            raise ConfigError(f"simulate config: store_modes must be true or false, "
+                              f"got {store_modes!r}")
         _parsed(check_integration, model, grid, init, observe_every)
-        traj = integrate_path(model, grid, init, seed, bool(cfg.get("store_modes", True)),
-                              observe_every)
+        traj = integrate_path(model, grid, init, seed, store_modes, observe_every)
     elif method == "exact_stationary":
         for key in ("init", "observe_every", "store_modes"):
             if key in cfg:
@@ -327,7 +333,7 @@ def cmd_experiment(args) -> int:
     _parsed(_require_keys, cfg, keys | {"model_file"}, {"grid", "replications"},
             "experiment config")
     model = _model_from_config(cfg)
-    seed = args.seed if args.seed is not None else _parsed(int, cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _parsed(integer, cfg.get("seed", 0), "seed")
     # Every other key is an ExperimentSpec field of the same name.
     passthrough = {k: cfg[k] for k in cfg.keys() - {"model", "model_file", "seed", "projection"}}
     spec = _parsed(ExperimentSpec, kind=args.kind, model=model, seed=seed,

@@ -13,7 +13,8 @@ covariance ``S_ij = R(i-j)``.  When the embedding has more negative mass
 than that, the one fallback is a jittered Cholesky factor of the dense
 block-Toeplitz matrix, guarded by :data:`DENSE_GUARD` and physical memory.
 Draws are replication-major, shape (n_reps, p, n), and may reuse a caller's
-workspace of normals, spectrum and irfft output (:func:`sample_circulant`).
+workspace of spectrum and irfft output (:func:`sample_circulant`); scalar
+draws stream their normals straight into the spectrum.
 
 Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
 of :mod:`fracdrift.simulate` feed the mode sequences through the same
@@ -48,6 +49,10 @@ TOL_EIG = 1e-10
 
 #: Largest dense dimension ``n*p`` the Cholesky fallback factors.
 DENSE_GUARD = 20_000
+
+#: Normals per ``standard_normal`` call of the scalar draw (256 KB), so that
+#: each block is still in cache when it is scaled into the spectrum.
+NORMALS_CHUNK = 32768
 
 
 def validate_hurst(h: float) -> float:
@@ -186,6 +191,14 @@ def stationary_factor(lags: np.ndarray, n: int) -> tuple[str, np.ndarray]:
     return "circulant", amp if vecs is None else vecs * amp
 
 
+def _chunks(rows: int, width: int) -> list[tuple[slice, slice]]:
+    """Blocks of a C-ordered (rows, width) array in storage order, each at
+    most :data:`NORMALS_CHUNK` entries: whole rows, or pieces of one row."""
+    per, cols = max(NORMALS_CHUNK // width, 1), min(width, NORMALS_CHUNK)
+    return [(slice(r, r + per), slice(c, c + cols))
+            for r in range(0, rows, per) for c in range(0, width, cols)]
+
+
 def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
                      n_reps: int, work: dict | None = None) -> np.ndarray:
     """Draw step of the circulant route: ``n_reps`` sequences of ``n`` points.
@@ -193,28 +206,45 @@ def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
     Multiplies complex normals by each frequency's factor (the two end bins
     are real with full variance) and inverts the rfft.  Returns shape
     (n_reps, p, n), replication-major: a view of the irfft output.  ``work``
-    is an optional dict that keeps the normals, the spectrum and the irfft
-    output for the next call of the same shape; the result then lives in it
-    and that call overwrites it.  Without ``work`` every call allocates.
+    is an optional dict that keeps the spectrum and the irfft output for the
+    next call of the same shape; the result then lives in it and that call
+    overwrites it.  Without ``work`` every call allocates.
+
+    For p = 1 the normals never exist as one array: they are drawn in blocks
+    of :data:`NORMALS_CHUNK` straight into the real parts of the spectrum,
+    then the imaginary parts, in the order of one ``(2, n_reps, 1, m+1)``
+    draw (split ``standard_normal`` calls continue one stream).  Each entry
+    is ``amp * g`` times ``1/sqrt(2)``, the end bins ``amp * g`` unscaled:
+    the former full-buffer draw, bit for bit.  The block-circulant route
+    needs both halves at once for its complex product and keeps a
+    ``(2, n_reps, p, m+1)`` buffer of normals in ``work``.
     """
     m, p = len(factor) - 1, factor.shape[-1]
     shape = (n_reps, p, m + 1)
     work = {} if work is None else work
     if work.get("shape") != shape:
-        work.update(shape=shape, g=np.empty((2, *shape)), spec=np.empty(shape, complex),
+        normals = (2, *shape) if p > 1 else min(NORMALS_CHUNK, n_reps * (m + 1))
+        work.update(shape=shape, g=np.empty(normals), spec=np.empty(shape, complex),
                     x=np.empty((n_reps, p, 2 * m)))
-    g, spec = rng.standard_normal(out=work["g"]), work["spec"]
+    spec, g = work["spec"], work["g"]
     if p == 1:
-        # Built in place, elementwise: the same bits as the former
-        # ``amp * (g0 + 1j*g1) / sqrt(2)`` except the sign of zeros where
-        # amp = 0, which the irfft does not see.
-        amp, scl = factor[:, 0, 0], 1.0 / np.sqrt(2.0)
-        np.multiply(amp, g[0], out=spec.real)
-        np.multiply(amp, g[1], out=spec.imag)
-        spec *= scl
-        spec[..., 0] = amp[0] * g[0, ..., 0]
-        spec[..., m] = amp[m] * g[0, ..., m]
+        amp, rows, scl = factor[:, 0, 0], spec[:, 0], 1.0 / np.sqrt(2.0)
+        blocks = _chunks(n_reps, m + 1)
+
+        def fill(part, r, c):
+            out = part[r, c]
+            np.multiply(amp[c], rng.standard_normal(out=g[:out.size].reshape(out.shape)),
+                        out=out)
+
+        for r, c in blocks:
+            fill(rows.real, r, c)
+        ends = rows.real[:, ::m].copy()  # bins 0 and m stay unscaled
+        for r, c in blocks:
+            fill(rows.imag, r, c)
+            rows[r, c] *= scl
+        rows[:, ::m] = ends
     else:
+        rng.standard_normal(out=g)
         np.divide((factor @ (g[0] + 1j * g[1]).T).T, np.sqrt(2.0), out=spec)
         spec[..., 0] = g[0, ..., 0] @ factor[0].real.T
         spec[..., m] = g[0, ..., m] @ factor[m].real.T

@@ -57,7 +57,7 @@ from .estimators import (
     qww1,
     trace_q1,
 )
-from .models import ModelConfig, ProjectionVector, positive_finite, projection_indicator
+from .models import ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator
 from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, project_modes
 
 __all__ = [
@@ -94,7 +94,8 @@ DEGENERATE_WINDOW = (0.0, 0.5)
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one experiment run; the runners read its
-    fields as cast here (``grid`` a tuple of ints, counts int, steps float)."""
+    fields as cast here (``grid`` a tuple of ints, counts and the seed int,
+    steps float).  Integer fields must hold integers (:func:`integer`)."""
 
     kind: str
     model: ModelConfig
@@ -114,9 +115,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        casts = {"grid": lambda g: tuple(int(n) for n in g), "replications": int,
-                 "n_batches": int, "mc_cumulant_max_n": int, "dt": float,
-                 "sim_dt": float, "estimators": tuple, "thresholds": dict}
+        for name in ("replications", "n_batches", "mc_cumulant_max_n", "seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        casts = {"grid": lambda g: tuple(integer(n, "each grid size") for n in g),
+                 "dt": float, "sim_dt": float, "estimators": tuple, "thresholds": dict}
         for name, cast in casts.items():
             object.__setattr__(self, name, cast(getattr(self, name)))
         positive_finite(self.dt, "dt")
@@ -472,7 +474,13 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
 def _integrated_moment_samples(
     spec: ExperimentSpec, n_obs: int, want_proj: bool, cuts: tuple
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exponential-Euler replications at spacing ``spec.dt``, as prefix sums at ``cuts``."""
+    """Exponential-Euler replications at spacing ``spec.dt``, as prefix sums at ``cuts``.
+
+    Each pool thread keeps one :func:`integrate_path` workspace for all its
+    replications, so a replication allocates no array of the path's length
+    and does not page-fault fresh memory.  Deterministic in (seed, kind,
+    replication) regardless of the thread count.
+    """
     model = spec.model
     observe_every = max(int(round(spec.dt / spec.sim_dt)), 1)
     sim_dt = spec.dt / observe_every
@@ -482,12 +490,15 @@ def _integrated_moment_samples(
     proj = np.empty_like(sq) if want_proj else None
     coeffs = spec.projection.coefficients if want_proj else None
     tag = _TAGS[spec.kind]
+    local = threading.local()
 
     def one(rep: int) -> None:
+        if not hasattr(local, "work"):
+            local.work = {}
         traj = integrate_path(
             model, grid, "burn_in",
             seed=int(substream(spec.seed, tag, rep).integers(2**63)),
-            store_modes=want_proj, observe_every=observe_every,
+            store_modes=want_proj, observe_every=observe_every, work=local.work,
         )
         sq[:, rep] = np.cumsum(traj.sq_norms[1:])[at]
         if want_proj:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "positive_finite",
+    "integer",
 ]
 
 DIAGONAL = "diagonal"
@@ -44,6 +46,20 @@ def positive_finite(value, name: str):
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def integer(value, name: str) -> int:
+    """Return ``value`` as an int after checking that it is an integer.
+
+    Python and numpy integers pass, and so do floats of integral value (JSON
+    may write 64 as 64.0).  Booleans, strings and non-integral numbers fail
+    instead of being truncated: ``int(40.8)`` is 40 and ``int(True)`` is 1.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -81,3 +81,19 @@ def projection_density_sq(model, w):
         im = float(np.sum(wphi / denom))
         return (re * re + om * om * im * im) ** 2
     return density_sq
+
+
+def full_buffer_scalar_draw(factor, n, rng, n_reps):
+    """The scalar circulant draw as it was before its normals were streamed:
+    one ``(2, n_reps, 1, m+1)`` normals buffer, ``amp * g`` in place, one
+    ``1/sqrt(2)`` pass over the spectrum, then the two end bins unscaled."""
+    m = len(factor) - 1
+    g = rng.standard_normal((2, n_reps, 1, m + 1))
+    amp, scl = factor[:, 0, 0], 1.0 / np.sqrt(2.0)
+    spec = np.empty((n_reps, 1, m + 1), complex)
+    np.multiply(amp, g[0], out=spec.real)
+    np.multiply(amp, g[1], out=spec.imag)
+    spec *= scl
+    spec[..., 0] = amp[0] * g[0, ..., 0]
+    spec[..., m] = amp[m] * g[0, ..., m]
+    return np.fft.irfft(spec, n=2 * m)[..., :n]

@@ -623,6 +623,75 @@ class TestEntryPoint:
         assert capsys.readouterr().err.startswith("error: config:")
         assert not out.exists()
 
+    SIM = {"model": HEAT3, "grid": {"dt": 0.01, "n_steps": 20}}
+    EXP = {"model": HEAT3, "grid": [16], "replications": 8}
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        pytest.param(["simulate"], dict(SIM, grid={"dt": 0.01, "n_steps": 20.7}),
+                     "grid.n_steps must be an integer", id="n_steps_fraction"),
+        pytest.param(["simulate"], dict(SIM, grid={"dt": 0.01, "n_steps": True}),
+                     "grid.n_steps must be an integer", id="n_steps_bool"),
+        pytest.param(["simulate"], dict(SIM, grid={"dt": 0.01, "n_steps": "20"}),
+                     "grid.n_steps must be an integer", id="n_steps_string"),
+        pytest.param(["simulate"], dict(SIM, grid={"dt": 0.01, "n_steps": 20,
+                                                   "burn_in_steps": 2.5}),
+                     "grid.burn_in_steps must be an integer", id="burn_in_steps_fraction"),
+        pytest.param(["simulate"], dict(SIM, observe_every=2.9),
+                     "observe_every must be an integer", id="observe_every_fraction"),
+        pytest.param(["simulate"], dict(SIM, observe_every=True),
+                     "observe_every must be an integer", id="observe_every_bool"),
+        pytest.param(["simulate"], dict(SIM, seed=1.5), "seed must be an integer",
+                     id="simulate_seed_fraction"),
+        pytest.param(["simulate"], dict(SIM, store_modes="false"),
+                     "store_modes must be true or false", id="store_modes_string"),
+        pytest.param(["simulate"], dict(SIM, store_modes=0),
+                     "store_modes must be true or false", id="store_modes_number"),
+        pytest.param(["theory"], {"model": HEAT3, "n_values": [16.5]},
+                     "each of n_values must be an integer", id="n_values_fraction"),
+        pytest.param(["theory"], {"model": HEAT3, "n_values": [True]},
+                     "each of n_values must be an integer", id="n_values_bool"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, replications=40.8),
+                     "replications must be an integer", id="replications_fraction"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, replications="40"),
+                     "replications must be an integer", id="replications_string"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, n_batches=True),
+                     "n_batches must be an integer", id="n_batches_bool"),
+        pytest.param(["experiment", "cumulants"], dict(EXP, mc_cumulant_max_n=32.5),
+                     "mc_cumulant_max_n must be an integer", id="mc_cumulant_max_n_fraction"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, grid=[16, 32.5]),
+                     "each grid size must be an integer", id="grid_fraction"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, grid=[True, 16]),
+                     "each grid size must be an integer", id="grid_bool"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, grid="16"),
+                     "each grid size must be an integer", id="grid_string"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, seed=3.5),
+                     "seed must be an integer", id="experiment_seed_fraction"),
+        pytest.param(["experiment", "estimator_clt"], dict(EXP, seed=False),
+                     "seed must be an integer", id="experiment_seed_bool"),
+    ])
+    def test_integer_field_is_not_truncated(self, tmp_path, capsys, command, cfg, message):
+        # int() would read 20.7 as 20 and true as 1; these are config errors.
+        out = tmp_path / "out"
+        argv = command + ["--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert message in err
+        assert not out.exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        # JSON may write 20 as 20.0: the same trajectory as the integers.
+        runs = {}
+        for name, n_steps, every, seed in (("ints", 20, 2, 3), ("floats", 20.0, 2.0, 3.0)):
+            cfg = dict(self.SIM, grid={"dt": 0.01, "n_steps": n_steps, "burn_in_steps": 0.0},
+                       observe_every=every, seed=seed)
+            out = tmp_path / name
+            assert main(["simulate", "--config", write(tmp_path, f"{name}.json", cfg),
+                         "--out", str(out)]) == EXIT_OK
+            runs[name] = (out / "trajectory.csv").read_text()
+        assert runs["ints"] == runs["floats"]
+        assert len(runs["ints"].splitlines()) == 1 + 11
+
     def test_bad_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

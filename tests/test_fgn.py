@@ -23,6 +23,7 @@ from fracdrift.fgn import (
 from fracdrift.models import build_distributed_model, build_pointwise_model
 from fracdrift.simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
 from fracdrift._rng import substream
+from oracles import full_buffer_scalar_draw
 
 
 def scalar_recipe_eigs(autocov):
@@ -247,6 +248,31 @@ class TestEngine:
             previous = reused
         for x, k in zip(fresh, kept):
             assert np.array_equal(x, k)
+
+    @pytest.mark.parametrize("m,n_reps", [
+        pytest.param(64, 2 * (fgn.NORMALS_CHUNK // 65) + 3, id="rows_per_chunk_plus_3"),
+        pytest.param(fgn.NORMALS_CHUNK - 1, 3, id="one_row_per_chunk"),
+        pytest.param(fgn.NORMALS_CHUNK + 5, 2, id="row_past_one_chunk"),
+        pytest.param(3 * fgn.NORMALS_CHUNK + 7, 1, id="row_past_three_chunks"),
+    ])
+    def test_chunked_normals_equal_full_buffer_draw(self, m, n_reps):
+        # Streaming the normals into the spectrum chunk by chunk draws the
+        # former single buffer's normals in its order, with its roundings.
+        lags = fgn_autocov(0.3, np.arange(m + 1))[:, None, None]
+        method, factor = stationary_factor(lags, m + 1)
+        assert method == "circulant"
+        oracle = full_buffer_scalar_draw(factor, m + 1, substream(31, m), n_reps)
+        work = {}
+        for _ in range(2):  # fresh, then through a warm workspace
+            ours = fgn.sample_circulant(factor, m + 1, substream(31, m), n_reps, work)
+            assert np.array_equal(ours, oracle)
+
+    def test_chunked_fgn_equals_full_buffer_draw_at_integrator_length(self):
+        n = 104427  # the integrator_paths benchmark's steps per path
+        _, factor = fgn._fgn_factor(0.3, n)
+        ours = sample_fgn(0.3, n, 0, rng=substream(5, 1))
+        oracle = full_buffer_scalar_draw(factor, n, substream(5, 1), 1)[0, 0]
+        assert np.array_equal(ours, oracle)
 
 
 class TestJitteredCholesky:

@@ -1,5 +1,7 @@
 """Experiment orchestration: reproducibility, refusals, report structure."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,14 +112,22 @@ class TestReproducibility:
         assert a == b
 
     def test_integrated_paths_do_not_depend_on_thread_count(self, heat3):
-        # Pool threads share the fGN factor cache.
+        # Pool threads share the fGN factor cache and each keeps its own path
+        # workspace, which carries over replications of different seeds.
         base = small_spec("consistency", heat3, grid=(20, 40), replications=12,
                           source="integrator", sim_dt=0.1,
+                          estimators=("discrete_norm", "discrete_projection"),
+                          projection=projection_indicator(0.0, 0.5, 3),
                           thresholds={"max_median_error": 10.0})
-        threaded = ExperimentSpec(**{**base.__dict__, "threads": 2})
         a = run_consistency(base).to_json(include_raw=True)
-        b = run_consistency(threaded).to_json(include_raw=True)
-        assert a == b
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so shared buffers would show
+        try:
+            for threads in (2, 3):
+                threaded = ExperimentSpec(**{**base.__dict__, "threads": threads})
+                assert run_consistency(threaded).to_json(include_raw=True) == a
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_seed_changes_results(self, heat3):
         a = run_moment_clt(small_spec("moment_clt", heat3, replications=40, seed=1))
@@ -336,8 +346,9 @@ class TestReportFormats:
 
     def test_integrated_path_holds_one_mode_at_a_time(self):
         # Each mode is drawn and scanned on its own through one fGN workspace,
-        # so one path of 16 modes stays below 16 one-mode arrays (about 12.4
-        # on numpy 2.4; whole (N, n_total) arrays need about 5N).
+        # so one path of 16 modes stays below 16 one-mode arrays (about 6.7
+        # on numpy 2.4 for a fresh workspace; whole (N, n_total) arrays need
+        # about 5N).
         import tracemalloc
 
         from fracdrift.simulate import TrajectoryGrid, integrate_path

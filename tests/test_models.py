@@ -12,6 +12,7 @@ from fracdrift.models import (
     build_distributed_model,
     build_pointwise_model,
     custom_model,
+    integer,
     model_from_dict,
     model_to_dict,
     projection_from_dict,
@@ -168,3 +169,17 @@ class TestValidationAndSerialization:
         m = custom_model([4.0, 1.0], 1.0, 0.55, loadings=[2.0, 3.0])
         assert m.operator.eigenvalues.tolist() == [1.0, 4.0]
         assert m.noise.loadings.tolist() == [3.0, 2.0]
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.int32(7), np.uint8(7), 7.0,
+                                       np.float64(7.0)])
+    def test_integers_pass_as_int(self, value):
+        out = integer(value, "count")
+        assert out == 7 and type(out) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 7.5, np.float64(0.5),
+                                       float("nan"), float("inf"), "7", None, [7]])
+    def test_other_values_fail_instead_of_truncating(self, value):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            integer(value, "count")

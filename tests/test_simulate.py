@@ -202,6 +202,51 @@ class TestIntegratePath:
         with pytest.raises(ValueError):
             integrate_path(heat3, grid, np.ones(5), seed=1)
 
+    @pytest.mark.parametrize("observe_every", [1, 10])
+    @pytest.mark.parametrize("init", ["zero", "burn_in", "stationary", "given"])
+    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
+    def test_workspace_reuse_keeps_the_bits(self, noise, init, observe_every):
+        # One workspace carried over seeds and over a change of n_total (so
+        # it is resized, and resized back) gives each fresh path bit for bit;
+        # the paths never share memory with it.
+        model = (build_distributed_model(1, 1, 3, 1.0, 0.3) if noise == "diagonal"
+                 else build_pointwise_model(0.3, 3, 1.0, 0.3))
+        start = np.array([1.0, -0.5, 0.25]) if init == "given" else init
+        calls = [(n_steps, seed) for n_steps in (200, 400, 200) for seed in (3, 4)]
+        work = {}
+        for n_steps, seed in calls:
+            grid = TrajectoryGrid(0.01, n_steps, 30)
+            fresh = integrate_path(model, grid, start, seed, observe_every=observe_every)
+            reused = integrate_path(model, grid, start, seed, observe_every=observe_every,
+                                    work=work)
+            for a, b in ((fresh.t, reused.t), (fresh.sq_norms, reused.sq_norms),
+                         (fresh.modes, reused.modes)):
+                assert np.array_equal(a, b)
+            assert not any(np.shares_memory(reused.modes, buf) for buf in work.values()
+                           if isinstance(buf, np.ndarray))
+
+    def test_warm_workspace_path_allocates_no_one_mode_array(self):
+        # A second heat4 path through a warm workspace allocates under half a
+        # one-mode array; without the workspace, its per-mode products, scan
+        # buffers and normals took about 12.
+        import tracemalloc
+
+        model = build_distributed_model(1, 1, 4, 0.1, 0.3)
+        n_total = 100_000
+        grid = TrajectoryGrid(0.01, n_total)
+        work = {}
+        integrate_path(model, grid, "zero", seed=1, store_modes=False, observe_every=100,
+                       work=work)
+        tracemalloc.start()
+        try:
+            traj = integrate_path(model, grid, "zero", seed=2, store_modes=False,
+                                  observe_every=100, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.sq_norms.shape == (1001,)
+        assert peak < 0.5 * n_total * 8
+
 
 class TestAr1Scan:
     # One row per coefficient: rho = 1e-3, 1/2, the slowest integrator_paths
