@@ -20,8 +20,8 @@ Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
 of :mod:`fracdrift.simulate` feed the mode sequences through the same
 engine.  The fGN factor depends only on ``(h, n)``, so it is cached (at most
 8 entries, read-only, one lock) and a draw costs the normals, O(m) spectrum
-work and one irfft.  The cache key ignores :data:`TOL_EIG` and
-:data:`DENSE_GUARD`.
+work and one irfft; the caller's generator fixes the normals.  The cache key
+ignores :data:`TOL_EIG` and :data:`DENSE_GUARD`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
-
-from ._rng import substream
 
 __all__ = [
     "fgn_autocov",
@@ -277,20 +275,18 @@ def _fgn_factor(h: float, n: int) -> tuple[str, np.ndarray]:
     return method, factor
 
 
-def sample_fgn(h: float, n: int, seed: int, rng: np.random.Generator | None = None,
+def sample_fgn(h: float, n: int, rng: np.random.Generator,
                work: dict | None = None) -> np.ndarray:
     """Exact sample of ``n`` unit-step fGN values with Hurst parameter ``h``.
 
     The engine with p = 1 on lags ``0..m``, ``m`` the next power of two at or
-    above ``n-1``.  Deterministic in ``(h, n, seed)`` unless an explicit
-    generator is passed; ``work`` is reused as :func:`sample_circulant` says.
+    above ``n-1``.  Deterministic in ``(h, n)`` and the state of ``rng``;
+    ``work`` is reused as :func:`sample_circulant` says.
     """
     h = validate_hurst(h)
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rng is None:
-        rng = substream(seed, 0x0F61)
     if n == 1:
         return rng.standard_normal(1)
     with _FGN_FACTOR_LOCK:  # one miss per key, even from pool threads

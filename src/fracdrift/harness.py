@@ -30,7 +30,6 @@ next to the observed values.
 
 from __future__ import annotations
 
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -105,7 +104,7 @@ class ExperimentSpec:
     estimators: tuple = (DISCRETE_NORM,)
     projection: ProjectionVector | None = None
     dt: float = 1.0
-    source: str = "stationary"      # "stationary" (exact) or "integrator"
+    source: str = "stationary"      # "stationary" (exact); consistency also "integrator"
     sim_dt: float = 0.01            # integrator internal step
     n_batches: int = 20
     threads: int = 1
@@ -148,6 +147,9 @@ class ExperimentSpec:
                              "lower n_batches)")
         if self.source not in ("stationary", "integrator"):
             raise ValueError("source must be 'stationary' or 'integrator'")
+        if self.source != "stationary" and self.kind != "consistency":
+            raise ValueError(f"{self.kind} draws exact stationary samples; only "
+                             "consistency takes source 'integrator'")
         if not self.estimators or not set(self.estimators) <= {DISCRETE_NORM, DISCRETE_PROJ}:
             raise ValueError(f"estimators must be a non-empty subset of {DISCRETE_NORM!r} "
                              f"and {DISCRETE_PROJ!r}, got {list(self.estimators)}")
@@ -224,9 +226,6 @@ class ExperimentReport:
         if include_raw:
             out["raw"] = {k: [float(v) for v in vals] for k, vals in self.raw.items()}
         return out
-
-    def to_json(self, include_raw: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_raw), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         lines = ["grid,statistic,value,mc_se,n_reps"]

@@ -187,12 +187,13 @@ def build_distributed_model(
 ) -> ModelConfig:
     """Spectral truncation of the order-2m parabolic equation on (0,1)^d with
     space-distributed noise (independent scalar noises per eigenmode)."""
+    d, m, n_modes = integer(d, "d"), integer(m, "m"), integer(n_modes, "n_modes")
     if d < 1 or m < 1:
         raise ValueError("d and m must be >= 1")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    ev = _laplacian_eigenvalues(int(d), int(m), int(n_modes))
-    lo = np.broadcast_to(np.asarray(loadings, dtype=float), (int(n_modes),)).copy()
+    ev = _laplacian_eigenvalues(d, m, n_modes)
+    lo = np.broadcast_to(np.asarray(loadings, dtype=float), (n_modes,)).copy()
     return ModelConfig(
         alpha=float(alpha),
         hurst=float(hurst),
@@ -210,7 +211,7 @@ def build_pointwise_model(y: float, n_modes: int, alpha: float, hurst: float) ->
     y = float(y)
     if not 0.0 < y < 1.0:
         raise ValueError("source location y must lie strictly inside (0, 1)")
-    k = np.arange(1, int(n_modes) + 1)
+    k = np.arange(1, integer(n_modes, "n_modes") + 1)
     return ModelConfig(
         alpha=float(alpha),
         hurst=float(hurst),
@@ -253,7 +254,7 @@ def projection_indicator(a: float, b: float, n_modes: int) -> ProjectionVector:
 
 def projection_sine(mode: int, n_modes: int) -> ProjectionVector:
     """The function ``sin(j pi xi)`` as a projection vector: ``1/sqrt(2)`` on mode ``j``."""
-    mode = int(mode)
+    mode = integer(mode, "mode")
     if not 1 <= mode <= n_modes:
         raise ValueError(f"mode must be in 1..{n_modes}")
     w = np.zeros(int(n_modes))

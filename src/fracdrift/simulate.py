@@ -69,10 +69,6 @@ class TrajectoryGrid:
         if self.burn_in_steps < 0:
             raise ValueError("burn_in_steps must be >= 0")
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.n_steps
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -97,58 +93,47 @@ def default_burn_in_steps(model: ModelConfig, dt: float) -> int:
 SCAN_BLOCK = 64
 
 
-def _ar1_scan(u: np.ndarray, rho: np.ndarray, x0: np.ndarray, gain: np.ndarray | None = None,
-              at: np.ndarray | None = None, work: dict | None = None) -> np.ndarray:
-    """States ``y[k, j] = rho[k] y[k, j-1] + gain[k] u[k, j]``, ``y[k, -1] = x0[k]``.
+def _ar1_scan(u: np.ndarray, rho: float, x0: float, gain: float, at: np.ndarray,
+              work: dict | None = None) -> np.ndarray:
+    """States ``y[at]`` of ``y[j] = rho y[j-1] + gain u[j]``, ``y[-1] = x0``.
 
-    ``u`` has shape (K, n): K independent AR(1) recursions; ``gain``
-    defaults to ones.  The sequence is cut into blocks of ``B = SCAN_BLOCK``
+    The sequence ``u``, shape (n,), is cut into blocks of ``B = SCAN_BLOCK``
     steps (plus one spare block for the remainder) and held as columns,
-    shape (B, K, blocks), so that each numpy call advances every mode and
-    every block by one step.  ``gain[k] * u[k]`` is formed while ``u`` is
-    copied into the columns.  Each block is first scanned from a zero start;
-    the state entering each block then follows from the same scan, at
-    coefficient ``rho^B``, over the block-end values, and ``rho^(c+1)``
-    times that carry is added to column c, eight columns at a time.
-    Elementwise work only, no BLAS: about 2B numpy calls on each of
-    ``log_B n`` levels.
+    shape (B, blocks), so that each numpy call advances every block by one
+    step.  ``gain * u`` is formed while ``u`` is copied into the columns.
+    Each block is first scanned from a zero start; the state entering each
+    block then follows from the same scan, at coefficient ``rho^B`` and unit
+    gain, over the block-end values, and ``rho^(c+1)`` times that carry is
+    added to column c, eight columns at a time.  Elementwise work only, no
+    BLAS: about 2B numpy calls on each of ``log_B n`` levels.
 
-    Returns the full (K, n) array of states, or with ``at`` only the states
-    ``y[:, at]``, gathered from the columns.  The column array is the only
-    one of order K n; ``work`` is an optional dict that keeps it for the
-    next call of the same shape.
+    The states at ``at`` are gathered from the columns, the only array of
+    order n; ``work`` is an optional dict that keeps it for the next call of
+    the same length.
     """
-    k, n = u.shape
+    n = len(u)
     block = SCAN_BLOCK
     full, rest = divmod(n, block)
     cols = None if work is None else work.get("scan")
-    if cols is None or cols.shape != (block, k, full + 1):
-        cols = np.empty((block, k, full + 1))
+    if cols is None or cols.shape != (block, full + 1):
+        cols = np.empty((block, full + 1))
         if work is not None:
             work["scan"] = cols
-    by_block = cols.transpose(1, 2, 0)  # (K, blocks, B): the layout of u
-    gain = np.ones(k) if gain is None else gain
-    np.multiply(u[:, :full * block].reshape(k, full, block), gain[:, None, None],
-                out=by_block[:, :full])
-    np.multiply(u[:, full * block:], gain[:, None], out=by_block[:, full, :rest])
-    by_block[:, full, rest:] = 0.0
-    step = rho[:, None]
+    by_block = cols.T  # (blocks, B): the layout of u
+    np.multiply(u[:full * block].reshape(full, block), gain, out=by_block[:full])
+    np.multiply(u[full * block:], gain, out=by_block[full, :rest])
+    by_block[full, rest:] = 0.0
     for c in range(1, min(n, block)):
-        cols[c] += step * cols[c - 1]
-    carry = x0[:, None]
+        cols[c] += rho * cols[c - 1]
+    carry = x0
     if full:
-        ends = _ar1_scan(cols[-1, :, :full], rho**block, x0)
-        carry = np.concatenate([carry, ends], axis=1)
+        ends = _ar1_scan(cols[-1, :full], rho**block, x0, 1.0, np.arange(full))
+        carry = np.concatenate([[x0], ends])
     # Eight columns per call: a temporary of 1/8 of the sequence.
-    powers = (rho ** np.arange(1, block + 1)[:, None])[:, :, None]
+    powers = (rho ** np.arange(1, block + 1))[:, None]
     for c in range(0, block, 8):
         cols[c:c + 8] += powers[c:c + 8] * carry
-    if at is not None:
-        return cols[at % block, :, at // block].T
-    y = np.empty((k, n))
-    y[:, :full * block].reshape(k, full, block)[...] = by_block[:, :full]
-    y[:, full * block:] = by_block[:, full, :rest]
-    return y
+    return cols[at % block, at // block]
 
 
 def check_integration(model: ModelConfig, grid: TrajectoryGrid, init,
@@ -186,8 +171,9 @@ def integrate_path(
 
     ``observe_every`` subsamples the simulated grid on output, so a fine
     integration step can feed coarsely observed estimators.  Modes are drawn
-    into one fGN workspace and scanned one at a time, keeping only observed
-    states: memory per path is O(n_total + N n_obs), not O(N n_total).
+    into one fGN workspace and scanned one at a time by :func:`_ar1_scan`,
+    which returns only the observed states: memory per path is
+    O(n_total + N n_obs), not O(N n_total).
     ``work`` is an optional dict that keeps that workspace -- the fGN
     spectrum and irfft output of :func:`fgn.sample_circulant` and the scan's
     column array -- for the next path; a path through a warm workspace of
@@ -217,11 +203,9 @@ def integrate_path(
     noise = None
     for k in range(model.n_modes):
         if noise is None or model.noise.kind == DIAGONAL:
-            noise = sample_fgn(model.hurst, n_total, 0,
-                               rng=substream(seed, _FGN_STREAM, k), work=work)
+            noise = sample_fgn(model.hurst, n_total, substream(seed, _FGN_STREAM, k), work)
             noise *= grid.dt**model.hurst
-        kept[k, first:] = _ar1_scan(noise[None], rho[k:k + 1], x0[k:k + 1], phi[k:k + 1],
-                                    at[first:], work)[0]
+        kept[k, first:] = _ar1_scan(noise, rho[k], x0[k], phi[k], at[first:], work)
 
     dt_out = grid.dt * observe_every
     return Trajectory(

@@ -353,6 +353,8 @@ class TestExperimentCommand:
                      id="replications_1"),
         pytest.param({"n_batches": 1}, "needs replications >= 2 and n_batches >= 2",
                      id="n_batches_1"),
+        pytest.param({"source": "integrator", "sim_dt": 0.5},
+                     "only consistency takes source 'integrator'", id="source_integrator"),
     ])
     def test_unsupported_estimator_is_an_error(self, tmp_path, capsys, entry, message):
         cfg = write(tmp_path, "exp.json", {
@@ -646,6 +648,19 @@ class TestEntryPoint:
                      "store_modes must be true or false", id="store_modes_string"),
         pytest.param(["simulate"], dict(SIM, store_modes=0),
                      "store_modes must be true or false", id="store_modes_number"),
+        pytest.param(["theory"], {"model": dict(HEAT3, n_modes=3.7)},
+                     "n_modes must be an integer", id="n_modes_fraction"),
+        pytest.param(["theory"], {"model": dict(HEAT3, n_modes=True)},
+                     "n_modes must be an integer", id="n_modes_bool"),
+        pytest.param(["theory"], {"model": dict(HEAT3, d=1.5)},
+                     "d must be an integer", id="d_fraction"),
+        pytest.param(["theory"], {"model": dict(HEAT3, m=1.5)},
+                     "m must be an integer", id="m_fraction"),
+        pytest.param(["theory"], {"model": dict(POINTWISE, n_modes=3.7)},
+                     "n_modes must be an integer", id="pointwise_n_modes_fraction"),
+        pytest.param(["theory"], {"model": HEAT3, "projection": {"kind": "sine_mode",
+                                                                 "mode": 1.5}},
+                     "mode must be an integer", id="sine_mode_fraction"),
         pytest.param(["theory"], {"model": HEAT3, "n_values": [16.5]},
                      "each of n_values must be an integer", id="n_values_fraction"),
         pytest.param(["theory"], {"model": HEAT3, "n_values": [True]},

@@ -21,9 +21,14 @@ from fracdrift.fgn import (
     validate_hurst,
 )
 from fracdrift.models import build_distributed_model, build_pointwise_model
-from fracdrift.simulate import StationaryModeSampler, TrajectoryGrid, integrate_path
+from fracdrift.simulate import _FGN_STREAM, StationaryModeSampler, TrajectoryGrid, integrate_path
 from fracdrift._rng import substream
 from oracles import full_buffer_scalar_draw
+
+
+def fgn_rng(seed):
+    """The fGN stream of ``seed``: the tag of ``integrate_path``, no mode index."""
+    return substream(seed, _FGN_STREAM)
 
 
 def scalar_recipe_eigs(autocov):
@@ -97,24 +102,24 @@ class TestAutocov:
 
 class TestSampling:
     def test_deterministic(self):
-        a = sample_fgn(0.7, 257, seed=42)
-        b = sample_fgn(0.7, 257, seed=42)
+        a = sample_fgn(0.7, 257, fgn_rng(42))
+        b = sample_fgn(0.7, 257, fgn_rng(42))
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, sample_fgn(0.7, 257, seed=43))
+        assert not np.array_equal(a, sample_fgn(0.7, 257, fgn_rng(43)))
 
     def test_h_half_is_white(self):
         # At H = 1/2 the embedding eigenvalues are identically 1, so the
         # output is exactly the iid draw of the synthesis step.
         eigs, _ = circulant_embedding_eigs(fgn_autocov(0.5, np.arange(9))[:, None, None])
         assert np.allclose(eigs, 1.0, atol=1e-12)
-        x = sample_fgn(0.5, 4, seed=7)
+        x = sample_fgn(0.5, 4, fgn_rng(7))
         assert x.shape == (4,)
 
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_empirical_covariance_matches_toeplitz(self, h):
         n, m = 32, 10_000
         rng = substream(1234, 99)
-        draws = np.stack([sample_fgn(h, n, 0, rng=rng) for _ in range(m)])
+        draws = np.stack([sample_fgn(h, n, rng) for _ in range(m)])
         emp = draws.T @ draws / m
         target = np.array([[fgn_autocov(h, i - j) for j in range(n)] for i in range(n)])
         # Var of a Gaussian covariance entry estimate: (C_ii C_jj + C_ij^2)/m.
@@ -125,7 +130,7 @@ class TestSampling:
         h, n, seeds = 0.3, 2**14, 200
         estimates = []
         for s in range(seeds):
-            x = sample_fgn(h, n, seed=s)
+            x = sample_fgn(h, n, fgn_rng(s))
             estimates.append(np.mean(x[:-1] * x[1:]))
         estimates = np.asarray(estimates)
         se = estimates.std(ddof=1) / np.sqrt(seeds)
@@ -135,7 +140,7 @@ class TestSampling:
         # The sequence is centered, so use the raw second moment: demeaning
         # would bias the estimate low by Var(sample mean) ~ n^{2H-2}.
         h, n, seeds = 0.7, 2**14, 60
-        estimates = np.array([np.mean(sample_fgn(h, n, seed=s) ** 2) for s in range(seeds)])
+        estimates = np.array([np.mean(sample_fgn(h, n, fgn_rng(s)) ** 2) for s in range(seeds)])
         se = estimates.std(ddof=1) / np.sqrt(seeds)
         assert abs(estimates.mean() - 1.0) <= 3.0 * se
 
@@ -152,14 +157,14 @@ class TestSampling:
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            sample_fgn(0.5, 0, seed=1)
+            sample_fgn(0.5, 0, fgn_rng(1))
 
 
 class TestEngine:
     @pytest.mark.parametrize("h", [0.1, 0.3, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 257, 4097])
     def test_fgn_bit_identical_to_scalar_recipe(self, h, n):
-        ours = sample_fgn(h, n, 0, rng=substream(3, n))
+        ours = sample_fgn(h, n, substream(3, n))
         assert np.array_equal(ours, scalar_recipe_fgn(h, n, substream(3, n)))
 
     @pytest.mark.parametrize("n", [1, 4, 64, 100])
@@ -236,11 +241,11 @@ class TestEngine:
         # carries it over modes: the fresh draws bit for bit, each length's
         # draws in one buffer, and the fresh draws never overwritten.
         calls = [(n, s) for n in (300, 1000) for s in range(3)]
-        fresh = [sample_fgn(0.3, n, s) for n, s in calls]
+        fresh = [sample_fgn(0.3, n, fgn_rng(s)) for n, s in calls]
         kept = [x.copy() for x in fresh]
         work, previous = {}, None
         for (n, s), x in zip(calls, fresh):
-            reused = sample_fgn(0.3, n, s, work=work)
+            reused = sample_fgn(0.3, n, fgn_rng(s), work=work)
             assert np.array_equal(reused, x)
             assert np.shares_memory(reused, work["x"])
             if previous is not None and len(previous) == n:
@@ -270,7 +275,7 @@ class TestEngine:
     def test_chunked_fgn_equals_full_buffer_draw_at_integrator_length(self):
         n = 104427  # the integrator_paths benchmark's steps per path
         _, factor = fgn._fgn_factor(0.3, n)
-        ours = sample_fgn(0.3, n, 0, rng=substream(5, 1))
+        ours = sample_fgn(0.3, n, substream(5, 1))
         oracle = full_buffer_scalar_draw(factor, n, substream(5, 1), 1)[0, 0]
         assert np.array_equal(ours, oracle)
 
@@ -299,7 +304,7 @@ class TestJitteredCholesky:
 
 class TestFbm:
     def test_brownian_increments_iid_unit(self):
-        inc = sample_fgn(0.5, 20_000, seed=11)
+        inc = sample_fgn(0.5, 20_000, fgn_rng(11))
         assert abs(np.var(inc) - 1.0) < 0.03
         lag1 = np.mean(inc[:-1] * inc[1:])
         assert abs(lag1) < 3.0 / np.sqrt(len(inc))
@@ -308,7 +313,7 @@ class TestFbm:
         # Var B(t) = t^{2H}: check at a few grid times across replications;
         # column j of the partial sums is B((j+1) dt).
         h, dt, n, reps = 0.6, 0.25, 64, 4000
-        paths = np.stack([np.cumsum(sample_fgn(h, n, seed=s) * dt**h) for s in range(reps)])
+        paths = np.stack([np.cumsum(sample_fgn(h, n, fgn_rng(s)) * dt**h) for s in range(reps)])
         for idx in (16, 32, 64):
             t = idx * dt
             sample_var = paths[:, idx - 1].var()
@@ -328,13 +333,13 @@ class TestFactorCache:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(sample_fgn, 0.3, 500, s) for s in range(16)]
+                futures = [pool.submit(sample_fgn, 0.3, 500, fgn_rng(s)) for s in range(16)]
                 draws = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert len(embedding_calls) == 1
         for s, x in enumerate(draws):
-            assert np.array_equal(x, sample_fgn(0.3, 500, s))
+            assert np.array_equal(x, sample_fgn(0.3, 500, fgn_rng(s)))
 
     def test_cached_factor_is_read_only(self):
         method, factor = fgn._fgn_factor(0.7, 100)

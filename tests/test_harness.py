@@ -1,5 +1,6 @@
 """Experiment orchestration: reproducibility, refusals, report structure."""
 
+import json
 import sys
 
 import numpy as np
@@ -26,6 +27,11 @@ from fracdrift.models import (
 )
 
 
+def report_json(report, include_raw=False):
+    """The report's JSON text, keys sorted."""
+    return json.dumps(report.to_json_dict(include_raw=include_raw), sort_keys=True)
+
+
 def small_spec(kind, model, **kw):
     defaults = dict(grid=(32, 64), replications=80, seed=7)
     defaults.update(kw)
@@ -48,7 +54,17 @@ class TestSpecValidation:
     def test_integer_threshold_is_not_cast(self, heat3):
         spec = ExperimentSpec("estimator_clt", heat3, (32,), 8, 1,
                               thresholds={"ks_localized_max": 1})
-        assert '"ks_localized_max": 1\n' in spec.report({}).to_json()
+        assert type(spec.report({}).to_json_dict()["thresholds"]["ks_localized_max"]) is int
+
+    @pytest.mark.parametrize("kind", ["moment_clt", "estimator_clt", "cumulants",
+                                      "rosenblatt", "degenerate_projection"])
+    def test_only_consistency_takes_integrated_paths(self, heat3, kind):
+        # The other kinds draw exact stationary samples and never read source.
+        w = projection_indicator(0.0, 0.5, 3)
+        with pytest.raises(ValueError, match="only consistency takes source 'integrator'"):
+            ExperimentSpec(kind, heat3, (128,), 80, 1, projection=w, source="integrator")
+        ExperimentSpec(kind, heat3, (128,), 80, 1, projection=w)
+        ExperimentSpec("consistency", heat3, (128,), 80, 1, source="integrator")
 
     def test_replications_positive(self, heat3):
         with pytest.raises(ValueError):
@@ -99,16 +115,16 @@ class TestSpecValidation:
 class TestReproducibility:
     def test_identical_reports_same_seed(self, heat3):
         spec = small_spec("moment_clt", heat3, grid=(16, 32, 64), replications=60)
-        a = run_moment_clt(spec).to_json(include_raw=True)
-        b = run_moment_clt(spec).to_json(include_raw=True)
+        a = report_json(run_moment_clt(spec), include_raw=True)
+        b = report_json(run_moment_clt(spec), include_raw=True)
         assert a == b
 
     def test_thread_count_does_not_change_results(self, heat3):
         base = small_spec("estimator_clt", heat3, grid=(128,), replications=60,
                           thresholds={"ks_localized_max": 1.0})
         threaded = ExperimentSpec(**{**base.__dict__, "threads": 8})
-        a = run_estimator_clt(base).to_json(include_raw=True)
-        b = run_estimator_clt(threaded).to_json(include_raw=True)
+        a = report_json(run_estimator_clt(base), include_raw=True)
+        b = report_json(run_estimator_clt(threaded), include_raw=True)
         assert a == b
 
     def test_integrated_paths_do_not_depend_on_thread_count(self, heat3):
@@ -119,20 +135,20 @@ class TestReproducibility:
                           estimators=("discrete_norm", "discrete_projection"),
                           projection=projection_indicator(0.0, 0.5, 3),
                           thresholds={"max_median_error": 10.0})
-        a = run_consistency(base).to_json(include_raw=True)
+        a = report_json(run_consistency(base), include_raw=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so shared buffers would show
         try:
             for threads in (2, 3):
                 threaded = ExperimentSpec(**{**base.__dict__, "threads": threads})
-                assert run_consistency(threaded).to_json(include_raw=True) == a
+                assert report_json(run_consistency(threaded), include_raw=True) == a
         finally:
             sys.setswitchinterval(interval)
 
     def test_seed_changes_results(self, heat3):
         a = run_moment_clt(small_spec("moment_clt", heat3, replications=40, seed=1))
         b = run_moment_clt(small_spec("moment_clt", heat3, replications=40, seed=2))
-        assert a.to_json() != b.to_json()
+        assert report_json(a) != report_json(b)
 
 
 class TestConsistencyExperiment:

@@ -40,7 +40,7 @@ from fracdrift.simulate import (
     trajectory_to_npz,
 )
 from fracdrift.simulate import _FGN_STREAM, _ar1_scan
-from oracles import stationary_variance_mode
+from oracles import mode_axis_ar1_scan, stationary_variance_mode
 
 
 def euler_chain_variance(a: float, phi: float, h: float, dt: float, n_terms: int = 20_000) -> float:
@@ -60,8 +60,8 @@ def assert_sequential_recursion(traj, model, grid, init, seed):
     burn-in included; the loop differs from the blocked scan by rounding."""
     burn = grid.burn_in_steps if isinstance(init, str) and init == "burn_in" else 0
     shared = model.noise.kind != "diagonal"
-    noise = np.array([sample_fgn(model.hurst, grid.n_steps + burn, 0,
-                                 rng=substream(seed, _FGN_STREAM, 0 if shared else k))
+    noise = np.array([sample_fgn(model.hurst, grid.n_steps + burn,
+                                 substream(seed, _FGN_STREAM, 0 if shared else k))
                       for k in range(model.n_modes)]) * grid.dt**model.hurst
     states = [traj.modes[:, 0] if burn == 0 else np.zeros(model.n_modes)]
     for step in noise.T:
@@ -253,22 +253,43 @@ class TestAr1Scan:
     # mode (a dt = 0.00987) and the random walk rho = 1.
     RHO = np.array([1e-3, 0.5, np.exp(-0.00987), 1.0])
 
-    @pytest.mark.parametrize("n", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
-                                   SCAN_BLOCK**2 + 1, 104427])
+    NS = [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, SCAN_BLOCK**2 + 1, 104427]
+
+    @pytest.mark.parametrize("n", NS)
     def test_matches_lfilter_and_loop(self, n):
         rng = substream(12, n)
         u = rng.standard_normal((4, n))
         x0 = rng.standard_normal(4)
-        y = _ar1_scan(u, self.RHO, x0)
-        assert y.shape == (4, n)
         for k, rho in enumerate(self.RHO):
+            y = _ar1_scan(u[k], rho, x0[k], 1.0, np.arange(n))
+            assert y.shape == (n,)
             filtered = lfilter([1.0], [1.0, -rho], u[k], zi=np.array([rho * x0[k]]))[0]
             loop, state = np.empty(n), float(x0[k])
             for j, step in enumerate(u[k].tolist()):
                 state = rho * state + step
                 loop[j] = state
             for ref in (filtered, loop):
-                assert np.linalg.norm(y[k] - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
+                assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
+
+    @pytest.mark.parametrize("gain", [np.ones(4), np.array([0.3, -1.7, 2.5, 1e-3])],
+                             ids=["unit_gain", "gains"])
+    @pytest.mark.parametrize("n", NS)
+    def test_rows_bit_identical_to_mode_axis_scan(self, n, gain):
+        # The one-sequence scan is the former (K, n) scan row by row, bit for
+        # bit, at every index, every 10th and 100th, and around each block end.
+        rng = substream(12, n)
+        u = rng.standard_normal((4, n))
+        x0 = rng.standard_normal(4)
+        ends = np.arange(SCAN_BLOCK, n + 1, SCAN_BLOCK)
+        near_ends = np.unique(np.clip(ends[:, None] + np.arange(-1, 2), 0, n - 1))
+        oracle = mode_axis_ar1_scan(u, self.RHO, x0, gain)
+        work = {}
+        for at in (np.arange(n), np.arange(0, n, 10), np.arange(0, n, 100), near_ends):
+            gathered = mode_axis_ar1_scan(u, self.RHO, x0, gain, at)
+            for k, rho in enumerate(self.RHO):
+                y = _ar1_scan(u[k], rho, x0[k], gain[k], at, work)
+                assert np.array_equal(y, oracle[k, at]), (n, rho, len(at))
+                assert np.array_equal(y, gathered[k]), (n, rho, len(at))
 
 
 class TestStationarySampling:
