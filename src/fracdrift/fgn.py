@@ -18,10 +18,11 @@ draws stream their normals straight into the spectrum.
 
 Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
 of :mod:`fracdrift.simulate` feed the mode sequences through the same
-engine.  The fGN factor depends only on ``(h, n)``, so it is cached (at most
-8 entries, read-only, one lock) and a draw costs the normals, O(m) spectrum
-work and one irfft; the caller's generator fixes the normals.  The cache key
-ignores :data:`TOL_EIG` and :data:`DENSE_GUARD`.
+engine, and so does the integrator's folded fGN (:func:`sample_folded_fgn`).
+A factor depends only on ``(h, n)`` and the fold, so it is cached (at most
+32 entries, read-only, one lock) and a draw costs the normals, O(m p^2)
+spectrum work and one irfft; the caller's generator fixes the normals.  The
+cache key ignores :data:`TOL_EIG` and :data:`DENSE_GUARD`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ from numpy.fft import irfft, rfft
 
 __all__ = [
     "fgn_autocov",
+    "fold_basis",
+    "folded_fgn_autocov",
     "sample_fgn",
+    "sample_folded_fgn",
     "stationary_draw",
     "stationary_factor",
     "validate_hurst",
@@ -258,18 +262,47 @@ def stationary_draw(method: str, factor: np.ndarray, n: int, rng: np.random.Gene
     return sample_circulant(factor, n, rng, n_reps, work)
 
 
+def folded_fgn_autocov(h: float, n_lags: int, every: int, weights: np.ndarray) -> np.ndarray:
+    """Lags ``0..n_lags-1`` of the p-vectors ``V_J[k] = sum_{c<S} weights[k, c]
+    u_{JS+c}``, ``u`` unit-step fGN and ``S = every``: shape (n_lags, p, p),
+    ``lags[L][k, l] = E[V_{J+L}[k] V_J[l]] = sum_{|d|<S} A_kl[d] gamma(LS+d)``,
+    ``A_kl = np.correlate(weights[k], weights[l], "full")``.  As ``2 gamma`` is
+    the second difference of ``f(x) = |x|^2H``, the sum is taken over
+    ``f(LS+e)``, ``|e| <= S``, one offset at a time in O(n_lags p^2) memory.
+    """
+    h = validate_hurst(h)
+    a = np.array([[np.correlate(wk, wl, "full") for wl in weights] for wk in weights])
+    b = 0.5 * np.diff(np.pad(a, [(0, 0), (0, 0), (2, 2)]), 2)
+    base = every * np.arange(n_lags, dtype=float)
+    lags = np.zeros((n_lags, len(weights), len(weights)))
+    for e in range(-every, every + 1):
+        lags += b[..., e + every] * (np.abs(base + e) ** (2.0 * h))[:, None, None]
+    return lags
+
+
+def fold_basis(every: int, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """AR(1) filters ``rhos[k]^(S-1-c)``, ``c < S = every``, as ``mix @ basis``
+    (QR): orthonormal rows ``basis`` (q, S), ``mix`` (p, q), ``q = min(p, S)``."""
+    w = np.asarray(rhos, dtype=float)[:, None] ** np.arange(every - 1, -1, -1)
+    basis, mix = np.linalg.qr(w.T)
+    return basis.T, mix.T
+
+
 _FGN_FACTOR_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=8)
-def _fgn_factor(h: float, n: int) -> tuple[str, np.ndarray]:
-    """Read-only :func:`stationary_factor` of unit-step fGN for ``n`` points.
+@lru_cache(maxsize=32)
+def _fgn_factor(h: float, n: int, every: int = 1, rhos: tuple = ()) -> tuple[str, np.ndarray]:
+    """Read-only :func:`stationary_factor` of ``n`` points of unit-step fGN
+    or, for ``every > 1``, of its fold by the :func:`fold_basis` of ``rhos``.
 
-    The factor is a pure function of the lags, so it is computed once per
-    ``(h, n)`` and shared by every draw.  The key ignores :data:`TOL_EIG` and
-    :data:`DENSE_GUARD`: after changing either, ``_fgn_factor.cache_clear()``.
+    Computed once per key and shared by every draw (32 keys: one per mode of
+    a 20-mode path).  The key ignores :data:`TOL_EIG` and :data:`DENSE_GUARD`:
+    after changing either, ``_fgn_factor.cache_clear()``.
     """
-    lags = fgn_autocov(h, np.arange(_next_pow2(n - 1) + 1))[:, None, None]
+    m = _next_pow2(n - 1)
+    lags = (folded_fgn_autocov(h, m + 1, every, fold_basis(every, rhos)[0]) if every > 1
+            else fgn_autocov(h, np.arange(m + 1))[:, None, None])
     method, factor = stationary_factor(lags, n)
     factor.setflags(write=False)
     return method, factor
@@ -283,12 +316,24 @@ def sample_fgn(h: float, n: int, rng: np.random.Generator,
     above ``n-1``.  Deterministic in ``(h, n)`` and the state of ``rng``;
     ``work`` is reused as :func:`sample_circulant` says.
     """
-    h = validate_hurst(h)
-    n = int(n)
+    return sample_folded_fgn(h, n, 1, (), rng, work)[0]
+
+
+def sample_folded_fgn(h: float, n: int, every: int, rhos, rng: np.random.Generator,
+                      work: dict | None = None) -> np.ndarray:
+    """Exact sample of ``n`` folds ``V_J[k] = sum_{c<S} rhos[k]^(S-1-c) u_{JS+c}``
+    of unit-step fGN ``u``, ``S = every``, shape (p, n); at S = 1 one fGN draw.
+
+    Drawn as ``mix @ Z``, Z the fold by the orthonormal :func:`fold_basis`:
+    the filters of nearby rates are nearly collinear, and so is V, not Z.
+    """
+    h, n = validate_hurst(h), int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return rng.standard_normal(1)
+    if n == 1 and every == 1:
+        return rng.standard_normal((1, 1))
+    key = (h, n) if every == 1 else (h, n, int(every), tuple(map(float, rhos)))
     with _FGN_FACTOR_LOCK:  # one miss per key, even from pool threads
-        method, factor = _fgn_factor(h, n)
-    return stationary_draw(method, factor, n, rng, 1, work)[0, 0]
+        method, factor = _fgn_factor(*key)
+    z = stationary_draw(method, factor, n, rng, 1, work)[0]
+    return z if every == 1 else fold_basis(every, rhos)[1] @ z

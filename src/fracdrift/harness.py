@@ -88,6 +88,8 @@ _TAGS = {
 LOCALIZE = 3.0
 #: Window [a, b] whose projection ``degenerate_projection`` shows to be usable.
 DEGENERATE_WINDOW = (0.0, 0.5)
+#: Integrator step of ``consistency`` runs from integrated paths without ``sim_dt``.
+DEFAULT_SIM_DT = 0.01
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class ExperimentSpec:
     projection: ProjectionVector | None = None
     dt: float = 1.0
     source: str = "stationary"      # "stationary" (exact); consistency also "integrator"
-    sim_dt: float = 0.01            # integrator internal step
+    sim_dt: float | None = None     # integrator step, DEFAULT_SIM_DT if unset; integrator only
     n_batches: int = 20
     threads: int = 1
     mc_cumulant_max_n: int = 64
@@ -117,11 +119,11 @@ class ExperimentSpec:
         for name in ("replications", "n_batches", "mc_cumulant_max_n", "seed"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
         casts = {"grid": lambda g: tuple(integer(n, "each grid size") for n in g),
-                 "dt": float, "sim_dt": float, "estimators": tuple, "thresholds": dict}
+                 "dt": float, "estimators": tuple, "thresholds": dict,
+                 "sim_dt": lambda v: v if v is None else positive_finite(float(v), "sim_dt")}
         for name, cast in casts.items():
             object.__setattr__(self, name, cast(getattr(self, name)))
         positive_finite(self.dt, "dt")
-        positive_finite(self.sim_dt, "sim_dt")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.threads < 1:
@@ -150,6 +152,9 @@ class ExperimentSpec:
         if self.source != "stationary" and self.kind != "consistency":
             raise ValueError(f"{self.kind} draws exact stationary samples; only "
                              "consistency takes source 'integrator'")
+        if self.source == "stationary" and self.sim_dt is not None:
+            raise ValueError("sim_dt is the integrator step; source 'stationary' draws "
+                             "exact samples and takes none")
         if not self.estimators or not set(self.estimators) <= {DISCRETE_NORM, DISCRETE_PROJ}:
             raise ValueError(f"estimators must be a non-empty subset of {DISCRETE_NORM!r} "
                              f"and {DISCRETE_PROJ!r}, got {list(self.estimators)}")
@@ -481,7 +486,7 @@ def _integrated_moment_samples(
     replication) regardless of the thread count.
     """
     model = spec.model
-    observe_every = max(int(round(spec.dt / spec.sim_dt)), 1)
+    observe_every = max(int(round(spec.dt / (spec.sim_dt or DEFAULT_SIM_DT))), 1)
     sim_dt = spec.dt / observe_every
     grid = TrajectoryGrid(sim_dt, n_obs * observe_every, 0)
     at = np.asarray(cuts) - 1

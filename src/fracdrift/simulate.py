@@ -7,7 +7,11 @@ Two sources of trajectories with different roles:
   increments, one mode at a time.  The scheme applies the semigroup to the
   state but adds the bare noise increment, so it carries an O(dt) weak bias
   at fixed step size; it is the tool for transient/consistency studies where
-  the bias vanishes under grid refinement.
+  the bias vanishes under grid refinement.  Observed every S steps, a mode
+  needs only ``V_J = sum_{c<S} rho^(S-1-c) u_{JS+c}`` of its fGN ``u``, which
+  the circulant engine draws exactly on about 2 n_obs points, not 2 n_total:
+  the observed states keep the scheme's law, bias included.  A burn-in is
+  rounded up to whole intervals.
 * :func:`sample_stationary_sequence` -- an exact draw of the stationary
   solution at the observation times from the circulant engine of
   :mod:`fracdrift.fgn`, fed with the autocovariance table read as block
@@ -28,7 +32,7 @@ import numpy as np
 from ._rng import substream
 from .covariance import lag_blocks
 from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
-from .fgn import sample_fgn, stationary_draw, stationary_factor
+from .fgn import sample_folded_fgn, stationary_draw, stationary_factor
 from .models import DIAGONAL, ModelConfig, ProjectionVector, positive_finite
 
 __all__ = [
@@ -169,33 +173,34 @@ def integrate_path(
     H != 1/2 the path is then only marginally (not jointly) stationary -- use
     :func:`sample_stationary_sequence` where that matters.
 
-    ``observe_every`` subsamples the simulated grid on output, so a fine
-    integration step can feed coarsely observed estimators.  Modes are drawn
-    into one fGN workspace and scanned one at a time by :func:`_ar1_scan`,
-    which returns only the observed states: memory per path is
-    O(n_total + N n_obs), not O(N n_total).
-    ``work`` is an optional dict that keeps that workspace -- the fGN
-    spectrum and irfft output of :func:`fgn.sample_circulant` and the scan's
-    column array -- for the next path; a path through a warm workspace of
-    the same ``n_total`` allocates no array of that length.  The
-    trajectory never shares memory with it.
+    ``observe_every = S`` keeps every S-th state and rounds a burn-in up to
+    whole intervals (``grid.burn_in_steps`` of the result is the burn-in
+    run).  For S > 1 a mode advances by ``rho^S`` per interval and adds
+    ``phi_k dt^H V_J`` from :func:`fgn.sample_folded_fgn`: one sequence per
+    mode for diagonal noise, one N-vector sequence for rank-one noise.
+    :func:`_ar1_scan` returns only the observed states; ``work`` is an
+    optional dict that keeps the draw's spectrum and irfft output and the
+    scan's columns for the next path, which then allocates no array of the
+    drawn length.  The trajectory never shares memory with it.
     """
     kind = check_integration(model, grid, init, observe_every)
-    observe_every = int(observe_every)
+    every = int(observe_every)
     burn = 0
     x0 = np.zeros(model.n_modes)
     if kind == "burn_in":
         burn = grid.burn_in_steps or default_burn_in_steps(model, grid.dt)
+        burn = -(-burn // every) * every
     elif kind == "stationary":
         x0 = sample_stationary_sequence(model, 1, grid.dt, seed).modes[:, 0]
     elif kind == "given":
         x0 = np.asarray(init, dtype=float)
 
-    n_total = grid.n_steps + burn
-    n_obs = grid.n_steps // observe_every
+    n_obs = grid.n_steps // every
+    n = n_obs + burn // every  # states drawn per mode: one per interval
     rho = np.exp(-model.rates * grid.dt)
     phi = model.noise.loadings
-    at = burn - 1 + observe_every * np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
+    joint = every > 1 and model.noise.kind != DIAGONAL
+    at = burn // every - 1 + np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
     first = int(burn == 0)  # x0, at index -1, is column 0
     kept = np.empty((model.n_modes, n_obs + 1))
     kept[:, 0] = x0
@@ -203,11 +208,13 @@ def integrate_path(
     noise = None
     for k in range(model.n_modes):
         if noise is None or model.noise.kind == DIAGONAL:
-            noise = sample_fgn(model.hurst, n_total, substream(seed, _FGN_STREAM, k), work)
+            noise = sample_folded_fgn(model.hurst, n, every, rho if joint else rho[k:k + 1],
+                                      substream(seed, _FGN_STREAM, k), work)
             noise *= grid.dt**model.hurst
-        kept[k, first:] = _ar1_scan(noise, rho[k], x0[k], phi[k], at[first:], work)
+        kept[k, first:] = _ar1_scan(noise[k if joint else 0], rho[k]**every, x0[k], phi[k],
+                                    at[first:], work)
 
-    dt_out = grid.dt * observe_every
+    dt_out = grid.dt * every
     return Trajectory(
         grid=TrajectoryGrid(dt_out, n_obs, burn),
         t=np.arange(n_obs + 1) * dt_out,

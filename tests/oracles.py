@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn
 
 from fracdrift.covariance import QuadratureError, SeriesLimit, _c_spectral
+from fracdrift.fgn import fgn_autocov
 from fracdrift.models import DIAGONAL
 from fracdrift.simulate import SCAN_BLOCK
 
@@ -156,3 +158,28 @@ def mode_axis_ar1_scan(u: np.ndarray, rho: np.ndarray, x0: np.ndarray,
     y[:, :full * block].reshape(k, full, block)[...] = by_block[:, :full]
     y[:, full * block:] = by_block[:, full, :rest]
     return y
+
+
+def euler_state_covariance(model, dt: float, n_steps: int, every: int) -> np.ndarray:
+    """Covariance of the states ``x_k(t_{jS})``, ``j = 1..n_steps/S``, of the
+    exponential-Euler scheme ``x(t_{i+1}) = rho x(t_i) + phi dt^H u_i`` from
+    zero, ``S = every``; shape (N, n_obs, N, n_obs).
+
+    Built the long way: the dense covariance of the ``n_steps`` fGN
+    increments, each mode's Euler filter matrix ``phi_k dt^H rho_k^(i-j)``
+    (i >= j) and the rows of the observed states.  Diagonal noise drives
+    each mode with its own fGN, rank-one noise all modes with one.
+    """
+    steps = np.arange(n_steps)
+    fgn_cov = toeplitz(fgn_autocov(model.hurst, steps))
+    lag = np.subtract.outer(steps, steps)
+    observed = every * np.arange(1, n_steps // every + 1) - 1
+    filters = [np.where(lag >= 0, phi * dt**model.hurst * rho ** np.maximum(lag, 0), 0.0)[observed]
+               for rho, phi in zip(np.exp(-model.rates * dt), model.noise.loadings)]
+    shared = model.noise.kind != DIAGONAL
+    cov = np.zeros((model.n_modes, len(observed), model.n_modes, len(observed)))
+    for k, left in enumerate(filters):
+        for l, right in enumerate(filters):
+            if shared or k == l:
+                cov[k, :, l] = left @ fgn_cov @ right.T
+    return cov

@@ -368,6 +368,19 @@ class TestExperimentCommand:
         assert message in err
         assert not out.exists()
 
+    def test_sim_dt_with_stationary_source_is_an_error(self, tmp_path, capsys):
+        # The exact stationary draws have no integrator step to set.
+        cfg = write(tmp_path, "exp.json", {
+            "model": HEAT3, "grid": [16, 32], "replications": 20, "seed": 1, "sim_dt": 0.5,
+        })
+        out = tmp_path / "out"
+        code = main(["experiment", "consistency", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "source 'stationary' draws exact samples" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_thread_count_below_one_is_a_config_error(self, tmp_path, capsys, threads):
         cfg = write(tmp_path, "exp.json", {

@@ -15,7 +15,13 @@ from fracdrift.covariance import (
     stationary_covariance,
     trace_q,
 )
-from fracdrift.fgn import fgn_autocov, sample_fgn
+from fracdrift.fgn import (
+    block_toeplitz,
+    fgn_autocov,
+    fold_basis,
+    folded_fgn_autocov,
+    sample_fgn,
+)
 from fracdrift.models import (
     build_distributed_model,
     build_pointwise_model,
@@ -40,7 +46,7 @@ from fracdrift.simulate import (
     trajectory_to_npz,
 )
 from fracdrift.simulate import _FGN_STREAM, _ar1_scan
-from oracles import mode_axis_ar1_scan, stationary_variance_mode
+from oracles import euler_state_covariance, mode_axis_ar1_scan, stationary_variance_mode
 
 
 def euler_chain_variance(a: float, phi: float, h: float, dt: float, n_terms: int = 20_000) -> float:
@@ -179,19 +185,33 @@ class TestIntegratePath:
         assert abs(var - qww(model, w)) <= 4.0 * var * np.sqrt(2.0 / (reps - 1))
 
     def test_observe_every_subsamples(self, heat3):
-        # Diagonal and rank-one noise, every init; the burn-in of 13 steps is
-        # not a multiple of observe_every, so the kept states start off the
-        # observation grid of the simulated steps.
+        # Diagonal and rank-one noise, every init.  Coarse paths draw the fGN
+        # folded over each observation interval, not the fine increments, so
+        # they share with the fine paths the start and the grid, and their
+        # law is checked against the dense Euler covariance.  The burn-in of
+        # 13 steps runs as 20, two whole observation intervals.
         grid = TrajectoryGrid(0.01, 100, burn_in_steps=13)
         for model in (heat3, build_pointwise_model(0.3, 3, 1.0, 0.55)):
             for init in ("zero", "burn_in", "stationary", np.array([0.5, -1.0, 2.0])):
                 fine = integrate_path(model, grid, init, seed=2)
                 coarse = integrate_path(model, grid, init, seed=2, observe_every=10)
-                assert np.array_equal(coarse.modes, fine.modes[:, ::10])
-                assert np.array_equal(coarse.sq_norms, fine.sq_norms[::10])
+                burn_in = isinstance(init, str) and init == "burn_in"
+                assert coarse.grid.burn_in_steps == (20 if burn_in else 0)
+                assert fine.grid.burn_in_steps == (13 if burn_in else 0)
+                if not burn_in:
+                    assert np.array_equal(coarse.modes[:, 0], fine.modes[:, 0])
                 assert coarse.grid.dt == pytest.approx(0.1)
                 assert fine.modes.shape == (3, 101) and coarse.modes.shape == (3, 11)
                 assert_sequential_recursion(fine, model, grid, init, seed=2)
+            # Sample covariance of 2000 coarse paths from zero, entry by
+            # entry within 4.5 standard errors of the dense oracle.
+            reps, small = 2000, TrajectoryGrid(0.01, 60)
+            states = np.array([integrate_path(model, small, "zero", s, observe_every=10)
+                               .modes[:, 1:].ravel() for s in range(reps)])
+            oracle = euler_state_covariance(model, 0.01, 60, 10).reshape(18, 18)
+            var = np.diag(oracle)
+            se = np.sqrt((np.outer(var, var) + oracle**2) / reps)
+            assert np.max(np.abs(states.T @ states / reps - oracle) / se) < 4.5
         with pytest.raises(ValueError):
             integrate_path(heat3, grid, "zero", seed=2, observe_every=7)
 
@@ -290,6 +310,57 @@ class TestAr1Scan:
                 y = _ar1_scan(u[k], rho, x0[k], gain[k], at, work)
                 assert np.array_equal(y, oracle[k, at]), (n, rho, len(at))
                 assert np.array_equal(y, gathered[k]), (n, rho, len(at))
+
+
+class TestFoldedNoise:
+    @staticmethod
+    def state_covariance(h, lags, rhos, phis, dt, every, n_obs):
+        """Covariance of the coarse states from the folded lags (n_obs, p, p)
+        of the modes with filters ``rhos`` and loadings ``phis``: each mode
+        scans its fold at ``rho^S`` with gain ``phi dt^H``."""
+        idx = np.arange(n_obs)
+        lag = np.subtract.outer(idx, idx)
+        scans = [np.where(lag >= 0, phi * dt**h * (rho**every) ** np.maximum(lag, 0), 0)
+                 for rho, phi in zip(rhos, phis)]
+        p = len(rhos)
+        folded = block_toeplitz(lags, n_obs).reshape(p, n_obs, p, n_obs)
+        return np.array([[scans[k] @ folded[k, :, l] @ scans[l].T for l in range(p)]
+                         for k in range(p)]).transpose(0, 2, 1, 3)
+
+    @pytest.mark.parametrize("every", [2, 10, 100])
+    @pytest.mark.parametrize("h", [0.3, 0.55, 0.7])
+    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
+    def test_folded_lags_match_dense_euler_covariance(self, noise, h, every):
+        # The lags from the filters and from their orthonormal basis, as the
+        # sampler draws them, against the dense fGN covariance pushed through
+        # the Euler filters and subsampled; cross-lags for rank-one noise.
+        model = (build_distributed_model(1, 1, 3, 1.0, h) if noise == "diagonal"
+                 else build_pointwise_model(0.3, 3, 1.0, h))
+        dt, n_obs = 0.01, 6
+        oracle = euler_state_covariance(model, dt, every * n_obs, every)
+        rho = np.exp(-model.rates * dt)
+        banks = [slice(0, 3)] if noise == "rank_one" else [slice(k, k + 1) for k in range(3)]
+        ours = [np.zeros_like(oracle), np.zeros_like(oracle)]
+        for modes in banks:
+            bank, phis = rho[modes], model.noise.loadings[modes]
+            weights = bank[:, None] ** np.arange(every - 1, -1, -1)
+            basis, mix = fold_basis(every, bank)
+            mixed = mix @ folded_fgn_autocov(h, n_obs, every, basis) @ mix.T
+            for out, lags in zip(ours, (folded_fgn_autocov(h, n_obs, every, weights), mixed)):
+                out[modes, :, modes] = self.state_covariance(h, lags, bank, phis, dt, every,
+                                                             n_obs)
+        scale = np.abs(oracle).max()
+        for out in ours:
+            assert np.abs(out - oracle).max() <= 1e-12 * scale
+
+    def test_fold_basis_reproduces_filters(self):
+        rhos = np.exp(-np.array([1.0, 1.1, 40.0, 90.0]) * 0.01)
+        for every in (2, 3, 10):
+            basis, mix = fold_basis(every, rhos)
+            assert basis.shape == (min(4, every), every)
+            np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-14)
+            np.testing.assert_allclose(mix @ basis, rhos[:, None] ** np.arange(every - 1, -1, -1),
+                                       rtol=0, atol=1e-14)
 
 
 class TestStationarySampling:
