@@ -400,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("config", str(exc), EXIT_ERROR)
     except DegenerateModelError as exc:
         return _fail("degenerate", str(exc), EXIT_DEGENERATE)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return _fail("compute", str(exc), EXIT_ERROR)
+    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+        return _fail("compute", str(exc) or "out of memory", EXIT_ERROR)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_ERROR)
 

@@ -1,4 +1,4 @@
-"""Exact stationary Gaussian sampling: fGN and the engine behind every draw.
+"""Exact stationary Gaussian sampling: the engine behind every draw.
 
 A stationary sequence of p-vectors with lag covariances
 ``R(t) = E[X(s+t) X(s)^T]``, ``R(-t) = R(t)^T``, is drawn by multivariate
@@ -16,30 +16,23 @@ Draws are replication-major, shape (n_reps, p, n), and may reuse a caller's
 workspace of spectrum and irfft output (:func:`sample_circulant`); scalar
 draws stream their normals straight into the spectrum.
 
-Fractional Gaussian noise is the scalar case p = 1; the stationary samplers
-of :mod:`fracdrift.simulate` feed the mode sequences through the same
-engine, and so does the integrator's folded fGN (:func:`sample_folded_fgn`).
-A factor depends only on ``(h, n)`` and the fold, so it is cached (at most
-32 entries, read-only, one lock) and a draw costs the normals, O(m p^2)
-spectrum work and one irfft; the caller's generator fixes the normals.  The
-cache key ignores :data:`TOL_EIG` and :data:`DENSE_GUARD`.
+The engine holds no state.  :class:`fracdrift.simulate.StationaryModeSampler`
+chooses the circle, builds each factor once and holds it, both for the
+stationary solution and for the integrator's fGN, whose lags, folded over an
+observation interval, come from :func:`folded_fgn_autocov` and
+:func:`fold_basis`.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
 __all__ = [
-    "fgn_autocov",
     "fold_basis",
     "folded_fgn_autocov",
-    "sample_fgn",
-    "sample_folded_fgn",
     "stationary_draw",
     "stationary_factor",
     "validate_hurst",
@@ -63,23 +56,6 @@ def validate_hurst(h: float) -> float:
     if not 0.0 < h < 1.0:
         raise ValueError(f"Hurst parameter must lie strictly in (0, 1), got {h}")
     return h
-
-
-def fgn_autocov(h: float, k) -> float | np.ndarray:
-    """Unit-step fGN autocovariance ``0.5 (|k+1|^2H - 2|k|^2H + |k-1|^2H)``.
-
-    Symmetric in ``k``; equals 1 at lag 0 and vanishes for ``|k| >= 1`` when
-    ``h = 1/2``. Accepts scalar or array lags.
-    """
-    h = validate_hurst(h)
-    k = np.abs(np.asarray(k, dtype=float))
-    two_h = 2.0 * h
-    out = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
-    return float(out) if out.ndim == 0 else out
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(int(n) - 1, 1).bit_length() if n > 1 else 1
 
 
 def block_toeplitz(lags: np.ndarray, n: int) -> np.ndarray:
@@ -156,11 +132,12 @@ def _dense_factor(lags: np.ndarray, n: int) -> np.ndarray:
     dense :func:`block_toeplitz` covariance of ``n`` points of ``lags``.
 
     Refuses before any allocation when ``n*p`` exceeds :data:`DENSE_GUARD`
-    or when what it may hold at once -- the matrix, its factor and one
-    jittered copy, ``24 (n p)^2`` bytes -- exceeds physical memory.
+    or when what it may hold at once -- the matrix, numpy's working copy
+    inside ``cholesky``, the factor and one jittered copy, ``32 (n p)^2``
+    bytes -- exceeds physical memory.
     """
     dim = n * lags.shape[-1]
-    need, memory = 24 * dim * dim, _physical_memory()
+    need, memory = 32 * dim * dim, _physical_memory()
     if dim > DENSE_GUARD or need > memory:
         raise ValueError(
             f"dense fallback dimension n*p = {dim} ({need / 2**30:.3g} GiB) exceeds "
@@ -266,9 +243,11 @@ def folded_fgn_autocov(h: float, n_lags: int, every: int, weights: np.ndarray) -
     """Lags ``0..n_lags-1`` of the p-vectors ``V_J[k] = sum_{c<S} weights[k, c]
     u_{JS+c}``, ``u`` unit-step fGN and ``S = every``: shape (n_lags, p, p),
     ``lags[L][k, l] = E[V_{J+L}[k] V_J[l]] = sum_{|d|<S} A_kl[d] gamma(LS+d)``,
-    ``A_kl = np.correlate(weights[k], weights[l], "full")``.  As ``2 gamma`` is
-    the second difference of ``f(x) = |x|^2H``, the sum is taken over
+    ``A_kl = np.correlate(weights[k], weights[l], "full")``, with ``gamma`` the
+    fGN autocovariance ``0.5 (|k+1|^2H - 2|k|^2H + |k-1|^2H)``.  As ``2 gamma``
+    is the second difference of ``f(x) = |x|^2H``, the sum is taken over
     ``f(LS+e)``, ``|e| <= S``, one offset at a time in O(n_lags p^2) memory.
+    At S = 1 with unit weights these are the fGN lags themselves.
     """
     h = validate_hurst(h)
     a = np.array([[np.correlate(wk, wl, "full") for wl in weights] for wk in weights])
@@ -286,54 +265,3 @@ def fold_basis(every: int, rhos) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(rhos, dtype=float)[:, None] ** np.arange(every - 1, -1, -1)
     basis, mix = np.linalg.qr(w.T)
     return basis.T, mix.T
-
-
-_FGN_FACTOR_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=32)
-def _fgn_factor(h: float, n: int, every: int = 1, rhos: tuple = ()) -> tuple[str, np.ndarray]:
-    """Read-only :func:`stationary_factor` of ``n`` points of unit-step fGN
-    or, for ``every > 1``, of its fold by the :func:`fold_basis` of ``rhos``.
-
-    Computed once per key and shared by every draw (32 keys: one per mode of
-    a 20-mode path).  The key ignores :data:`TOL_EIG` and :data:`DENSE_GUARD`:
-    after changing either, ``_fgn_factor.cache_clear()``.
-    """
-    m = _next_pow2(n - 1)
-    lags = (folded_fgn_autocov(h, m + 1, every, fold_basis(every, rhos)[0]) if every > 1
-            else fgn_autocov(h, np.arange(m + 1))[:, None, None])
-    method, factor = stationary_factor(lags, n)
-    factor.setflags(write=False)
-    return method, factor
-
-
-def sample_fgn(h: float, n: int, rng: np.random.Generator,
-               work: dict | None = None) -> np.ndarray:
-    """Exact sample of ``n`` unit-step fGN values with Hurst parameter ``h``.
-
-    The engine with p = 1 on lags ``0..m``, ``m`` the next power of two at or
-    above ``n-1``.  Deterministic in ``(h, n)`` and the state of ``rng``;
-    ``work`` is reused as :func:`sample_circulant` says.
-    """
-    return sample_folded_fgn(h, n, 1, (), rng, work)[0]
-
-
-def sample_folded_fgn(h: float, n: int, every: int, rhos, rng: np.random.Generator,
-                      work: dict | None = None) -> np.ndarray:
-    """Exact sample of ``n`` folds ``V_J[k] = sum_{c<S} rhos[k]^(S-1-c) u_{JS+c}``
-    of unit-step fGN ``u``, ``S = every``, shape (p, n); at S = 1 one fGN draw.
-
-    Drawn as ``mix @ Z``, Z the fold by the orthonormal :func:`fold_basis`:
-    the filters of nearby rates are nearly collinear, and so is V, not Z.
-    """
-    h, n = validate_hurst(h), int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1 and every == 1:
-        return rng.standard_normal((1, 1))
-    key = (h, n) if every == 1 else (h, n, int(every), tuple(map(float, rhos)))
-    with _FGN_FACTOR_LOCK:  # one miss per key, even from pool threads
-        method, factor = _fgn_factor(*key)
-    z = stationary_draw(method, factor, n, rng, 1, work)[0]
-    return z if every == 1 else fold_basis(every, rhos)[1] @ z

@@ -57,7 +57,13 @@ from .estimators import (
     trace_q1,
 )
 from .models import ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator
-from .simulate import StationaryModeSampler, TrajectoryGrid, integrate_path, project_modes
+from .simulate import (
+    StationaryModeSampler,
+    TrajectoryGrid,
+    check_integration,
+    integrate_path,
+    project_modes,
+)
 
 __all__ = [
     "ExperimentSpec",
@@ -480,7 +486,8 @@ def _integrated_moment_samples(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exponential-Euler replications at spacing ``spec.dt``, as prefix sums at ``cuts``.
 
-    Each pool thread keeps one :func:`integrate_path` workspace for all its
+    The noise sampler factors every sequence once, before the pool; each pool
+    thread keeps one :func:`integrate_path` workspace for all its
     replications, so a replication allocates no array of the path's length
     and does not page-fault fresh memory.  Deterministic in (seed, kind,
     replication) regardless of the thread count.
@@ -489,6 +496,10 @@ def _integrated_moment_samples(
     observe_every = max(int(round(spec.dt / (spec.sim_dt or DEFAULT_SIM_DT))), 1)
     sim_dt = spec.dt / observe_every
     grid = TrajectoryGrid(sim_dt, n_obs * observe_every, 0)
+    sampler = StationaryModeSampler(
+        model, check_integration(model, grid, "burn_in", observe_every)[1], sim_dt, observe_every)
+    for s in range(sampler.n_sequences):
+        sampler.factor(s)  # factor once before any parallel draws
     at = np.asarray(cuts) - 1
     sq = np.empty((len(at), spec.replications))
     proj = np.empty_like(sq) if want_proj else None
@@ -503,6 +514,7 @@ def _integrated_moment_samples(
             model, grid, "burn_in",
             seed=int(substream(spec.seed, tag, rep).integers(2**63)),
             store_modes=want_proj, observe_every=observe_every, work=local.work,
+            sampler=sampler,
         )
         sq[:, rep] = np.cumsum(traj.sq_norms[1:])[at]
         if want_proj:

@@ -13,11 +13,14 @@ Two sources of trajectories with different roles:
   the observed states keep the scheme's law, bias included.  A burn-in is
   rounded up to whole intervals.
 * :func:`sample_stationary_sequence` -- an exact draw of the stationary
-  solution at the observation times from the circulant engine of
-  :mod:`fracdrift.fgn`, fed with the autocovariance table read as block
-  sequences: one scalar sequence per mode for diagonal noise, one sequence
-  of N-vectors for rank-one noise.  Bias-free; the default source for
-  distribution-level experiments.
+  solution at the observation times, fed with the autocovariance table read
+  as block sequences: one scalar sequence per mode for diagonal noise, one
+  sequence of N-vectors for rank-one noise.  Bias-free; the default source
+  for distribution-level experiments.
+
+Both draw through :class:`StationaryModeSampler`, the one holder of the
+factors of the circulant engine of :mod:`fracdrift.fgn`: built per model and
+grid, it factors each sequence once and then draws any number of paths.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from ._rng import substream
 from .covariance import lag_blocks
 from .fgn import _dense_factor  # noqa: F401  (bench/layers.py times the fallback here)
-from .fgn import sample_folded_fgn, stationary_draw, stationary_factor
+from .fgn import fold_basis, folded_fgn_autocov, stationary_draw, stationary_factor
 from .models import DIAGONAL, ModelConfig, ProjectionVector, positive_finite
 
 __all__ = [
@@ -141,17 +144,26 @@ def _ar1_scan(u: np.ndarray, rho: float, x0: float, gain: float, at: np.ndarray,
 
 
 def check_integration(model: ModelConfig, grid: TrajectoryGrid, init,
-                      observe_every: int = 1) -> str:
-    """Check :func:`integrate_path`'s arguments before any draw; returns the init kind."""
-    observe_every = int(observe_every)
-    if observe_every < 1 or grid.n_steps % observe_every:
+                      observe_every: int = 1) -> tuple[str, int]:
+    """Check :func:`integrate_path`'s arguments before any draw.
+
+    Returns the init kind and the folds each noise sequence draws: one per
+    observation interval, the burn-in rounded up to whole intervals.
+    """
+    every = int(observe_every)
+    if every < 1 or grid.n_steps % every:
         raise ValueError("observe_every must be >= 1 and divide n_steps")
     kind = init if isinstance(init, str) else "given"
     if kind not in ("zero", "burn_in", "stationary", "given"):
         raise ValueError(f"unknown init {init!r}")
     if kind == "given" and np.shape(init) != (model.n_modes,):
         raise ValueError("initial state must have one coordinate per mode")
-    return kind
+    if grid.burn_in_steps and kind != "burn_in":
+        raise ValueError(f"grid.burn_in_steps is run only by init 'burn_in', not {kind!r}")
+    burn = 0
+    if kind == "burn_in":
+        burn = grid.burn_in_steps or default_burn_in_steps(model, grid.dt)
+    return kind, (grid.n_steps + burn + every - 1) // every
 
 
 def integrate_path(
@@ -162,61 +174,59 @@ def integrate_path(
     store_modes: bool = True,
     observe_every: int = 1,
     work: dict | None = None,
+    sampler: StationaryModeSampler | None = None,
 ) -> Trajectory:
     """Exponential-Euler path started from ``init``.
 
     ``init`` is one of ``"zero"``, ``"burn_in"``, ``"stationary"`` or an array
     of initial mode coordinates.  ``"burn_in"`` simulates ``grid.burn_in_steps``
     extra steps (the default amount if the grid carries none) and discards
-    them.  ``"stationary"`` draws the initial state exactly from the stationary
-    law of X(0), all modes jointly, independently of the subsequent noise; for
-    H != 1/2 the path is then only marginally (not jointly) stationary -- use
+    them; no other init takes a burn-in.  ``"stationary"`` draws the initial
+    state exactly from the stationary law of X(0), all modes jointly,
+    independently of the subsequent noise; for H != 1/2 the path is then only
+    marginally (not jointly) stationary -- use
     :func:`sample_stationary_sequence` where that matters.
 
     ``observe_every = S`` keeps every S-th state and rounds a burn-in up to
     whole intervals (``grid.burn_in_steps`` of the result is the burn-in
-    run).  For S > 1 a mode advances by ``rho^S`` per interval and adds
-    ``phi_k dt^H V_J`` from :func:`fgn.sample_folded_fgn`: one sequence per
-    mode for diagonal noise, one N-vector sequence for rank-one noise.
-    :func:`_ar1_scan` returns only the observed states; ``work`` is an
-    optional dict that keeps the draw's spectrum and irfft output and the
-    scan's columns for the next path, which then allocates no array of the
-    drawn length.  The trajectory never shares memory with it.
+    run).  A mode advances by ``rho^S`` per interval and adds
+    ``phi_k dt^H V_J`` from ``sampler``, ``StationaryModeSampler(model, n,
+    dt, S)`` with ``n`` from :func:`check_integration`: pass one to factor
+    once for many paths.  :func:`_ar1_scan` returns only the observed
+    states; ``work`` is an optional dict that keeps the draw's spectrum and
+    irfft output and the scan's columns for the next path, which then
+    allocates no array of the drawn length.  The trajectory never shares
+    memory with it.
     """
-    kind = check_integration(model, grid, init, observe_every)
+    kind, n = check_integration(model, grid, init, observe_every)
     every = int(observe_every)
-    burn = 0
+    sampler = sampler or StationaryModeSampler(model, n, grid.dt, every)
+    if sampler.model is not model or (sampler.n, sampler.dt, sampler.every) != (n, grid.dt, every):
+        raise ValueError("the noise sampler was built for another grid or model")
     x0 = np.zeros(model.n_modes)
-    if kind == "burn_in":
-        burn = grid.burn_in_steps or default_burn_in_steps(model, grid.dt)
-        burn = -(-burn // every) * every
-    elif kind == "stationary":
+    if kind == "stationary":
         x0 = sample_stationary_sequence(model, 1, grid.dt, seed).modes[:, 0]
     elif kind == "given":
         x0 = np.asarray(init, dtype=float)
 
     n_obs = grid.n_steps // every
-    n = n_obs + burn // every  # states drawn per mode: one per interval
+    burn = n - n_obs  # intervals
     rho = np.exp(-model.rates * grid.dt)
-    phi = model.noise.loadings
-    joint = every > 1 and model.noise.kind != DIAGONAL
-    at = burn // every - 1 + np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
+    at = burn - 1 + np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
     first = int(burn == 0)  # x0, at index -1, is column 0
     kept = np.empty((model.n_modes, n_obs + 1))
     kept[:, 0] = x0
     work = {} if work is None else work
-    noise = None
-    for k in range(model.n_modes):
-        if noise is None or model.noise.kind == DIAGONAL:
-            noise = sample_folded_fgn(model.hurst, n, every, rho if joint else rho[k:k + 1],
-                                      substream(seed, _FGN_STREAM, k), work)
-            noise *= grid.dt**model.hurst
-        kept[k, first:] = _ar1_scan(noise[k if joint else 0], rho[k]**every, x0[k], phi[k],
-                                    at[first:], work)
+    for b in range(sampler.n_sequences):
+        noise = sampler.draw(b, substream(seed, _FGN_STREAM, b), 1, work)[0]
+        noise *= grid.dt**model.hurst
+        for k, row in enumerate(noise, b):  # sequence b holds modes b, b+1, ...
+            kept[k, first:] = _ar1_scan(row, rho[k]**every, x0[k], model.noise.loadings[k],
+                                        at[first:], work)
 
     dt_out = grid.dt * every
     return Trajectory(
-        grid=TrajectoryGrid(dt_out, n_obs, burn),
+        grid=TrajectoryGrid(dt_out, n_obs, burn * every),
         t=np.arange(n_obs + 1) * dt_out,
         sq_norms=np.sum(kept**2, axis=0),
         init_kind=kind,
@@ -229,21 +239,41 @@ def integrate_path(
 # --------------------------------------------------------------------------
 
 class StationaryModeSampler:
-    """Exact stationary draws of the mode coordinates, for both noise kinds.
+    """Exact draws of the mode coordinates' stationary sequences, for both
+    noise kinds: the one holder of the circulant engine's factors.
 
-    The lag table is read as block sequences (:func:`lag_blocks`): N scalar
-    sequences for diagonal noise, one sequence of N-vectors for rank-one
-    noise.  Each sequence is factored once by the engine of
-    :mod:`fracdrift.fgn` (circulant embedding, dense Cholesky fallback) and
-    then yields batches of replications.
+    With ``every = 0`` it draws the stationary solution at spacing ``dt``,
+    from the lag table read as block sequences (:func:`lag_blocks`).  With
+    ``every = S >= 1`` it draws the noise of :func:`integrate_path` at step
+    ``dt``, unit-step fGN folded by each mode's AR(1) filter,
+    ``V_J[k] = sum_{c<S} rho_k^(S-1-c) u_{JS+c}`` (the identity at S = 1):
+    the fold by the orthonormal :func:`fold_basis`, whose lags are
+    :func:`folded_fgn_autocov`, times ``mix`` (nearby rates give nearly
+    collinear filters, and so V, not its basis fold).  Diagonal noise gives
+    N scalar sequences, rank-one noise one sequence of vectors; lags
+    ``0..m``, ``m`` the power of two above ``n - 1``, go on the circle.
+    Each sequence is factored once by the engine of :mod:`fracdrift.fgn`
+    (circulant embedding, dense Cholesky fallback) and then yields batches
+    of replications.
     """
 
-    def __init__(self, model: ModelConfig, n: int, dt: float):
+    def __init__(self, model: ModelConfig, n: int, dt: float, every: int = 0):
         self.model = model
         self.n = int(n)
         self.dt = float(dt)
+        self.every = int(every)
         m = 1 << max(self.n - 1, 1).bit_length()
-        self._lags = lag_blocks(model, dt, m + 1)
+        self._mixes = None
+        if self.every:
+            rho = np.exp(-model.rates * self.dt)
+            banks = ([rho[k:k + 1] for k in range(model.n_modes)]
+                     if model.noise.kind == DIAGONAL else [rho])
+            folds = [fold_basis(self.every, bank) for bank in banks]
+            self._lags = [folded_fgn_autocov(model.hurst, m + 1, self.every, basis)
+                          for basis, _ in folds]
+            self._mixes = [mix for _, mix in folds]
+        else:
+            self._lags = lag_blocks(model, dt, m + 1)
         self.n_sequences = len(self._lags)
         self._factors: dict[int, tuple[str, np.ndarray]] = {}
 
@@ -255,10 +285,11 @@ class StationaryModeSampler:
 
     def draw(self, b: int, rng: np.random.Generator, n_reps: int,
              work: dict | None = None) -> np.ndarray:
-        """Sample ``n_reps`` independent stationary draws of sequence ``b``;
-        returns shape (n_reps, p, n): p = 1 for diagonal noise, N for rank-one
-        noise.  A ``work`` dict is reused as :func:`fgn.sample_circulant` says."""
-        return stationary_draw(*self.factor(b), self.n, rng, n_reps, work)
+        """Sample ``n_reps`` independent draws of sequence ``b``; returns shape
+        (n_reps, p, n): p = 1 for diagonal noise, N for rank-one noise.  A
+        ``work`` dict is reused as :func:`fgn.sample_circulant` says."""
+        x = stationary_draw(*self.factor(b), self.n, rng, n_reps, work)
+        return x if self._mixes is None else self._mixes[b] @ x
 
 
 def sample_stationary_sequence(

@@ -1,5 +1,3 @@
-import time
-
 import pytest
 
 import fracdrift.fgn as fgn
@@ -33,18 +31,12 @@ def single_mode():
 
 @pytest.fixture
 def embedding_calls(monkeypatch):
-    """Clear the fGN factor cache and record each circulant embedding call.
-
-    Each call sleeps 50 ms, which widens the window in which threads that
-    miss the cache without the lock would all factor.
-    """
-    fgn._fgn_factor.cache_clear()
+    """Record the lag count of each circulant embedding call."""
     calls = []
     inner = fgn.circulant_embedding_eigs
 
     def counted(lags):
         calls.append(len(lags))
-        time.sleep(0.05)
         return inner(lags)
 
     monkeypatch.setattr(fgn, "circulant_embedding_eigs", counted)

@@ -7,9 +7,31 @@ from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn
 
 from fracdrift.covariance import QuadratureError, SeriesLimit, _c_spectral
-from fracdrift.fgn import fgn_autocov
+from fracdrift.fgn import stationary_draw, stationary_factor, validate_hurst
 from fracdrift.models import DIAGONAL
 from fracdrift.simulate import SCAN_BLOCK
+
+
+def fgn_autocov(h: float, k) -> float | np.ndarray:
+    """Unit-step fGN autocovariance ``0.5 (|k+1|^2H - 2|k|^2H + |k-1|^2H)``.
+
+    Symmetric in ``k``; equals 1 at lag 0 and vanishes for ``|k| >= 1`` when
+    ``h = 1/2``. Accepts scalar or array lags.
+    """
+    h = validate_hurst(h)
+    k = np.abs(np.asarray(k, dtype=float))
+    two_h = 2.0 * h
+    out = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    return float(out) if out.ndim == 0 else out
+
+
+def sample_fgn(h: float, n: int, rng, work: dict | None = None) -> np.ndarray:
+    """``n`` points of unit-step fGN drawn by the engine from these lags, on the
+    circle of :class:`fracdrift.simulate.StationaryModeSampler` (lags ``0..m``,
+    ``m`` the power of two above ``n - 1``); ``work`` as the engine says."""
+    m = 1 << max(n - 1, 1).bit_length()
+    method, factor = stationary_factor(fgn_autocov(h, np.arange(m + 1))[:, None, None], n)
+    return stationary_draw(method, factor, n, rng, 1, work)[0, 0]
 
 
 def stationary_variance_mode(a: float, phi: float, hurst: float) -> float:

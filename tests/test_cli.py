@@ -128,12 +128,35 @@ class TestSimulateEstimateRoundTrip:
             == EXIT_ERROR
         assert "error: compute:" in capsys.readouterr().err
 
+    def test_memory_error_in_dense_fallback_is_a_compute_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # An allocation that fails inside the factorization, past the guard's
+        # estimate, exits 1 with a compute error and writes nothing.
+        import fracdrift.fgn as fgn
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(fgn, "TOL_EIG", -1.0)        # force the dense fallback
+        monkeypatch.setattr(fgn, "jittered_cholesky", no_memory)
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 1.0, "n_steps": 16},
+            "method": "exact_stationary",
+        })
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: compute: out of memory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry,message", [
         pytest.param({"observe_every": 0}, "observe_every must be >= 1", id="observe_every_0"),
         pytest.param({"observe_every": 7}, "divide n_steps", id="observe_every_7"),
         pytest.param({"init": "warm"}, "unknown init 'warm'", id="init_warm"),
         pytest.param({"init": {"given": [1.0, 2.0]}}, "one coordinate per mode",
                      id="init_given_short"),
+        pytest.param({"init": "zero", "grid": {"dt": 0.01, "n_steps": 100, "burn_in_steps": 500}},
+                     "grid.burn_in_steps is run only by init 'burn_in'",
+                     id="burn_in_steps_without_burn_in"),
     ])
     def test_integrator_config_mistake_is_a_config_error(self, tmp_path, capsys, entry,
                                                          message):

@@ -1,8 +1,5 @@
 """Fractional Gaussian noise sampling: exactness, determinism, statistics."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,17 +10,15 @@ from fracdrift.covariance import mode_lag_table
 from fracdrift.fgn import (
     block_toeplitz,
     circulant_embedding_eigs,
-    fgn_autocov,
     jittered_cholesky,
-    sample_fgn,
     stationary_draw,
     stationary_factor,
     validate_hurst,
 )
 from fracdrift.models import build_distributed_model, build_pointwise_model
-from fracdrift.simulate import _FGN_STREAM, StationaryModeSampler, TrajectoryGrid, integrate_path
+from fracdrift.simulate import _FGN_STREAM, StationaryModeSampler
 from fracdrift._rng import substream
-from oracles import full_buffer_scalar_draw
+from oracles import fgn_autocov, full_buffer_scalar_draw, sample_fgn
 
 
 def fgn_rng(seed):
@@ -38,9 +33,8 @@ def scalar_recipe_eigs(autocov):
     return np.fft.rfft(np.concatenate([autocov, autocov[m - 1:0:-1]])).real
 
 
-def scalar_recipe_fgn(h, n, rng):
-    """The former ``sample_fgn`` circulant route, kept as a bit-level oracle."""
-    m = 1 << max(n - 2, 1).bit_length() if n > 2 else 1
+def scalar_recipe_fgn(h, m, n, rng):
+    """The former scalar fGN circulant route on lags 0..m, kept as a bit-level oracle."""
     eigs = scalar_recipe_eigs(fgn_autocov(h, np.arange(m + 1)))
     g_re = rng.standard_normal(m + 1)
     g_im = rng.standard_normal(m + 1)
@@ -155,17 +149,17 @@ class TestSampling:
         target = np.array([[fgn_autocov(h, i - j) for j in range(n)] for i in range(n)])
         assert_covariance_matches(draws, target, 4.5)
 
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            sample_fgn(0.5, 0, fgn_rng(1))
-
 
 class TestEngine:
     @pytest.mark.parametrize("h", [0.1, 0.3, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 257, 4097])
     def test_fgn_bit_identical_to_scalar_recipe(self, h, n):
-        ours = sample_fgn(h, n, substream(3, n))
-        assert np.array_equal(ours, scalar_recipe_fgn(h, n, substream(3, n)))
+        # On the scalar recipe's circle: the power of two at or above n - 1.
+        m = 1 << max(n - 2, 1).bit_length() if n > 2 else 1
+        method, factor = stationary_factor(fgn_autocov(h, np.arange(m + 1))[:, None, None], n)
+        assert method == "circulant"
+        ours = stationary_draw(method, factor, n, substream(3, n), 1)[0, 0]
+        assert np.array_equal(ours, scalar_recipe_fgn(h, m, n, substream(3, n)))
 
     @pytest.mark.parametrize("n", [1, 4, 64, 100])
     def test_diagonal_draw_bit_identical_to_scalar_recipe(self, n):
@@ -202,12 +196,13 @@ class TestEngine:
             stationary_factor(lags, 16)
 
     def test_dense_guard_counts_bytes_against_memory(self, monkeypatch):
-        # The fallback may hold 24 (n p)^2 bytes: matrix, factor, jittered copy.
+        # The fallback may hold 32 (n p)^2 bytes: matrix, cholesky's working
+        # copy, factor, jittered copy.
         monkeypatch.setattr(fgn, "TOL_EIG", -1.0)
         lags = fgn_autocov(0.7, np.arange(17))[:, None, None]
-        monkeypatch.setattr(fgn, "_physical_memory", lambda: 24 * 16**2)
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: 32 * 16**2)
         assert stationary_factor(lags, 16)[0] == "cholesky"
-        monkeypatch.setattr(fgn, "_physical_memory", lambda: 24 * 16**2 - 1)
+        monkeypatch.setattr(fgn, "_physical_memory", lambda: 32 * 16**2 - 1)
         with pytest.raises(ValueError, match="guard"):
             stationary_factor(lags, 16)
 
@@ -273,10 +268,11 @@ class TestEngine:
             assert np.array_equal(ours, oracle)
 
     def test_chunked_fgn_equals_full_buffer_draw_at_integrator_length(self):
-        n = 104427  # the integrator_paths benchmark's steps per path
-        _, factor = fgn._fgn_factor(0.3, n)
-        ours = sample_fgn(0.3, n, substream(5, 1))
-        oracle = full_buffer_scalar_draw(factor, n, substream(5, 1), 1)[0, 0]
+        n = 104427  # steps per path at the integrator_paths benchmark's scale, unfolded
+        m = 1 << (n - 1).bit_length()
+        method, factor = stationary_factor(fgn_autocov(0.3, np.arange(m + 1))[:, None, None], n)
+        ours = stationary_draw(method, factor, n, substream(5, 1), 1)
+        oracle = full_buffer_scalar_draw(factor, n, substream(5, 1), 1)
         assert np.array_equal(ours, oracle)
 
 
@@ -319,30 +315,3 @@ class TestFbm:
             sample_var = paths[:, idx - 1].var()
             se = sample_var * np.sqrt(2.0 / reps)
             assert abs(sample_var - t ** (2 * h)) <= 4.0 * se
-
-
-class TestFactorCache:
-    def test_integrate_path_factors_once_per_hurst_and_length(self, embedding_calls):
-        model = build_distributed_model(1, 1, 4, 1.0, 0.3)
-        for seed in (1, 2, 3):
-            integrate_path(model, TrajectoryGrid(0.1, 300), "zero", seed=seed)
-        assert len(embedding_calls) == 1
-
-    def test_concurrent_misses_factor_once(self, embedding_calls):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(sample_fgn, 0.3, 500, fgn_rng(s)) for s in range(16)]
-                draws = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(embedding_calls) == 1
-        for s, x in enumerate(draws):
-            assert np.array_equal(x, sample_fgn(0.3, 500, fgn_rng(s)))
-
-    def test_cached_factor_is_read_only(self):
-        method, factor = fgn._fgn_factor(0.7, 100)
-        assert method == "circulant"
-        with pytest.raises(ValueError):
-            factor[0] = 1.0

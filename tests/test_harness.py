@@ -154,16 +154,16 @@ class TestReproducibility:
 class TestConsistencyExperiment:
     def test_integrator_source_factors_fgn_once(self, embedding_calls):
         # Observed every 10 steps, each heat4 mode draws fGN folded by its own
-        # filter: one factor per mode filter, whatever the replication and
-        # thread counts.
+        # filter: one factor per mode filter per experiment, whatever the
+        # replication and thread counts.
         model = build_distributed_model(1, 1, 4, 0.1, 0.3)
         spec = ExperimentSpec("consistency", model, (20, 40), 8, seed=3, threads=2,
                               source="integrator", sim_dt=0.1,
                               thresholds={"max_median_error": 10.0})
-        for replications, threads in ((8, 2), (12, 3), (8, 1)):
+        for runs, (replications, threads) in enumerate(((8, 2), (12, 3), (8, 1)), 1):
             run_consistency(ExperimentSpec(**{**spec.__dict__, "replications": replications,
                                               "threads": threads}))
-            assert len(embedding_calls) == 4
+            assert len(embedding_calls) == 4 * runs
 
     def test_integrator_step_defaults_to_one_hundredth(self):
         model = build_distributed_model(1, 1, 3, 1.0, 0.55)

@@ -15,13 +15,7 @@ from fracdrift.covariance import (
     stationary_covariance,
     trace_q,
 )
-from fracdrift.fgn import (
-    block_toeplitz,
-    fgn_autocov,
-    fold_basis,
-    folded_fgn_autocov,
-    sample_fgn,
-)
+from fracdrift.fgn import block_toeplitz, fold_basis, folded_fgn_autocov
 from fracdrift.models import (
     build_distributed_model,
     build_pointwise_model,
@@ -46,7 +40,13 @@ from fracdrift.simulate import (
     trajectory_to_npz,
 )
 from fracdrift.simulate import _FGN_STREAM, _ar1_scan
-from oracles import euler_state_covariance, mode_axis_ar1_scan, stationary_variance_mode
+from oracles import (
+    euler_state_covariance,
+    fgn_autocov,
+    mode_axis_ar1_scan,
+    sample_fgn,
+    stationary_variance_mode,
+)
 
 
 def euler_chain_variance(a: float, phi: float, h: float, dt: float, n_terms: int = 20_000) -> float:
@@ -188,14 +188,15 @@ class TestIntegratePath:
         # Diagonal and rank-one noise, every init.  Coarse paths draw the fGN
         # folded over each observation interval, not the fine increments, so
         # they share with the fine paths the start and the grid, and their
-        # law is checked against the dense Euler covariance.  The burn-in of
-        # 13 steps runs as 20, two whole observation intervals.
-        grid = TrajectoryGrid(0.01, 100, burn_in_steps=13)
+        # law is checked against the dense Euler covariance, at S = 10 and at
+        # S = 1, the identity fold.  Only the burn-in init takes a burn-in:
+        # its 13 steps run as 20, two whole observation intervals.
         for model in (heat3, build_pointwise_model(0.3, 3, 1.0, 0.55)):
             for init in ("zero", "burn_in", "stationary", np.array([0.5, -1.0, 2.0])):
+                burn_in = isinstance(init, str) and init == "burn_in"
+                grid = TrajectoryGrid(0.01, 100, burn_in_steps=13 if burn_in else 0)
                 fine = integrate_path(model, grid, init, seed=2)
                 coarse = integrate_path(model, grid, init, seed=2, observe_every=10)
-                burn_in = isinstance(init, str) and init == "burn_in"
                 assert coarse.grid.burn_in_steps == (20 if burn_in else 0)
                 assert fine.grid.burn_in_steps == (13 if burn_in else 0)
                 if not burn_in:
@@ -203,17 +204,38 @@ class TestIntegratePath:
                 assert coarse.grid.dt == pytest.approx(0.1)
                 assert fine.modes.shape == (3, 101) and coarse.modes.shape == (3, 11)
                 assert_sequential_recursion(fine, model, grid, init, seed=2)
-            # Sample covariance of 2000 coarse paths from zero, entry by
-            # entry within 4.5 standard errors of the dense oracle.
+            # Sample covariance of 2000 paths from zero, entry by entry
+            # within 4.5 standard errors of the dense oracle.
             reps, small = 2000, TrajectoryGrid(0.01, 60)
-            states = np.array([integrate_path(model, small, "zero", s, observe_every=10)
-                               .modes[:, 1:].ravel() for s in range(reps)])
-            oracle = euler_state_covariance(model, 0.01, 60, 10).reshape(18, 18)
-            var = np.diag(oracle)
-            se = np.sqrt((np.outer(var, var) + oracle**2) / reps)
-            assert np.max(np.abs(states.T @ states / reps - oracle) / se) < 4.5
+            for every in (1, 10):
+                dim = 3 * 60 // every
+                sampler = StationaryModeSampler(model, 60 // every, 0.01, every)
+                states = np.array([integrate_path(model, small, "zero", s, observe_every=every,
+                                                  sampler=sampler).modes[:, 1:].ravel()
+                                   for s in range(reps)])
+                oracle = euler_state_covariance(model, 0.01, 60, every).reshape(dim, dim)
+                var = np.diag(oracle)
+                se = np.sqrt((np.outer(var, var) + oracle**2) / reps)
+                assert np.max(np.abs(states.T @ states / reps - oracle) / se) < 4.5, every
         with pytest.raises(ValueError):
-            integrate_path(heat3, grid, "zero", seed=2, observe_every=7)
+            integrate_path(heat3, TrajectoryGrid(0.01, 100), "zero", seed=2, observe_every=7)
+
+    def test_given_sampler_keeps_the_bits_and_must_match(self, heat3):
+        # A sampler built once for many paths draws what each path's own
+        # sampler draws; one built for another grid or model is refused.
+        grid = TrajectoryGrid(0.01, 100, 25)
+        sampler = StationaryModeSampler(heat3, 13, 0.01, 10)
+        for seed in (1, 2):
+            ours = integrate_path(heat3, grid, "burn_in", seed, observe_every=10, sampler=sampler)
+            own = integrate_path(heat3, grid, "burn_in", seed, observe_every=10)
+            assert np.array_equal(ours.modes, own.modes)
+        other = build_distributed_model(1, 1, 3, 1.0, 0.55)
+        for wrong in (StationaryModeSampler(heat3, 10, 0.01, 10),
+                      StationaryModeSampler(heat3, 130, 0.01, 1),
+                      StationaryModeSampler(heat3, 13, 0.02, 10),
+                      StationaryModeSampler(other, 13, 0.01, 10)):
+            with pytest.raises(ValueError, match="another grid or model"):
+                integrate_path(heat3, grid, "burn_in", 1, observe_every=10, sampler=wrong)
 
     def test_bad_init_rejected(self, heat3):
         grid = TrajectoryGrid(0.1, 10)
@@ -221,6 +243,10 @@ class TestIntegratePath:
             integrate_path(heat3, grid, "warm", seed=1)
         with pytest.raises(ValueError):
             integrate_path(heat3, grid, np.ones(5), seed=1)
+        # A burn-in on the grid runs only from init "burn_in".
+        for init in ("zero", "stationary", np.zeros(3)):
+            with pytest.raises(ValueError, match="burn_in_steps"):
+                integrate_path(heat3, TrajectoryGrid(0.1, 10, 5), init, seed=1)
 
     @pytest.mark.parametrize("observe_every", [1, 10])
     @pytest.mark.parametrize("init", ["zero", "burn_in", "stationary", "given"])
@@ -235,7 +261,7 @@ class TestIntegratePath:
         calls = [(n_steps, seed) for n_steps in (200, 400, 200) for seed in (3, 4)]
         work = {}
         for n_steps, seed in calls:
-            grid = TrajectoryGrid(0.01, n_steps, 30)
+            grid = TrajectoryGrid(0.01, n_steps, 30 if init == "burn_in" else 0)
             fresh = integrate_path(model, grid, start, seed, observe_every=observe_every)
             reused = integrate_path(model, grid, start, seed, observe_every=observe_every,
                                     work=work)
