@@ -258,6 +258,8 @@ class StationaryModeSampler:
     """
 
     def __init__(self, model: ModelConfig, n: int, dt: float, every: int = 0):
+        if int(n) < 1:
+            raise ValueError("n must be >= 1")
         self.model = model
         self.n = int(n)
         self.dt = float(dt)
@@ -278,9 +280,12 @@ class StationaryModeSampler:
         self._factors: dict[int, tuple[str, np.ndarray]] = {}
 
     def factor(self, b: int) -> tuple[str, np.ndarray]:
-        """Factor sequence ``b`` (idempotent); returns (method, factor)."""
+        """Factor sequence ``b`` (idempotent); returns (method, factor), the
+        factor read-only because concurrent draws share it."""
         if b not in self._factors:
-            self._factors[b] = stationary_factor(self._lags[b], self.n)
+            method, factor = stationary_factor(self._lags[b], self.n)
+            factor.setflags(write=False)
+            self._factors[b] = method, factor
         return self._factors[b]
 
     def draw(self, b: int, rng: np.random.Generator, n_reps: int,
@@ -300,8 +305,6 @@ def sample_stationary_sequence(
 ) -> Trajectory:
     """Exact draw of the stationary solution at ``t = dt, 2 dt, ..., n dt``."""
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     sampler = StationaryModeSampler(model, n, dt)
     modes = np.concatenate([
         sampler.draw(b, substream(seed, _STATIONARY_STREAM, b), 1)[0]

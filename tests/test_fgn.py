@@ -16,7 +16,13 @@ from fracdrift.fgn import (
     validate_hurst,
 )
 from fracdrift.models import build_distributed_model, build_pointwise_model
-from fracdrift.simulate import _FGN_STREAM, StationaryModeSampler
+from fracdrift.simulate import (
+    _FGN_STREAM,
+    StationaryModeSampler,
+    TrajectoryGrid,
+    check_integration,
+    integrate_path,
+)
 from fracdrift._rng import substream
 from oracles import fgn_autocov, full_buffer_scalar_draw, sample_fgn
 
@@ -148,6 +154,13 @@ class TestSampling:
         draws = stationary_draw(method, lower, n, substream(5, 6), m).reshape(m, n).T
         target = np.array([[fgn_autocov(h, i - j) for j in range(n)] for i in range(n)])
         assert_covariance_matches(draws, target, 4.5)
+
+
+    def test_rejects_bad_n(self):
+        model = build_distributed_model(1, 1, 2, 1.0, 0.5)
+        for every in (0, 1):
+            with pytest.raises(ValueError, match="n must be"):
+                StationaryModeSampler(model, 0, 1.0, every)
 
 
 class TestEngine:
@@ -315,3 +328,24 @@ class TestFbm:
             sample_var = paths[:, idx - 1].var()
             se = sample_var * np.sqrt(2.0 / reps)
             assert abs(sample_var - t ** (2 * h)) <= 4.0 * se
+
+
+class TestFactorCache:
+    def test_integrate_path_factors_once_per_hurst_and_length(self, embedding_calls):
+        # One sampler per Hurst index and drawn length factors each mode
+        # filter once, whatever the number of paths it serves.
+        model = build_distributed_model(1, 1, 4, 1.0, 0.3)
+        grid = TrajectoryGrid(0.1, 300)
+        _, n = check_integration(model, grid, "zero", 1)
+        sampler = StationaryModeSampler(model, n, grid.dt, 1)
+        for seed in (1, 2, 3):
+            integrate_path(model, grid, "zero", seed=seed, sampler=sampler)
+        assert len(embedding_calls) == model.n_modes
+
+    def test_cached_factor_is_read_only(self):
+        model = build_distributed_model(1, 1, 2, 1.0, 0.7)
+        for every in (0, 1):
+            method, factor = StationaryModeSampler(model, 100, 0.5, every).factor(0)
+            assert method == "circulant"
+            with pytest.raises(ValueError):
+                factor[0] = 1.0
