@@ -132,12 +132,12 @@ def _dense_factor(lags: np.ndarray, n: int) -> np.ndarray:
     dense :func:`block_toeplitz` covariance of ``n`` points of ``lags``.
 
     Refuses before any allocation when ``n*p`` exceeds :data:`DENSE_GUARD`
-    or when what it may hold at once -- the matrix, numpy's working copy
-    inside ``cholesky``, the factor and one jittered copy, ``32 (n p)^2``
-    bytes -- exceeds physical memory.
+    or when ``40 (n p)^2`` bytes exceed physical memory: the matrix, numpy's
+    working copy inside ``cholesky``, the factor, one jittered copy and 8 B
+    per entry of headroom (up to 36.7 B per entry were measured).
     """
     dim = n * lags.shape[-1]
-    need, memory = 32 * dim * dim, _physical_memory()
+    need, memory = 40 * dim * dim, _physical_memory()
     if dim > DENSE_GUARD or need > memory:
         raise ValueError(
             f"dense fallback dimension n*p = {dim} ({need / 2**30:.3g} GiB) exceeds "

@@ -293,9 +293,6 @@ def _stationary_moment_samples(
     sums = np.empty((2 if need_proj else 1, len(at), spec.replications))
     coeffs = spec.projection.coefficients if need_proj else None
     sampler = StationaryModeSampler(spec.model, n, spec.dt)
-    for s in range(sampler.n_sequences):
-        sampler.factor(s)  # factor once before any parallel draws
-
     local = threading.local()
 
     def batch(b: int) -> None:
@@ -326,6 +323,19 @@ def _batched_statistic(values: np.ndarray, spec: ExperimentSpec, stat) -> tuple[
     """(full-sample statistic, batch-spread standard error)."""
     parts = [stat(values[sl]) for sl in _batches(spec)]
     return float(stat(values)), float(np.std(parts, ddof=1) / np.sqrt(len(parts)))
+
+
+def _median_and_quartiles(x: np.ndarray) -> tuple[float, float, float]:
+    """``np.median(x)`` and ``np.percentile(x, [25, 75])`` of NaN-free ``x``,
+    bit for bit (numpy's ``linear`` rule), from one sort and without the
+    ``numpy.ma`` import those make on first use."""
+    s = np.sort(x).tolist()
+    out = [(s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2]
+    for q in (0.25, 0.75):
+        i, g = divmod(q * (len(s) - 1), 1.0)
+        lo, hi = s[int(i)], s[min(int(i) + 1, len(s) - 1)]
+        out.append(hi - (hi - lo) * (1.0 - g) if g >= 0.5 else lo + (hi - lo) * g)
+    return tuple(out)
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -463,12 +473,11 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
         for name, moments, normalizer in rows:
             alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             err = np.abs(alphas - model.alpha)
-            med = float(np.median(err))
-            q1, q3 = np.percentile(err, [25, 75])
+            med, q1, q3 = _median_and_quartiles(err)
             report.add_row(n, f"{name}_median_abs_error", med,
                            float(1.2533 * err.std(ddof=1) / np.sqrt(len(err))),
                            spec.replications)
-            report.add_row(n, f"{name}_iqr_abs_error", float(q3 - q1), None, spec.replications)
+            report.add_row(n, f"{name}_iqr_abs_error", q3 - q1, None, spec.replications)
             medians.setdefault(name, []).append(med)
 
     for name, meds in medians.items():
@@ -486,7 +495,7 @@ def _integrated_moment_samples(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exponential-Euler replications at spacing ``spec.dt``, as prefix sums at ``cuts``.
 
-    The noise sampler factors every sequence once, before the pool; each pool
+    The noise sampler factors every sequence once, on construction; each pool
     thread keeps one :func:`integrate_path` workspace for all its
     replications, so a replication allocates no array of the path's length
     and does not page-fault fresh memory.  Deterministic in (seed, kind,
@@ -498,8 +507,6 @@ def _integrated_moment_samples(
     grid = TrajectoryGrid(sim_dt, n_obs * observe_every, 0)
     sampler = StationaryModeSampler(
         model, check_integration(model, grid, "burn_in", observe_every)[1], sim_dt, observe_every)
-    for s in range(sampler.n_sequences):
-        sampler.factor(s)  # factor once before any parallel draws
     at = np.asarray(cuts) - 1
     sq = np.empty((len(at), spec.replications))
     proj = np.empty_like(sq) if want_proj else None

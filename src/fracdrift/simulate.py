@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,43 +105,41 @@ def _ar1_scan(u: np.ndarray, rho: float, x0: float, gain: float, at: np.ndarray,
               work: dict | None = None) -> np.ndarray:
     """States ``y[at]`` of ``y[j] = rho y[j-1] + gain u[j]``, ``y[-1] = x0``.
 
-    The sequence ``u``, shape (n,), is cut into blocks of ``B = SCAN_BLOCK``
-    steps (plus one spare block for the remainder) and held as columns,
-    shape (B, blocks), so that each numpy call advances every block by one
-    step.  ``gain * u`` is formed while ``u`` is copied into the columns.
-    Each block is first scanned from a zero start; the state entering each
-    block then follows from the same scan, at coefficient ``rho^B`` and unit
-    gain, over the block-end values, and ``rho^(c+1)`` times that carry is
-    added to column c, eight columns at a time.  Elementwise work only, no
-    BLAS: about 2B numpy calls on each of ``log_B n`` levels.
-
-    The states at ``at`` are gathered from the columns, the only array of
-    order n; ``work`` is an optional dict that keeps it for the next call of
-    the same length.
+    ``gain * u``, shape (n,), is held as columns, shape (B, blocks), one per
+    block of ``B = SCAN_BLOCK`` steps (the last padded with zeros).  Each
+    block is scanned from zero by doubling (Hillis & Steele, CACM 29, 1986):
+    column c gains ``rho^s`` times column c - s, for s = 1, 2, 4, ... < B,
+    in two numpy calls through a buffer, until ``rho^s`` underflows (what
+    it would add is below the smallest normal double times the states).
+    The state entering each block follows from the same scan, at ``rho^B``
+    and unit gain, over the block ends; ``rho^(c+1)`` times it is added to
+    column c, into the buffer in sequence order, from which ``at`` is
+    gathered.  No BLAS.  ``work`` is an optional dict that keeps columns and
+    buffer for the next call of the same length.
     """
     n = len(u)
     block = SCAN_BLOCK
     full, rest = divmod(n, block)
-    cols = None if work is None else work.get("scan")
-    if cols is None or cols.shape != (block, full + 1):
-        cols = np.empty((block, full + 1))
-        if work is not None:
-            work["scan"] = cols
+    work = {} if work is None else work
+    if work.get("scan") is None or work["scan"].shape != (2, block, full + 1):
+        work["scan"] = np.empty((2, block, full + 1))
+    cols, buf = work["scan"]
     by_block = cols.T  # (blocks, B): the layout of u
     np.multiply(u[:full * block].reshape(full, block), gain, out=by_block[:full])
     np.multiply(u[full * block:], gain, out=by_block[full, :rest])
     by_block[full, rest:] = 0.0
-    for c in range(1, min(n, block)):
-        cols[c] += rho * cols[c - 1]
-    carry = x0
+    s, power = 1, rho
+    while s < min(n, block) and power >= sys.float_info.min:
+        np.multiply(cols[:-s], power, out=buf[s:])
+        cols[s:] += buf[s:]
+        s, power = 2 * s, power * power
+    carry = np.array([x0])
     if full:
-        ends = _ar1_scan(cols[-1, :full], rho**block, x0, 1.0, np.arange(full))
-        carry = np.concatenate([[x0], ends])
-    # Eight columns per call: a temporary of 1/8 of the sequence.
-    powers = (rho ** np.arange(1, block + 1))[:, None]
-    for c in range(0, block, 8):
-        cols[c:c + 8] += powers[c:c + 8] * carry
-    return cols[at % block, at // block]
+        carry = np.append(carry, _ar1_scan(cols[-1, :full], rho**block, x0, 1.0, np.arange(full)))
+    states = buf.reshape(full + 1, block)  # the layout of u
+    np.multiply(carry[:, None], rho ** np.arange(1, block + 1), out=states)
+    states += by_block
+    return states.ravel()[at]
 
 
 def check_integration(model: ModelConfig, grid: TrajectoryGrid, init,
@@ -194,9 +193,9 @@ def integrate_path(
     dt, S)`` with ``n`` from :func:`check_integration`: pass one to factor
     once for many paths.  :func:`_ar1_scan` returns only the observed
     states; ``work`` is an optional dict that keeps the draw's spectrum and
-    irfft output and the scan's columns for the next path, which then
-    allocates no array of the drawn length.  The trajectory never shares
-    memory with it.
+    irfft output and the scan's columns and buffer for the next path, which
+    then allocates no array of the drawn length.  The trajectory never
+    shares memory with it.
     """
     kind, n = check_integration(model, grid, init, observe_every)
     every = int(observe_every)
@@ -252,9 +251,10 @@ class StationaryModeSampler:
     collinear filters, and so V, not its basis fold).  Diagonal noise gives
     N scalar sequences, rank-one noise one sequence of vectors; lags
     ``0..m``, ``m`` the power of two above ``n - 1``, go on the circle.
-    Each sequence is factored once by the engine of :mod:`fracdrift.fgn`
-    (circulant embedding, dense Cholesky fallback) and then yields batches
-    of replications.
+    Each sequence is factored once, on construction, by the engine of
+    :mod:`fracdrift.fgn` (circulant embedding, dense Cholesky fallback), so
+    that concurrent draws only read the factors, and then yields batches of
+    replications.
     """
 
     def __init__(self, model: ModelConfig, n: int, dt: float, every: int = 0):
@@ -278,6 +278,8 @@ class StationaryModeSampler:
             self._lags = lag_blocks(model, dt, m + 1)
         self.n_sequences = len(self._lags)
         self._factors: dict[int, tuple[str, np.ndarray]] = {}
+        for b in range(self.n_sequences):
+            self.factor(b)
 
     def factor(self, b: int) -> tuple[str, np.ndarray]:
         """Factor sequence ``b`` (idempotent); returns (method, factor), the
@@ -347,16 +349,13 @@ def attach_projection(traj: Trajectory, w: ProjectionVector) -> Trajectory:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Columnar CSV ``t, sq_norm[, projection]`` with full-precision floats."""
+    columns = {"t": traj.t, "sq_norm": traj.sq_norms}
+    if traj.projections is not None:
+        columns["projection"] = traj.projections
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if traj.projections is not None:
-        writer.writerow(["t", "sq_norm", "projection"])
-        for t, s, p in zip(traj.t, traj.sq_norms, traj.projections):
-            writer.writerow([repr(float(t)), repr(float(s)), repr(float(p))])
-    else:
-        writer.writerow(["t", "sq_norm"])
-        for t, s in zip(traj.t, traj.sq_norms):
-            writer.writerow([repr(float(t)), repr(float(s))])
+    writer.writerow(columns)
+    writer.writerows(zip(*(map(repr, col.tolist()) for col in columns.values())))
     return buf.getvalue()
 
 

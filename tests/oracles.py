@@ -9,7 +9,6 @@ from scipy.special import gamma as gamma_fn
 from fracdrift.covariance import QuadratureError, SeriesLimit, _c_spectral
 from fracdrift.fgn import stationary_draw, stationary_factor, validate_hurst
 from fracdrift.models import DIAGONAL
-from fracdrift.simulate import SCAN_BLOCK
 
 
 def fgn_autocov(h: float, k) -> float | np.ndarray:
@@ -122,64 +121,6 @@ def full_buffer_scalar_draw(factor, n, rng, n_reps):
     spec[..., 0] = amp[0] * g[0, ..., 0]
     spec[..., m] = amp[m] * g[0, ..., m]
     return np.fft.irfft(spec, n=2 * m)[..., :n]
-
-
-def mode_axis_ar1_scan(u: np.ndarray, rho: np.ndarray, x0: np.ndarray,
-                       gain: np.ndarray | None = None, at: np.ndarray | None = None,
-                       work: dict | None = None) -> np.ndarray:
-    """The AR(1) scan with a mode axis, as :func:`fracdrift.simulate._ar1_scan`
-    was before it scanned one sequence; kept as a bit-level oracle.
-
-    States ``y[k, j] = rho[k] y[k, j-1] + gain[k] u[k, j]``, ``y[k, -1] = x0[k]``.
-
-    ``u`` has shape (K, n): K independent AR(1) recursions; ``gain``
-    defaults to ones.  The sequence is cut into blocks of ``B = SCAN_BLOCK``
-    steps (plus one spare block for the remainder) and held as columns,
-    shape (B, K, blocks), so that each numpy call advances every mode and
-    every block by one step.  ``gain[k] * u[k]`` is formed while ``u`` is
-    copied into the columns.  Each block is first scanned from a zero start;
-    the state entering each block then follows from the same scan, at
-    coefficient ``rho^B``, over the block-end values, and ``rho^(c+1)``
-    times that carry is added to column c, eight columns at a time.
-    Elementwise work only, no BLAS: about 2B numpy calls on each of
-    ``log_B n`` levels.
-
-    Returns the full (K, n) array of states, or with ``at`` only the states
-    ``y[:, at]``, gathered from the columns.  The column array is the only
-    one of order K n; ``work`` is an optional dict that keeps it for the
-    next call of the same shape.
-    """
-    k, n = u.shape
-    block = SCAN_BLOCK
-    full, rest = divmod(n, block)
-    cols = None if work is None else work.get("scan")
-    if cols is None or cols.shape != (block, k, full + 1):
-        cols = np.empty((block, k, full + 1))
-        if work is not None:
-            work["scan"] = cols
-    by_block = cols.transpose(1, 2, 0)  # (K, blocks, B): the layout of u
-    gain = np.ones(k) if gain is None else gain
-    np.multiply(u[:, :full * block].reshape(k, full, block), gain[:, None, None],
-                out=by_block[:, :full])
-    np.multiply(u[:, full * block:], gain[:, None], out=by_block[:, full, :rest])
-    by_block[:, full, rest:] = 0.0
-    step = rho[:, None]
-    for c in range(1, min(n, block)):
-        cols[c] += step * cols[c - 1]
-    carry = x0[:, None]
-    if full:
-        ends = mode_axis_ar1_scan(cols[-1, :, :full], rho**block, x0)
-        carry = np.concatenate([carry, ends], axis=1)
-    # Eight columns per call: a temporary of 1/8 of the sequence.
-    powers = (rho ** np.arange(1, block + 1)[:, None])[:, :, None]
-    for c in range(0, block, 8):
-        cols[c:c + 8] += powers[c:c + 8] * carry
-    if at is not None:
-        return cols[at % block, :, at // block].T
-    y = np.empty((k, n))
-    y[:, :full * block].reshape(k, full, block)[...] = by_block[:, :full]
-    y[:, full * block:] = by_block[:, full, :rest]
-    return y
 
 
 def euler_state_covariance(model, dt: float, n_steps: int, every: int) -> np.ndarray:

@@ -576,7 +576,8 @@ class TestEntryPoint:
     def test_import_guard_commands(self, tmp_path, runs, prelude):
         # Each command kind of the benchmark, theory, the continuous-kind
         # estimates and the Cholesky fallback, at toy size, in a fresh
-        # interpreter: no scipy module is loaded when main returns.
+        # interpreter: no scipy module is loaded when main returns, and no
+        # numpy.ma, which np.median and np.percentile import on first use.
         argvs = []
         for i, (args, cfg) in enumerate(runs):
             cfg = json.loads(json.dumps(cfg).replace("{tmp}", str(tmp_path)))
@@ -586,7 +587,7 @@ class TestEntryPoint:
             f"import json, sys\n{prelude}from fracdrift.cli import main\n"
             f"codes = [main(argv) for argv in {argvs!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy')]))"
+            " if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])]))"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

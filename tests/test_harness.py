@@ -10,6 +10,7 @@ from fracdrift.estimators import DegenerateModelError
 from fracdrift.harness import (
     ExperimentSpec,
     _batches,
+    _median_and_quartiles,
     run_consistency,
     run_degenerate_projection,
     run_estimator_clt,
@@ -152,6 +153,19 @@ class TestReproducibility:
 
 
 class TestConsistencyExperiment:
+    def test_median_and_quartiles_equal_numpy_bit_for_bit(self):
+        # At every size 1..300, on continuous draws, on draws rounded to a
+        # coarse grid (ties) and on draws spread over six decades (where
+        # numpy's two interpolation branches round differently), with the
+        # errors' dtype and sign.
+        rng = np.random.default_rng(23)
+        for n in range(1, 301):
+            for x in (np.abs(rng.standard_normal(n)), np.round(rng.exponential(size=n), 1),
+                      rng.uniform(size=n) * 10.0 ** rng.integers(-3, 3, n)):
+                want = (np.median(x), *np.percentile(x, [25, 75]))
+                got = _median_and_quartiles(x)
+                assert [v.hex() for v in got] == [float(v).hex() for v in want], n
+
     def test_integrator_source_factors_fgn_once(self, embedding_calls):
         # Observed every 10 steps, each heat4 mode draws fGN folded by its own
         # filter: one factor per mode filter per experiment, whatever the

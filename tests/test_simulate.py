@@ -43,7 +43,6 @@ from fracdrift.simulate import _FGN_STREAM, _ar1_scan
 from oracles import (
     euler_state_covariance,
     fgn_autocov,
-    mode_axis_ar1_scan,
     sample_fgn,
     stationary_variance_mode,
 )
@@ -317,25 +316,29 @@ class TestAr1Scan:
             for ref in (filtered, loop):
                 assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
 
-    @pytest.mark.parametrize("gain", [np.ones(4), np.array([0.3, -1.7, 2.5, 1e-3])],
+    @pytest.mark.parametrize("gain", [np.ones(5), np.array([0.3, -1.7, 2.5, 1e-3, 4.0])],
                              ids=["unit_gain", "gains"])
-    @pytest.mark.parametrize("n", NS)
-    def test_rows_bit_identical_to_mode_axis_scan(self, n, gain):
-        # The one-sequence scan is the former (K, n) scan row by row, bit for
-        # bit, at every index, every 10th and 100th, and around each block end.
+    @pytest.mark.parametrize("n", NS + [2, 3, 127, 129, 4095, 4097])
+    def test_gathers_and_workspace_keep_the_bits(self, n, gain):
+        # Each row, also at rho = 1e-69 (rho^2 < 1e-137, rho^B = 0), is the
+        # recursion within 1e-13; a gather at every index, every 10th and
+        # 100th, and around each block end, through one workspace reused over
+        # the rows and resized from another length, is the fresh full scan
+        # bit for bit.
         rng = substream(12, n)
-        u = rng.standard_normal((4, n))
-        x0 = rng.standard_normal(4)
+        rhos = np.append(self.RHO, 1e-69)
+        u = rng.standard_normal((5, n))
+        x0 = rng.standard_normal(5)
         ends = np.arange(SCAN_BLOCK, n + 1, SCAN_BLOCK)
         near_ends = np.unique(np.clip(ends[:, None] + np.arange(-1, 2), 0, n - 1))
-        oracle = mode_axis_ar1_scan(u, self.RHO, x0, gain)
         work = {}
-        for at in (np.arange(n), np.arange(0, n, 10), np.arange(0, n, 100), near_ends):
-            gathered = mode_axis_ar1_scan(u, self.RHO, x0, gain, at)
-            for k, rho in enumerate(self.RHO):
-                y = _ar1_scan(u[k], rho, x0[k], gain[k], at, work)
-                assert np.array_equal(y, oracle[k, at]), (n, rho, len(at))
-                assert np.array_equal(y, gathered[k]), (n, rho, len(at))
+        _ar1_scan(np.ones(n + SCAN_BLOCK), 0.5, 1.0, 1.0, np.arange(n), work)
+        for k, rho in enumerate(rhos):
+            y = _ar1_scan(u[k], rho, x0[k], gain[k], np.arange(n))
+            ref = lfilter([gain[k]], [1.0, -rho], u[k], zi=np.array([rho * x0[k]]))[0]
+            assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
+            for at in (np.arange(n), np.arange(0, n, 10), np.arange(0, n, 100), near_ends):
+                assert np.array_equal(_ar1_scan(u[k], rho, x0[k], gain[k], at, work), y[at])
 
 
 class TestFoldedNoise:
