@@ -8,8 +8,9 @@ Subcommands::
     fracdrift experiment KIND --config cfg.json --out DIR [--seed N] [--threads K]
 
 Every run writes its outputs under a single directory together with a
-``manifest.json`` recording the configuration, its hash, the effective seed
-and library versions; ``theory`` and ``experiment`` write both JSON and CSV.
+``manifest.json`` recording the configuration, its hash, the effective seed,
+library versions and OpenBLAS's idle timeout (see below); ``theory`` and
+``experiment`` write both JSON and CSV.
 An experiment config's keys are the fields of
 :class:`fracdrift.harness.ExperimentSpec` (plus ``model_file``), passed
 through, so the spec alone sets their defaults, types and rules.  Exit codes:
@@ -25,8 +26,20 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads its settings once, when numpy loads it.  Its idle workers
+# spin for about 2^28 cycles before they sleep, up to 0.1 s of CPU per
+# process and again after every threaded call; at 4 they sleep after 2^4.
+# The thread count stays: OPENBLAS_NUM_THREADS=1 would slow the dense
+# Cholesky fallback by about 30% at dimension 3000 and change its bits.  A
+# value set by the user wins; when numpy was loaded first the setting is out
+# of reach.  ``BLAS_THREAD_TIMEOUT`` is the value OpenBLAS started with.
+BLAS_THREAD_TIMEOUT: str | None = None
+if "numpy" not in sys.modules:
+    BLAS_THREAD_TIMEOUT = os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 
@@ -61,6 +74,7 @@ from .models import (
     model_to_dict,
     positive_finite,
     projection_from_dict,
+    seed_value,
 )
 from .simulate import (
     TrajectoryGrid,
@@ -135,6 +149,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) ->
         "config": cfg,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
+        "openblas_thread_timeout": BLAS_THREAD_TIMEOUT,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -236,7 +251,7 @@ def cmd_simulate(args) -> int:
         float(grid_cfg["dt"]), integer(grid_cfg["n_steps"], "grid.n_steps"),
         integer(grid_cfg.get("burn_in_steps", 0), "grid.burn_in_steps"),
     ))
-    seed = args.seed if args.seed is not None else _parsed(integer, cfg.get("seed", 0), "seed")
+    seed = _parsed(seed_value, args.seed if args.seed is not None else cfg.get("seed", 0))
     method = cfg.get("method", "integrate")
     if method == "integrate":
         init = cfg.get("init", "zero")
@@ -280,9 +295,10 @@ def _load_trajectory(path: str):
     p = _parsed(Path, path)
     if not p.exists():
         raise ConfigError(f"trajectory file not found: {path}")
-    if p.suffix == ".npz":
-        return trajectory_from_npz(p)
-    return trajectory_from_csv(p.read_text())
+    try:
+        return trajectory_from_npz(p) if p.suffix == ".npz" else trajectory_from_csv(p.read_text())
+    except (KeyError, ValueError) as exc:  # KeyError: an npz without a field
+        raise ConfigError(f"trajectory {path}: {exc}") from None
 
 
 def cmd_estimate(args) -> int:
@@ -333,7 +349,7 @@ def cmd_experiment(args) -> int:
     _parsed(_require_keys, cfg, keys | {"model_file"}, {"grid", "replications"},
             "experiment config")
     model = _model_from_config(cfg)
-    seed = args.seed if args.seed is not None else _parsed(integer, cfg.get("seed", 0), "seed")
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     # Every other key is an ExperimentSpec field of the same name.
     passthrough = {k: cfg[k] for k in cfg.keys() - {"model", "model_file", "seed", "projection"}}
     spec = _parsed(ExperimentSpec, kind=args.kind, model=model, seed=seed,
@@ -348,7 +364,7 @@ def cmd_experiment(args) -> int:
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
     (out / f"experiment_{args.kind}_report.csv").write_text(report.to_csv())
-    _write_manifest(out, f"experiment {args.kind}", cfg, seed)
+    _write_manifest(out, f"experiment {args.kind}", cfg, spec.seed)
     return EXIT_OK if report.passed else EXIT_THRESHOLD
 
 

@@ -56,7 +56,9 @@ from .estimators import (
     qww1,
     trace_q1,
 )
-from .models import ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator
+from .models import (
+    ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator, seed_value,
+)
 from .simulate import (
     StationaryModeSampler,
     TrajectoryGrid,
@@ -122,8 +124,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        for name in ("replications", "n_batches", "mc_cumulant_max_n", "seed"):
+        for name in ("replications", "n_batches", "mc_cumulant_max_n"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", seed_value(self.seed))
         casts = {"grid": lambda g: tuple(integer(n, "each grid size") for n in g),
                  "dt": float, "estimators": tuple, "thresholds": dict,
                  "sim_dt": lambda v: v if v is None else positive_finite(float(v), "sim_dt")}

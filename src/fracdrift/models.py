@@ -35,6 +35,7 @@ __all__ = [
     "model_from_dict",
     "positive_finite",
     "integer",
+    "seed_value",
 ]
 
 DIAGONAL = "diagonal"
@@ -60,6 +61,14 @@ def integer(value, name: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def seed_value(value) -> int:
+    """Return ``value`` as a random seed: an :func:`integer` that is not negative."""
+    seed = integer(value, "seed")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
 
 
 @dataclass(frozen=True)

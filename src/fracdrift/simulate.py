@@ -347,6 +347,14 @@ def attach_projection(traj: Trajectory, w: ProjectionVector) -> Trajectory:
 # Export formats.
 # --------------------------------------------------------------------------
 
+def _written_grid(t: np.ndarray, dt: float, burn_in_steps: int) -> TrajectoryGrid:
+    """The grid of times ``t``: integrated paths start at 0, stationary draws at ``dt``."""
+    n_steps = len(t) - int(len(t) > 0 and t[0] == 0)
+    if n_steps < 1:
+        raise ValueError("trajectory needs at least one time after t = 0")
+    return TrajectoryGrid(dt, n_steps, burn_in_steps)
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Columnar CSV ``t, sq_norm[, projection]`` with full-precision floats."""
     columns = {"t": traj.t, "sq_norm": traj.sq_norms}
@@ -380,7 +388,7 @@ def trajectory_from_csv(text: str) -> Trajectory:
     if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=0):
         raise ValueError("trajectory time grid must be uniform and increasing")
     return Trajectory(
-        grid=TrajectoryGrid(float(dts[0]), len(t) - 1, 0),
+        grid=_written_grid(t, float(dts[0]), 0),
         t=t,
         sq_norms=np.asarray(sq),
         init_kind="given",
@@ -411,7 +419,7 @@ def trajectory_from_npz(path) -> Trajectory:
             raise ValueError(f"unsupported trajectory cache version {version}")
         t = data["t"]
         return Trajectory(
-            grid=TrajectoryGrid(float(data["dt"]), len(t) - 1, int(data["burn_in_steps"])),
+            grid=_written_grid(t, float(data["dt"]), int(data["burn_in_steps"])),
             t=t,
             sq_norms=data["sq_norms"],
             init_kind=str(data["init_kind"]),

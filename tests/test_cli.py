@@ -1,6 +1,7 @@
 """Command-line front end: schemas, exit codes, round trips, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -100,6 +101,39 @@ class TestSimulateEstimateRoundTrip:
         assert 0.5 < report["alpha_hat"] < 2.0
         assert report["standardized_error"] is not None
         assert report["truncation_tail_ratio"] > 0
+
+    def test_one_step_stationary_trajectory(self, tmp_path, capsys):
+        # A 1-step stationary draw is one observation at t = dt: estimate reads
+        # it from npz, and the CSV, whose single row gives no step, is refused
+        # with an error that names the file.
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 0.1, "n_steps": 1}, "method": "exact_stationary",
+        })
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == EXIT_OK
+        for fmt, code in (("npz", EXIT_OK), ("csv", EXIT_ERROR)):
+            traj = tmp_path / "sim" / f"trajectory.{fmt}"
+            est_cfg = write(tmp_path, f"est_{fmt}.json", {
+                "model": HEAT3, "trajectory": str(traj), "estimator": "discrete_norm",
+            })
+            assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / fmt)]) == code
+        assert capsys.readouterr().err == \
+            f"error: config: trajectory {traj}: trajectory CSV needs at least two rows\n"
+
+    @pytest.mark.parametrize("arrays,message", [
+        pytest.param({"t": [0.0, 1.0]}, "format_version is not a file", id="missing_field"),
+        pytest.param({"format_version": 1, "t": [0.0], "sq_norms": [1.0], "dt": 1.0,
+                      "burn_in_steps": 0, "init_kind": "given"},
+                     "trajectory needs at least one time after t = 0", id="no_step"),
+    ])
+    def test_unusable_npz_is_a_config_error_naming_it(self, tmp_path, capsys, arrays, message):
+        traj = tmp_path / "traj.npz"
+        np.savez(traj, **{k: np.asarray(v) for k, v in arrays.items()})
+        est_cfg = write(tmp_path, "est.json", {
+            "model": HEAT3, "trajectory": str(traj), "estimator": "discrete_norm",
+        })
+        assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "e")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: trajectory {traj}: ") and message in err
 
     def test_rank_one_exact_stationary_at_16384_coordinates(self, tmp_path):
         # Point source, N = 16 and 1024 steps: nN = 16384 coordinates, a size
@@ -453,6 +487,24 @@ class TestExperimentCommand:
         assert "error: config: unknown keys in experiment config: ['localize']" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cfg", [
+        pytest.param(["experiment", "estimator_clt", "--seed", "-5"],
+                     {"model": HEAT3, "grid": [16], "replications": 8}, id="experiment_flag"),
+        pytest.param(["experiment", "estimator_clt"],
+                     {"model": HEAT3, "grid": [16], "replications": 8, "seed": -3},
+                     id="experiment_config"),
+        pytest.param(["simulate", "--seed", "-1"],
+                     {"model": HEAT3, "grid": {"dt": 0.1, "n_steps": 8}}, id="simulate_flag"),
+        pytest.param(["simulate"], {"model": HEAT3, "grid": {"dt": 0.1, "n_steps": 8},
+                                    "seed": -3}, id="simulate_config"),
+    ])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        out = tmp_path / "out"
+        argv = command + ["--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg = write(tmp_path, "exp.json", {
             "model": HEAT3, "grid": [16, 32], "replications": 30, "seed": 4,
@@ -601,6 +653,43 @@ class TestEntryPoint:
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == EXIT_OK
         versions = json.loads((tmp_path / "sim" / "manifest.json").read_text())["versions"]
         assert versions == {"python": sys.version.split()[0], "numpy": np.__version__}
+
+    @staticmethod
+    def _fresh_python(script, timeout=None):
+        """Run ``script`` in a fresh interpreter; ``timeout`` presets
+        ``OPENBLAS_THREAD_TIMEOUT`` (``None`` removes it)."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("preset,expected", [(None, "4"), ("12", "12")])
+    def test_cli_sets_blas_idle_timeout_unless_preset(self, preset, expected):
+        # The CLI lets OpenBLAS's idle workers sleep instead of spinning, and
+        # never overrides a value the user set.
+        script = "import os\nfrom fracdrift import cli\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+        assert self._fresh_python(script, preset) == expected
+
+    def test_import_guard_package_loads_no_numpy(self):
+        # The CLI's BLAS setting must run before numpy loads OpenBLAS.
+        script = "import sys\nimport fracdrift\nprint('numpy' in sys.modules)"
+        assert self._fresh_python(script) == "False"
+
+    @pytest.mark.parametrize("preset,prelude,expected", [
+        pytest.param(None, "", "4", id="cli_default"),
+        pytest.param("12", "", "12", id="user_value"),
+        pytest.param("12", "import numpy\n", None, id="numpy_loaded_first"),
+    ])
+    def test_manifest_records_blas_idle_timeout(self, tmp_path, preset, prelude, expected):
+        argv = ["theory", "--config", write(tmp_path, "cfg.json", {"model": HEAT3, "n_values": [8]}),
+                "--out", str(tmp_path / "out")]
+        script = f"{prelude}from fracdrift.cli import main\nprint(main({argv!r}))"
+        assert self._fresh_python(script, preset) == str(EXIT_OK)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["openblas_thread_timeout"] == expected
 
     @pytest.mark.parametrize("command,cfg", [
         pytest.param(["theory"], [HEAT3], id="top_level_list"),

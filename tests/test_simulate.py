@@ -584,3 +584,25 @@ class TestProjectionsAndExports:
         assert np.array_equal(back.modes, traj.modes)
         assert back.init_kind == "stationary"
         assert back.grid.dt == traj.grid.dt
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("method", ["stationary", "integrate_zero", "integrate_burn_in"])
+    def test_readers_reproduce_the_written_grid(self, heat3, tmp_path, method, n):
+        # Integrated paths are observed at t = 0, ..., n dt, stationary draws
+        # at t = dt, ..., n dt: both are n steps.  CSV stores no burn-in.
+        if method == "stationary":
+            traj = sample_stationary_sequence(heat3, n, 0.5, seed=4)
+        else:
+            burn_in = method == "integrate_burn_in"
+            traj = integrate_path(heat3, TrajectoryGrid(0.25, 2 * n, 6 * burn_in),
+                                  "burn_in" if burn_in else "zero", 4, observe_every=2)
+        path = tmp_path / "traj.npz"
+        trajectory_to_npz(traj, path)
+        assert trajectory_from_npz(path).grid == traj.grid
+        text = trajectory_to_csv(traj)
+        if len(traj.t) == 1:
+            # One row carries no step: a 1-step stationary draw reads back from npz only.
+            with pytest.raises(ValueError, match="trajectory CSV"):
+                trajectory_from_csv(text)
+        else:
+            assert trajectory_from_csv(text).grid == replace(traj.grid, burn_in_steps=0)
