@@ -670,7 +670,8 @@ class TestEntryPoint:
     def test_cli_sets_blas_idle_timeout_unless_preset(self, preset, expected):
         # The CLI lets OpenBLAS's idle workers sleep instead of spinning, and
         # never overrides a value the user set.
-        script = "import os\nfrom fracdrift import cli\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+        script = ("import os\nfrom fracdrift import cli\n"
+                  "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
         assert self._fresh_python(script, preset) == expected
 
     def test_import_guard_package_loads_no_numpy(self):
@@ -684,8 +685,8 @@ class TestEntryPoint:
         pytest.param("12", "import numpy\n", None, id="numpy_loaded_first"),
     ])
     def test_manifest_records_blas_idle_timeout(self, tmp_path, preset, prelude, expected):
-        argv = ["theory", "--config", write(tmp_path, "cfg.json", {"model": HEAT3, "n_values": [8]}),
-                "--out", str(tmp_path / "out")]
+        cfg = write(tmp_path, "cfg.json", {"model": HEAT3, "n_values": [8]})
+        argv = ["theory", "--config", cfg, "--out", str(tmp_path / "out")]
         script = f"{prelude}from fracdrift.cli import main\nprint(main({argv!r}))"
         assert self._fresh_python(script, preset) == str(EXIT_OK)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
