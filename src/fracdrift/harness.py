@@ -59,13 +59,7 @@ from .estimators import (
 from .models import (
     ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator, seed_value,
 )
-from .simulate import (
-    StationaryModeSampler,
-    TrajectoryGrid,
-    check_integration,
-    integrate_path,
-    project_modes,
-)
+from .simulate import StationaryModeSampler, TrajectoryGrid, check_integration
 
 __all__ = [
     "ExperimentSpec",
@@ -164,6 +158,10 @@ class ExperimentSpec:
         if self.source == "stationary" and self.sim_dt is not None:
             raise ValueError("sim_dt is the integrator step; source 'stationary' draws "
                              "exact samples and takes none")
+        steps = self.dt / (self.sim_dt or self.dt)
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"sim_dt must divide dt = {self.dt!r} into whole steps, "
+                             f"got {self.sim_dt!r}")
         if not self.estimators or not set(self.estimators) <= {DISCRETE_NORM, DISCRETE_PROJ}:
             raise ValueError(f"estimators must be a non-empty subset of {DISCRETE_NORM!r} "
                              f"and {DISCRETE_PROJ!r}, got {list(self.estimators)}")
@@ -261,16 +259,6 @@ def _batches(spec: ExperimentSpec) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_tasks(task, n_tasks: int, threads: int) -> None:
-    """Call ``task(i)`` for ``i < n_tasks``, on a pool when ``threads > 1``."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, range(n_tasks)))
-    else:
-        for i in range(n_tasks):
-            task(i)
-
-
 def _stationary_moment_samples(
     spec: ExperimentSpec,
     n: int,
@@ -278,24 +266,33 @@ def _stationary_moment_samples(
     need_proj: bool,
     cuts: tuple = (),
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact stationary draws reduced to per-replication prefix sums.
+    """Replications of the source's draws reduced to per-replication prefix sums.
 
     Returns ``(sq, proj)`` of shape (len(cuts), replications), ``cuts``
     defaulting to ``(n,)``: the sums of |X(t)|^2 and <X(t), w>^2 over the
-    first ``cuts[i]`` points.  Each task is one batch: it draws through its
-    thread's workspace, adds the modes in order into the thread's (batch, n)
-    accumulators and takes a sequential cumsum along t.  Reusing them across
-    batches keeps the batches from allocating, and from page-faulting fresh
-    memory (about 11k minor faults per estimator_clt run at heat20 scale).
-    Deterministic in (seed, kind, grid_index, batch, sequence) regardless of
-    the thread count.
+    first ``cuts[i]`` points of exact stationary draws at spacing ``spec.dt``
+    or, for source ``"integrator"``, of Euler states at step ``sim_dt`` from
+    zero observed every ``spec.dt`` after the default burn-in.  Each task is
+    one batch: it draws through its thread's workspace, adds the modes in
+    order into the thread's (batch, n) accumulators and takes a sequential
+    cumsum along t.  Reusing them across batches keeps the batches from
+    allocating, and from page-faulting fresh memory (about 11k minor faults
+    per estimator_clt run at heat20 scale).  Deterministic in (seed, kind,
+    grid_index, batch, sequence) regardless of the thread count.
     """
     tag = _TAGS[spec.kind]
     batches = _batches(spec)
     at = np.asarray(cuts or (n,)) - 1
     sums = np.empty((2 if need_proj else 1, len(at), spec.replications))
     coeffs = spec.projection.coefficients if need_proj else None
-    sampler = StationaryModeSampler(spec.model, n, spec.dt)
+    if spec.source == "stationary":
+        sampler = StationaryModeSampler(spec.model, n, spec.dt)
+    else:
+        every = max(round(spec.dt / (spec.sim_dt or DEFAULT_SIM_DT)), 1)
+        grid = TrajectoryGrid(spec.dt / every, n * every)
+        _, total = check_integration(spec.model, grid, "burn_in", every)
+        sampler = StationaryModeSampler(spec.model, total, grid.dt, every)
+    burn = sampler.n - n
     local = threading.local()
 
     def batch(b: int) -> None:
@@ -310,7 +307,7 @@ def _stationary_moment_samples(
             x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), n_reps, work)
             # Mode s + c: diagonal noise has one mode per sequence, rank-one
             # noise a single sequence of all modes.
-            for c, mode in enumerate(x.swapaxes(0, 1)):
+            for c, mode in enumerate(x[..., burn:].swapaxes(0, 1)):
                 acc[0] += np.multiply(mode, mode, out=term)
                 if need_proj:
                     acc[1] += np.multiply(coeffs[s + c], mode, out=term)
@@ -318,7 +315,11 @@ def _stationary_moment_samples(
         np.cumsum(acc, axis=2, out=acc)
         sums[:, :, cols] = acc[..., at].transpose(0, 2, 1)
 
-    _run_tasks(batch, len(batches), spec.threads)
+    if spec.threads > 1:
+        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+            list(pool.map(batch, range(len(batches))))
+    else:
+        list(map(batch, range(len(batches))))
     return sums[0], (sums[1] if need_proj else None)
 
 
@@ -462,11 +463,7 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     if want_proj and qw1.degenerate:
         raise DegenerateModelError("projected normalizer is degenerate")
 
-    n_max = spec.grid[-1]
-    if spec.source == "stationary":
-        sq, proj = _stationary_moment_samples(spec, n_max, 0, want_proj, spec.grid)
-    else:
-        sq, proj = _integrated_moment_samples(spec, n_max, want_proj, spec.grid)
+    sq, proj = _stationary_moment_samples(spec, spec.grid[-1], 0, want_proj, spec.grid)
 
     medians: dict[str, list[float]] = {}
     for i, n in enumerate(spec.grid):
@@ -491,47 +488,6 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
                          report.thresholds["max_median_error"], "<=",
                          note="threshold from pilot Monte Carlo standard-error budget")
     return report
-
-
-def _integrated_moment_samples(
-    spec: ExperimentSpec, n_obs: int, want_proj: bool, cuts: tuple
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exponential-Euler replications at spacing ``spec.dt``, as prefix sums at ``cuts``.
-
-    The noise sampler factors every sequence once, on construction; each pool
-    thread keeps one :func:`integrate_path` workspace for all its
-    replications, so a replication allocates no array of the path's length
-    and does not page-fault fresh memory.  Deterministic in (seed, kind,
-    replication) regardless of the thread count.
-    """
-    model = spec.model
-    observe_every = max(int(round(spec.dt / (spec.sim_dt or DEFAULT_SIM_DT))), 1)
-    sim_dt = spec.dt / observe_every
-    grid = TrajectoryGrid(sim_dt, n_obs * observe_every, 0)
-    sampler = StationaryModeSampler(
-        model, check_integration(model, grid, "burn_in", observe_every)[1], sim_dt, observe_every)
-    at = np.asarray(cuts) - 1
-    sq = np.empty((len(at), spec.replications))
-    proj = np.empty_like(sq) if want_proj else None
-    coeffs = spec.projection.coefficients if want_proj else None
-    tag = _TAGS[spec.kind]
-    local = threading.local()
-
-    def one(rep: int) -> None:
-        if not hasattr(local, "work"):
-            local.work = {}
-        traj = integrate_path(
-            model, grid, "burn_in",
-            seed=int(substream(spec.seed, tag, rep).integers(2**63)),
-            store_modes=want_proj, observe_every=observe_every, work=local.work,
-            sampler=sampler,
-        )
-        sq[:, rep] = np.cumsum(traj.sq_norms[1:])[at]
-        if want_proj:
-            proj[:, rep] = np.cumsum(project_modes(coeffs, traj.modes[:, 1:]) ** 2)[at]
-
-    _run_tasks(one, spec.replications, spec.threads)
-    return sq, proj
 
 
 def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:

@@ -4,12 +4,12 @@ Two sources of trajectories with different roles:
 
 * :func:`integrate_path` -- per-mode exponential-Euler recursion
   ``x_k(t_{j+1}) = e^{-a_k dt} x_k(t_j) + phi_k dB_j^k`` driven by exact fGN
-  increments, one mode at a time.  The scheme applies the semigroup to the
-  state but adds the bare noise increment, so it carries an O(dt) weak bias
-  at fixed step size; it is the tool for transient/consistency studies where
-  the bias vanishes under grid refinement.  Observed every S steps, a mode
-  needs only ``V_J = sum_{c<S} rho^(S-1-c) u_{JS+c}`` of its fGN ``u``, which
-  the circulant engine draws exactly on about 2 n_obs points, not 2 n_total:
+  increments.  The scheme applies the semigroup to the state but adds the
+  bare noise increment, so it carries an O(dt) weak bias at fixed step size;
+  it is the tool for transient/consistency studies where the bias vanishes
+  under grid refinement.  Observed every S steps, a mode needs only
+  ``V_J = sum_{c<S} rho^(S-1-c) u_{JS+c}`` of its fGN ``u``, which the
+  circulant engine draws exactly on about 2 n_obs points, not 2 n_total:
   the observed states keep the scheme's law, bias included.  A burn-in is
   rounded up to whole intervals.
 * :func:`sample_stationary_sequence` -- an exact draw of the stationary
@@ -20,7 +20,8 @@ Two sources of trajectories with different roles:
 
 Both draw through :class:`StationaryModeSampler`, the one holder of the
 factors of the circulant engine of :mod:`fracdrift.fgn`: built per model and
-grid, it factors each sequence once and then draws any number of paths.
+grid, it factors each sequence once and then draws batches of replications,
+Euler states from zero included.
 """
 
 from __future__ import annotations
@@ -101,45 +102,54 @@ def default_burn_in_steps(model: ModelConfig, dt: float) -> int:
 SCAN_BLOCK = 64
 
 
-def _ar1_scan(u: np.ndarray, rho: float, x0: float, gain: float, at: np.ndarray,
-              work: dict | None = None) -> np.ndarray:
-    """States ``y[at]`` of ``y[j] = rho y[j-1] + gain u[j]``, ``y[-1] = x0``.
+def _scalar_pow(base: np.ndarray, exponent: int) -> np.ndarray:
+    """``base ** exponent`` entry by entry through the scalar ``pow``, whose
+    bits the array loop (SIMD on some machines) does not always reproduce."""
+    return np.reshape([b**exponent for b in base.flat], base.shape)
 
-    ``gain * u``, shape (n,), is held as columns, shape (B, blocks), one per
-    block of ``B = SCAN_BLOCK`` steps (the last padded with zeros).  Each
-    block is scanned from zero by doubling (Hillis & Steele, CACM 29, 1986):
-    column c gains ``rho^s`` times column c - s, for s = 1, 2, 4, ... < B,
-    in two numpy calls through a buffer, until ``rho^s`` underflows (what
-    it would add is below the smallest normal double times the states).
-    The state entering each block follows from the same scan, at ``rho^B``
-    and unit gain, over the block ends; ``rho^(c+1)`` times it is added to
-    column c, into the buffer in sequence order, from which ``at`` is
-    gathered.  No BLAS.  ``work`` is an optional dict that keeps columns and
-    buffer for the next call of the same length.
+
+def _ar1_scan(u: np.ndarray, rho: np.ndarray, gain, work: dict | None = None) -> np.ndarray:
+    """States ``y[..., j] = rho y[..., j-1] + gain u[..., j]``, ``y[..., -1] = 0``.
+
+    ``u`` has shape (..., n), one row per sequence; ``rho`` and ``gain``
+    broadcast against ``u.shape[:-1]``.  Each row's ``gain * u`` is held as
+    columns, shape (B, blocks), one per block of ``B = SCAN_BLOCK`` steps
+    (the last padded with zeros).  Each block is scanned from zero by
+    doubling (Hillis & Steele, CACM 29, 1986): column c gains ``rho^s`` times
+    column c - s, for s = 1, 2, 4, ... < B, in two numpy calls through a
+    buffer, while some row's ``rho^s`` is a normal double (a power below
+    that adds less than the smallest normal double times the states).  The
+    state entering each block follows from the same scan, at ``rho^B`` and
+    unit gain, over the block ends; ``rho^(c+1)`` times it is added to
+    column c, into the buffer in sequence order.  No BLAS.  Returns all
+    ``n`` states, shape ``u.shape``, as a view of ``work``, an optional dict
+    that keeps columns and buffer for the next call of the same shape.
     """
-    n = len(u)
+    *lead, n = u.shape
     block = SCAN_BLOCK
     full, rest = divmod(n, block)
+    rho, gain = (np.asarray(v, dtype=float)[..., None, None] for v in (rho, gain))
+    shape = (2, *lead, block, full + 1)
     work = {} if work is None else work
-    if work.get("scan") is None or work["scan"].shape != (2, block, full + 1):
-        work["scan"] = np.empty((2, block, full + 1))
+    if work.get("scan") is None or work["scan"].shape != shape:
+        work["scan"] = np.empty(shape)
     cols, buf = work["scan"]
-    by_block = cols.T  # (blocks, B): the layout of u
-    np.multiply(u[:full * block].reshape(full, block), gain, out=by_block[:full])
-    np.multiply(u[full * block:], gain, out=by_block[full, :rest])
-    by_block[full, rest:] = 0.0
-    s, power = 1, rho
-    while s < min(n, block) and power >= sys.float_info.min:
-        np.multiply(cols[:-s], power, out=buf[s:])
-        cols[s:] += buf[s:]
-        s, power = 2 * s, power * power
-    carry = np.array([x0])
+    by_block = cols.swapaxes(-1, -2)  # (..., blocks, B): the layout of u
+    np.multiply(u[..., :full * block].reshape(*lead, full, block), gain, out=by_block[..., :full, :])
+    np.multiply(u[..., full * block:], gain[..., 0], out=by_block[..., full, :rest])
+    by_block[..., full, rest:] = 0.0
+    s, power, top = 1, rho, rho.max()  # squaring keeps the largest power on top
+    while s < min(n, block) and top >= sys.float_info.min:
+        np.multiply(cols[..., :-s, :], power, out=buf[..., s:, :])
+        cols[..., s:, :] += buf[..., s:, :]
+        s, power, top = 2 * s, power * power, top * top
+    states = buf.reshape(*lead, full + 1, block)  # the layout of u
+    states[..., 0, :] = by_block[..., 0, :]  # zero enters block 0
     if full:
-        carry = np.append(carry, _ar1_scan(cols[-1, :full], rho**block, x0, 1.0, np.arange(full)))
-    states = buf.reshape(full + 1, block)  # the layout of u
-    np.multiply(carry[:, None], rho ** np.arange(1, block + 1), out=states)
-    states += by_block
-    return states.ravel()[at]
+        carry = _ar1_scan(cols[..., -1, :full], _scalar_pow(rho[..., 0, 0], block), 1.0)
+        np.multiply(carry[..., None], rho ** np.arange(1, block + 1), out=states[..., 1:, :])
+        states[..., 1:, :] += by_block[..., 1:, :]
+    return states.reshape(*lead, -1)[..., :n]
 
 
 def check_integration(model: ModelConfig, grid: TrajectoryGrid, init,
@@ -172,8 +182,6 @@ def integrate_path(
     seed: int,
     store_modes: bool = True,
     observe_every: int = 1,
-    work: dict | None = None,
-    sampler: StationaryModeSampler | None = None,
 ) -> Trajectory:
     """Exponential-Euler path started from ``init``.
 
@@ -188,20 +196,14 @@ def integrate_path(
 
     ``observe_every = S`` keeps every S-th state and rounds a burn-in up to
     whole intervals (``grid.burn_in_steps`` of the result is the burn-in
-    run).  A mode advances by ``rho^S`` per interval and adds
-    ``phi_k dt^H V_J`` from ``sampler``, ``StationaryModeSampler(model, n,
-    dt, S)`` with ``n`` from :func:`check_integration`: pass one to factor
-    once for many paths.  :func:`_ar1_scan` returns only the observed
-    states; ``work`` is an optional dict that keeps the draw's spectrum and
-    irfft output and the scan's columns and buffer for the next path, which
-    then allocates no array of the drawn length.  The trajectory never
-    shares memory with it.
+    run).  The states from zero are one replication of each sequence of
+    ``StationaryModeSampler(model, n, dt, S)``, ``n`` from
+    :func:`check_integration`; a start ``x0`` adds its decay
+    ``rho_k^(S (j+1)) x0_k`` to observed state j.
     """
     kind, n = check_integration(model, grid, init, observe_every)
     every = int(observe_every)
-    sampler = sampler or StationaryModeSampler(model, n, grid.dt, every)
-    if sampler.model is not model or (sampler.n, sampler.dt, sampler.every) != (n, grid.dt, every):
-        raise ValueError("the noise sampler was built for another grid or model")
+    sampler = StationaryModeSampler(model, n, grid.dt, every)
     x0 = np.zeros(model.n_modes)
     if kind == "stationary":
         x0 = sample_stationary_sequence(model, 1, grid.dt, seed).modes[:, 0]
@@ -210,18 +212,18 @@ def integrate_path(
 
     n_obs = grid.n_steps // every
     burn = n - n_obs  # intervals
-    rho = np.exp(-model.rates * grid.dt)
-    at = burn - 1 + np.arange(n_obs + 1)  # states[j] = x(t_{j+1})
-    first = int(burn == 0)  # x0, at index -1, is column 0
+    first = int(burn == 0)  # x0 is column 0; states[j] = x(t_{j+1})
     kept = np.empty((model.n_modes, n_obs + 1))
     kept[:, 0] = x0
-    work = {} if work is None else work
-    for b in range(sampler.n_sequences):
-        noise = sampler.draw(b, substream(seed, _FGN_STREAM, b), 1, work)[0]
-        noise *= grid.dt**model.hurst
-        for k, row in enumerate(noise, b):  # sequence b holds modes b, b+1, ...
-            kept[k, first:] = _ar1_scan(row, rho[k]**every, x0[k], model.noise.loadings[k],
-                                        at[first:], work)
+    work = {}
+    for b in range(sampler.n_sequences):  # sequence b holds modes b, b+1, ...
+        states = sampler.draw(b, substream(seed, _FGN_STREAM, b), 1, work)[0]
+        kept[b:b + len(states), first:] = states[:, burn - 1 + first:]
+    if np.any(x0):  # rho^(j+1) x0 as rho^(64 q) x0 times rho^(1..64)
+        rho = sampler.rho_every[:, None]
+        decay = (x0[:, None] * rho ** np.arange(0, n_obs, SCAN_BLOCK))[..., None]
+        decay = decay * rho[..., None] ** np.arange(1, SCAN_BLOCK + 1)
+        kept[:, 1:] += decay.reshape(len(x0), -1)[:, :n_obs]
 
     dt_out = grid.dt * every
     return Trajectory(
@@ -243,18 +245,19 @@ class StationaryModeSampler:
 
     With ``every = 0`` it draws the stationary solution at spacing ``dt``,
     from the lag table read as block sequences (:func:`lag_blocks`).  With
-    ``every = S >= 1`` it draws the noise of :func:`integrate_path` at step
-    ``dt``, unit-step fGN folded by each mode's AR(1) filter,
-    ``V_J[k] = sum_{c<S} rho_k^(S-1-c) u_{JS+c}`` (the identity at S = 1):
-    the fold by the orthonormal :func:`fold_basis`, whose lags are
-    :func:`folded_fgn_autocov`, times ``mix`` (nearby rates give nearly
-    collinear filters, and so V, not its basis fold).  Diagonal noise gives
-    N scalar sequences, rank-one noise one sequence of vectors; lags
-    ``0..m``, ``m`` the power of two above ``n - 1``, go on the circle.
-    Each sequence is factored once, on construction, by the engine of
-    :mod:`fracdrift.fgn` (circulant embedding, dense Cholesky fallback), so
-    that concurrent draws only read the factors, and then yields batches of
-    replications.
+    ``every = S >= 1`` it draws exponential-Euler states at step ``dt``
+    started from zero, observed every S steps: ``x_k <- rho_k^S x_k + phi_k
+    dt^H V_J[k]``, with ``V_J[k] = sum_{c<S} rho_k^(S-1-c) u_{JS+c}`` the
+    unit-step fGN ``u`` folded by each mode's AR(1) filter (the identity at
+    S = 1).  The fold is drawn by the orthonormal :func:`fold_basis`, whose
+    lags are :func:`folded_fgn_autocov`, times ``mix`` (nearby rates give
+    nearly collinear filters, and so V, not its basis fold), and scanned by
+    :func:`_ar1_scan`.  Diagonal noise gives N scalar sequences, rank-one
+    noise one sequence of vectors; lags ``0..m``, ``m`` the power of two
+    above ``n - 1``, go on the circle.  Each sequence is factored once, on
+    construction, by the engine of :mod:`fracdrift.fgn` (circulant
+    embedding, dense Cholesky fallback), so that concurrent draws only read
+    the factors, and then yields batches of replications.
     """
 
     def __init__(self, model: ModelConfig, n: int, dt: float, every: int = 0):
@@ -265,15 +268,16 @@ class StationaryModeSampler:
         self.dt = float(dt)
         self.every = int(every)
         m = 1 << max(self.n - 1, 1).bit_length()
-        self._mixes = None
         if self.every:
             rho = np.exp(-model.rates * self.dt)
-            banks = ([rho[k:k + 1] for k in range(model.n_modes)]
-                     if model.noise.kind == DIAGONAL else [rho])
-            folds = [fold_basis(self.every, bank) for bank in banks]
+            self.rho_every = _scalar_pow(rho, self.every)
+            banks = ([slice(k, k + 1) for k in range(model.n_modes)]
+                     if model.noise.kind == DIAGONAL else [slice(None)])
+            folds = [fold_basis(self.every, rho[bank]) for bank in banks]
             self._lags = [folded_fgn_autocov(model.hurst, m + 1, self.every, basis)
                           for basis, _ in folds]
-            self._mixes = [mix for _, mix in folds]
+            self._scans = [(mix, self.rho_every[bank], model.noise.loadings[bank])
+                           for (_, mix), bank in zip(folds, banks)]
         else:
             self._lags = lag_blocks(model, dt, m + 1)
         self.n_sequences = len(self._lags)
@@ -294,9 +298,18 @@ class StationaryModeSampler:
              work: dict | None = None) -> np.ndarray:
         """Sample ``n_reps`` independent draws of sequence ``b``; returns shape
         (n_reps, p, n): p = 1 for diagonal noise, N for rank-one noise.  A
-        ``work`` dict is reused as :func:`fgn.sample_circulant` says."""
+        ``work`` dict is reused as :func:`fgn.sample_circulant` and
+        :func:`_ar1_scan` say; the draw may then live in it."""
         x = stationary_draw(*self.factor(b), self.n, rng, n_reps, work)
-        return x if self._mixes is None else self._mixes[b] @ x
+        if not self.every:
+            return x
+        mix, rho, gain = self._scans[b]
+        if len(mix) > 1:
+            x = mix @ x
+        else:  # a 1 x 1 mix: the same bits without matmul's per-call cost
+            x *= mix[0, 0]
+        x *= self.dt**self.model.hurst
+        return _ar1_scan(x, rho, gain, work)
 
 
 def sample_stationary_sequence(
@@ -381,10 +394,10 @@ def trajectory_from_csv(text: str) -> Trajectory:
         sq.append(float(row[1]))
         if has_proj:
             proj.append(float(row[2]))
-    if len(ts) < 2:
-        raise ValueError("trajectory CSV needs at least two rows")
+    if not ts:
+        raise ValueError("trajectory CSV has no rows")
     t = np.asarray(ts)
-    dts = np.diff(t)
+    dts = np.diff(t) if len(t) > 1 else t  # one row: a stationary draw at t = dt
     if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=0):
         raise ValueError("trajectory time grid must be uniform and increasing")
     return Trajectory(

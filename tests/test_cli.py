@@ -102,22 +102,22 @@ class TestSimulateEstimateRoundTrip:
         assert report["standardized_error"] is not None
         assert report["truncation_tail_ratio"] > 0
 
-    def test_one_step_stationary_trajectory(self, tmp_path, capsys):
+    def test_one_step_stationary_trajectory(self, tmp_path):
         # A 1-step stationary draw is one observation at t = dt: estimate reads
-        # it from npz, and the CSV, whose single row gives no step, is refused
-        # with an error that names the file.
+        # it from npz and from the CSV, whose single row's time is the step,
+        # to the same estimate.
         sim_cfg = write(tmp_path, "sim.json", {
             "model": HEAT3, "grid": {"dt": 0.1, "n_steps": 1}, "method": "exact_stationary",
         })
         assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == EXIT_OK
-        for fmt, code in (("npz", EXIT_OK), ("csv", EXIT_ERROR)):
-            traj = tmp_path / "sim" / f"trajectory.{fmt}"
+        for fmt in ("npz", "csv"):
             est_cfg = write(tmp_path, f"est_{fmt}.json", {
-                "model": HEAT3, "trajectory": str(traj), "estimator": "discrete_norm",
+                "model": HEAT3, "trajectory": str(tmp_path / "sim" / f"trajectory.{fmt}"),
+                "estimator": "discrete_norm",
             })
-            assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / fmt)]) == code
-        assert capsys.readouterr().err == \
-            f"error: config: trajectory {traj}: trajectory CSV needs at least two rows\n"
+            assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / fmt)]) == EXIT_OK
+        assert (tmp_path / "csv" / "estimate.json").read_text() == \
+            (tmp_path / "npz" / "estimate.json").read_text()
 
     @pytest.mark.parametrize("arrays,message", [
         pytest.param({"t": [0.0, 1.0]}, "format_version is not a file", id="missing_field"),
@@ -436,6 +436,21 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert "source 'stationary' draws exact samples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sim_dt", [0.3, 5.0])
+    def test_sim_dt_not_dividing_dt_is_an_error(self, tmp_path, capsys, sim_dt):
+        # 0.3 would run at 1/3 and 5 at 1: a step that does not divide dt is refused.
+        cfg = write(tmp_path, "exp.json", {
+            "model": HEAT3, "grid": [16, 32], "replications": 20, "seed": 1, "dt": 1.0,
+            "source": "integrator", "sim_dt": sim_dt,
+        })
+        out = tmp_path / "out"
+        code = main(["experiment", "consistency", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "sim_dt must divide dt" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

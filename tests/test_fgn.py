@@ -247,7 +247,7 @@ class TestEngine:
 
     def test_fgn_workspace_draws_equal_fresh_draws(self):
         # One workspace carried over seeds and two lengths, as integrate_path
-        # carries it over modes: the fresh draws bit for bit, each length's
+        # carries it over sequences: the fresh draws bit for bit, each length's
         # draws in one buffer, and the fresh draws never overwritten.
         calls = [(n, s) for n in (300, 1000) for s in range(3)]
         fresh = [sample_fgn(0.3, n, fgn_rng(s)) for n, s in calls]
@@ -332,16 +332,20 @@ class TestFbm:
 
 
 class TestFactorCache:
-    def test_integrate_path_factors_once_per_hurst_and_length(self, embedding_calls):
-        # One sampler per Hurst index and drawn length factors each mode
-        # filter once, whatever the number of paths it serves.
+    def test_euler_sampler_factors_once_per_hurst_and_length(self, embedding_calls):
+        # One Euler sampler per Hurst index and drawn length factors each
+        # mode filter once, whatever the number of batches it draws; a path
+        # builds its own sampler.
         model = build_distributed_model(1, 1, 4, 1.0, 0.3)
         grid = TrajectoryGrid(0.1, 300)
         _, n = check_integration(model, grid, "zero", 1)
         sampler = StationaryModeSampler(model, n, grid.dt, 1)
         for seed in (1, 2, 3):
-            integrate_path(model, grid, "zero", seed=seed, sampler=sampler)
+            for b in range(sampler.n_sequences):
+                sampler.draw(b, substream(seed, b), 5)
         assert len(embedding_calls) == model.n_modes
+        integrate_path(model, grid, "zero", seed=1)
+        assert len(embedding_calls) == 2 * model.n_modes
 
     def test_cached_factor_is_read_only(self):
         model = build_distributed_model(1, 1, 2, 1.0, 0.7)

@@ -67,6 +67,21 @@ class TestSpecValidation:
         ExperimentSpec(kind, heat3, (128,), 80, 1, projection=w)
         ExperimentSpec("consistency", heat3, (128,), 80, 1, source="integrator")
 
+    @pytest.mark.parametrize("dt,sim_dt,ok", [
+        (1.0, 0.3, False), (1.0, 5.0, False), (1.0, 0.4, False), (0.5, 0.3, False),
+        (1.0, 0.1, True), (1.0, 1.0, True), (0.5, 0.05, True), (0.3, 0.1, True),
+    ])
+    def test_sim_dt_must_divide_dt(self, heat3, dt, sim_dt, ok):
+        # The integrator observes every dt / sim_dt steps: a step that does not
+        # divide dt (relative tolerance 1e-9) would run at another step.
+        make = lambda: ExperimentSpec("consistency", heat3, (16,), 8, 1, dt=dt,
+                                      source="integrator", sim_dt=sim_dt)
+        if ok:
+            assert make().sim_dt == sim_dt
+        else:
+            with pytest.raises(ValueError, match="sim_dt must divide dt"):
+                make()
+
     def test_replications_positive(self, heat3):
         with pytest.raises(ValueError):
             ExperimentSpec("consistency", heat3, (10,), 0, 1)
@@ -129,8 +144,8 @@ class TestReproducibility:
         assert a == b
 
     def test_integrated_paths_do_not_depend_on_thread_count(self, heat3):
-        # Pool threads share the fGN factor cache and each keeps its own path
-        # workspace, which carries over replications of different seeds.
+        # Pool threads share the sampler's factors and each keeps its own batch
+        # workspace, which carries over batches of different sizes and seeds.
         base = small_spec("consistency", heat3, grid=(20, 40), replications=12,
                           source="integrator", sim_dt=0.1,
                           estimators=("discrete_norm", "discrete_projection"),
@@ -178,6 +193,39 @@ class TestConsistencyExperiment:
             run_consistency(ExperimentSpec(**{**spec.__dict__, "replications": replications,
                                               "threads": threads}))
             assert len(embedding_calls) == 4 * runs
+
+    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
+    def test_integrator_source_sums_the_euler_sampler_batches(self, noise):
+        # Integrator replications are the Euler sampler's batches, one stream
+        # per (seed, kind, batch, sequence), observed after the default burn-in.
+        from fracdrift._rng import substream
+        from fracdrift.harness import _TAGS, _stationary_moment_samples
+        from fracdrift.simulate import (
+            StationaryModeSampler, TrajectoryGrid, check_integration, default_burn_in_steps,
+        )
+
+        model = (build_distributed_model(1, 1, 3, 1.0, 0.3) if noise == "diagonal"
+                 else build_pointwise_model(0.3, 3, 1.0, 0.3))
+        w = projection_indicator(0.0, 0.5, 3)
+        spec = ExperimentSpec("consistency", model, (20, 40), 7, seed=4, dt=0.5, sim_dt=0.05,
+                              n_batches=3, source="integrator", projection=w,
+                              estimators=("discrete_norm", "discrete_projection"))
+        cuts = (20, 40)
+        sq, proj = _stationary_moment_samples(spec, 40, 0, True, cuts)
+        _, total = check_integration(model, TrajectoryGrid(0.05, 400), "burn_in", 10)
+        burn = total - 40
+        assert burn == -(-default_burn_in_steps(model, 0.05) // 10)
+        sampler = StationaryModeSampler(model, total, 0.05, 10)
+        for b, cols in enumerate(_batches(spec)):
+            x = np.concatenate([sampler.draw(s, substream(4, _TAGS["consistency"], 0, b, s),
+                                             cols.stop - cols.start)
+                                for s in range(sampler.n_sequences)], axis=1)[..., burn:]
+            at = np.asarray(cuts) - 1
+            np.testing.assert_allclose(sq[:, cols], np.cumsum((x**2).sum(1), -1)[:, at].T,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(proj[:, cols],
+                                       np.cumsum((w.coefficients @ x)**2, -1)[:, at].T,
+                                       rtol=1e-12)
 
     def test_integrator_step_defaults_to_one_hundredth(self):
         model = build_distributed_model(1, 1, 3, 1.0, 0.55)
@@ -400,7 +448,7 @@ class TestReportFormats:
         model = build_distributed_model(1, 1, 16, 1.0, 0.3)
         n_total = 100_000
         grid = TrajectoryGrid(0.01, n_total)
-        integrate_path(model, grid, "zero", seed=1, store_modes=False)  # factor cache
+        integrate_path(model, grid, "zero", seed=1, store_modes=False)  # warm-up
         tracemalloc.start()
         try:
             traj = integrate_path(model, grid, "zero", seed=2, store_modes=False,

@@ -30,6 +30,7 @@ from fracdrift.simulate import (
     Trajectory,
     TrajectoryGrid,
     attach_projection,
+    check_integration,
     default_burn_in_steps,
     integrate_path,
     project_modes,
@@ -203,15 +204,16 @@ class TestIntegratePath:
                 assert coarse.grid.dt == pytest.approx(0.1)
                 assert fine.modes.shape == (3, 101) and coarse.modes.shape == (3, 11)
                 assert_sequential_recursion(fine, model, grid, init, seed=2)
-            # Sample covariance of 2000 paths from zero, entry by entry
-            # within 4.5 standard errors of the dense oracle.
-            reps, small = 2000, TrajectoryGrid(0.01, 60)
+            # Sample covariance of 2000 paths from zero, drawn as one batch of
+            # the Euler sampler, entry by entry within 4.5 standard errors of
+            # the dense oracle.
+            reps = 2000
             for every in (1, 10):
                 dim = 3 * 60 // every
                 sampler = StationaryModeSampler(model, 60 // every, 0.01, every)
-                states = np.array([integrate_path(model, small, "zero", s, observe_every=every,
-                                                  sampler=sampler).modes[:, 1:].ravel()
-                                   for s in range(reps)])
+                states = np.concatenate([sampler.draw(b, substream(2, every, b), reps)
+                                         for b in range(sampler.n_sequences)], axis=1)
+                states = states.reshape(reps, dim)
                 oracle = euler_state_covariance(model, 0.01, 60, every).reshape(dim, dim)
                 var = np.diag(oracle)
                 se = np.sqrt((np.outer(var, var) + oracle**2) / reps)
@@ -219,22 +221,78 @@ class TestIntegratePath:
         with pytest.raises(ValueError):
             integrate_path(heat3, TrajectoryGrid(0.01, 100), "zero", seed=2, observe_every=7)
 
-    def test_given_sampler_keeps_the_bits_and_must_match(self, heat3):
-        # A sampler built once for many paths draws what each path's own
-        # sampler draws; one built for another grid or model is refused.
-        grid = TrajectoryGrid(0.01, 100, 25)
-        sampler = StationaryModeSampler(heat3, 13, 0.01, 10)
-        for seed in (1, 2):
-            ours = integrate_path(heat3, grid, "burn_in", seed, observe_every=10, sampler=sampler)
-            own = integrate_path(heat3, grid, "burn_in", seed, observe_every=10)
-            assert np.array_equal(ours.modes, own.modes)
-        other = build_distributed_model(1, 1, 3, 1.0, 0.55)
-        for wrong in (StationaryModeSampler(heat3, 10, 0.01, 10),
-                      StationaryModeSampler(heat3, 130, 0.01, 1),
-                      StationaryModeSampler(heat3, 13, 0.02, 10),
-                      StationaryModeSampler(other, 13, 0.01, 10)):
-            with pytest.raises(ValueError, match="another grid or model"):
-                integrate_path(heat3, grid, "burn_in", 1, observe_every=10, sampler=wrong)
+    @pytest.mark.parametrize("observe_every", [1, 10])
+    @pytest.mark.parametrize("init", ["zero", "burn_in"])
+    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
+    def test_paths_are_one_replication_of_the_euler_sampler(self, noise, init, observe_every):
+        # A path from zero, or after a burn-in, is one replication of each
+        # sequence of the Euler sampler, bit for bit, and a batch drawn
+        # through a workspace warmed at another batch size is the fresh batch
+        # bit for bit.
+        model = (build_distributed_model(1, 1, 3, 1.0, 0.3) if noise == "diagonal"
+                 else build_pointwise_model(0.3, 3, 1.0, 0.3))
+        grid = TrajectoryGrid(0.01, 200, 30 if init == "burn_in" else 0)
+        _, n = check_integration(model, grid, init, observe_every)
+        sampler = StationaryModeSampler(model, n, 0.01, observe_every)
+        work = {}
+        for seed in (3, 4):
+            traj = integrate_path(model, grid, init, seed, observe_every=observe_every)
+            states = np.concatenate([sampler.draw(b, substream(seed, _FGN_STREAM, b), 1,
+                                                  work)[0].copy()
+                                     for b in range(sampler.n_sequences)])
+            states = np.hstack([np.zeros((3, 1)), states])
+            burn = n - 200 // observe_every  # x(t_0) is column burn
+            assert np.array_equal(traj.modes, states[:, burn:])
+            batch = [sampler.draw(b, substream(seed, b), 3, work).copy()
+                     for b in range(sampler.n_sequences)]
+            for b, x in enumerate(batch):
+                assert np.array_equal(x, sampler.draw(b, substream(seed, b), 3))
+
+    @pytest.mark.parametrize("observe_every", [1, 10])
+    @pytest.mark.parametrize("init", ["stationary", "given", "given_zero"])
+    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
+    def test_start_adds_its_decay_to_the_zero_path(self, noise, init, observe_every):
+        # A start x0 adds rho_k^(S (j+1)) x0_k, taken in blocks of
+        # SCAN_BLOCK powers, to the zero-start path of the same seed: within
+        # 1e-13 normwise of the powers taken one by one.  A zero x0 adds
+        # nothing, bit for bit.
+        model = (build_distributed_model(1, 1, 3, 0.1, 0.3) if noise == "diagonal"
+                 else build_pointwise_model(0.3, 3, 0.1, 0.7))
+        grid = TrajectoryGrid(0.01, 2000)  # 200 to 2000 states: several blocks
+        start = {"stationary": "stationary", "given": np.array([1.0, -0.5, 0.25]),
+                 "given_zero": np.zeros(3)}[init]
+        path = integrate_path(model, grid, start, 5, observe_every=observe_every)
+        zero = integrate_path(model, grid, "zero", 5, observe_every=observe_every)
+        x0 = path.modes[:, 0]
+        if init == "given_zero":
+            assert np.array_equal(path.modes, zero.modes)
+            return
+        rho = np.exp(-model.rates * 0.01) ** observe_every
+        want = zero.modes + x0[:, None] * rho[:, None] ** np.arange(len(path.t))
+        assert np.all(x0 != 0)
+        assert np.linalg.norm(path.modes - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_warm_workspace_batch_allocates_no_one_mode_array(self):
+        # A second batch of heat4 replications through a warm workspace
+        # allocates under half of one replication's one-mode array: draw,
+        # mix, scale and scan all run in the workspace.
+        import tracemalloc
+
+        model = build_distributed_model(1, 1, 4, 0.1, 0.3)
+        n = 100_000
+        sampler = StationaryModeSampler(model, n, 0.01, 1)
+        work = {}
+        for b in range(sampler.n_sequences):
+            sampler.draw(b, substream(1, b), 3, work)
+        tracemalloc.start()
+        try:
+            for b in range(sampler.n_sequences):
+                x = sampler.draw(b, substream(2, b), 3, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (3, 1, n)
+        assert peak < 0.5 * n * 8
 
     def test_bad_init_rejected(self, heat3):
         grid = TrajectoryGrid(0.1, 10)
@@ -247,98 +305,51 @@ class TestIntegratePath:
             with pytest.raises(ValueError, match="burn_in_steps"):
                 integrate_path(heat3, TrajectoryGrid(0.1, 10, 5), init, seed=1)
 
-    @pytest.mark.parametrize("observe_every", [1, 10])
-    @pytest.mark.parametrize("init", ["zero", "burn_in", "stationary", "given"])
-    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
-    def test_workspace_reuse_keeps_the_bits(self, noise, init, observe_every):
-        # One workspace carried over seeds and over a change of n_total (so
-        # it is resized, and resized back) gives each fresh path bit for bit;
-        # the paths never share memory with it.
-        model = (build_distributed_model(1, 1, 3, 1.0, 0.3) if noise == "diagonal"
-                 else build_pointwise_model(0.3, 3, 1.0, 0.3))
-        start = np.array([1.0, -0.5, 0.25]) if init == "given" else init
-        calls = [(n_steps, seed) for n_steps in (200, 400, 200) for seed in (3, 4)]
-        work = {}
-        for n_steps, seed in calls:
-            grid = TrajectoryGrid(0.01, n_steps, 30 if init == "burn_in" else 0)
-            fresh = integrate_path(model, grid, start, seed, observe_every=observe_every)
-            reused = integrate_path(model, grid, start, seed, observe_every=observe_every,
-                                    work=work)
-            for a, b in ((fresh.t, reused.t), (fresh.sq_norms, reused.sq_norms),
-                         (fresh.modes, reused.modes)):
-                assert np.array_equal(a, b)
-            assert not any(np.shares_memory(reused.modes, buf) for buf in work.values()
-                           if isinstance(buf, np.ndarray))
-
-    def test_warm_workspace_path_allocates_no_one_mode_array(self):
-        # A second heat4 path through a warm workspace allocates under half a
-        # one-mode array; without the workspace, its per-mode products, scan
-        # buffers and normals took about 12.
-        import tracemalloc
-
-        model = build_distributed_model(1, 1, 4, 0.1, 0.3)
-        n_total = 100_000
-        grid = TrajectoryGrid(0.01, n_total)
-        work = {}
-        integrate_path(model, grid, "zero", seed=1, store_modes=False, observe_every=100,
-                       work=work)
-        tracemalloc.start()
-        try:
-            traj = integrate_path(model, grid, "zero", seed=2, store_modes=False,
-                                  observe_every=100, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traj.sq_norms.shape == (1001,)
-        assert peak < 0.5 * n_total * 8
-
 
 class TestAr1Scan:
     # One row per coefficient: rho = 1e-3, 1/2, the slowest integrator_paths
-    # mode (a dt = 0.00987) and the random walk rho = 1.
-    RHO = np.array([1e-3, 0.5, np.exp(-0.00987), 1.0])
+    # mode (a dt = 0.00987), the random walk rho = 1 and rho = 1e-69
+    # (rho^2 < 1e-137, rho^B = 0).
+    RHO = np.array([1e-3, 0.5, np.exp(-0.00987), 1.0, 1e-69])
+    GAIN = np.array([0.3, -1.7, 2.5, 1e-3, 4.0])
 
-    NS = [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, SCAN_BLOCK**2 + 1, 104427]
+    NS = [1, 2, 3, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 127, 129, 4095, 4097,
+          SCAN_BLOCK**2 + 1, 104427]
 
     @pytest.mark.parametrize("n", NS)
-    def test_matches_lfilter_and_loop(self, n):
-        rng = substream(12, n)
-        u = rng.standard_normal((4, n))
-        x0 = rng.standard_normal(4)
-        for k, rho in enumerate(self.RHO):
-            y = _ar1_scan(u[k], rho, x0[k], 1.0, np.arange(n))
-            assert y.shape == (n,)
-            filtered = lfilter([1.0], [1.0, -rho], u[k], zi=np.array([rho * x0[k]]))[0]
-            loop, state = np.empty(n), float(x0[k])
+    def test_rows_match_lfilter_and_loop(self, n):
+        # Every row, each with its own coefficient and gain, is the recursion
+        # from zero within 1e-13.
+        u = substream(12, n).standard_normal((5, n))
+        y = _ar1_scan(u, self.RHO, self.GAIN)
+        assert y.shape == (5, n)
+        for k, (rho, gain) in enumerate(zip(self.RHO, self.GAIN)):
+            filtered = lfilter([gain], [1.0, -rho], u[k])
+            loop, state = np.empty(n), 0.0
             for j, step in enumerate(u[k].tolist()):
-                state = rho * state + step
+                state = rho * state + gain * step
                 loop[j] = state
             for ref in (filtered, loop):
-                assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
+                assert np.linalg.norm(y[k] - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
 
-    @pytest.mark.parametrize("gain", [np.ones(5), np.array([0.3, -1.7, 2.5, 1e-3, 4.0])],
-                             ids=["unit_gain", "gains"])
-    @pytest.mark.parametrize("n", NS + [2, 3, 127, 129, 4095, 4097])
-    def test_gathers_and_workspace_keep_the_bits(self, n, gain):
-        # Each row, also at rho = 1e-69 (rho^2 < 1e-137, rho^B = 0), is the
-        # recursion within 1e-13; a gather at every index, every 10th and
-        # 100th, and around each block end, through one workspace reused over
-        # the rows and resized from another length, is the fresh full scan
-        # bit for bit.
-        rng = substream(12, n)
-        rhos = np.append(self.RHO, 1e-69)
-        u = rng.standard_normal((5, n))
-        x0 = rng.standard_normal(5)
-        ends = np.arange(SCAN_BLOCK, n + 1, SCAN_BLOCK)
-        near_ends = np.unique(np.clip(ends[:, None] + np.arange(-1, 2), 0, n - 1))
+    @pytest.mark.parametrize("n", [1, SCAN_BLOCK, SCAN_BLOCK + 1, 4097, 104427])
+    def test_row_bits_do_not_depend_on_company_or_workspace(self, n):
+        # A row scanned alone, in other rows' company (in another order, or
+        # broadcast over a leading axis), or through a workspace warmed at
+        # another shape, is the same row bit for bit.
+        u = substream(13, n).standard_normal((5, n))
+        alone = [_ar1_scan(u[k], self.RHO[k], self.GAIN[k]).copy() for k in range(5)]
         work = {}
-        _ar1_scan(np.ones(n + SCAN_BLOCK), 0.5, 1.0, 1.0, np.arange(n), work)
-        for k, rho in enumerate(rhos):
-            y = _ar1_scan(u[k], rho, x0[k], gain[k], np.arange(n))
-            ref = lfilter([gain[k]], [1.0, -rho], u[k], zi=np.array([rho * x0[k]]))[0]
-            assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref), (n, rho)
-            for at in (np.arange(n), np.arange(0, n, 10), np.arange(0, n, 100), near_ends):
-                assert np.array_equal(_ar1_scan(u[k], rho, x0[k], gain[k], at, work), y[at])
+        _ar1_scan(np.ones((2, n + SCAN_BLOCK)), np.array([0.5, 1.0]), 1.0, work)
+        order = np.array([4, 2, 0, 3, 1])
+        scans = [lambda: _ar1_scan(u, self.RHO, self.GAIN, work),
+                 lambda: _ar1_scan(u[order], self.RHO[order], self.GAIN[order],
+                                   work)[np.argsort(order)],
+                 lambda: _ar1_scan(np.stack([u, u]), self.RHO, self.GAIN, work)[1]]
+        for scan in scans:  # the result lives in work until the next call
+            y = scan()
+            for k in range(5):
+                assert np.array_equal(y[k], alone[k]), k
 
 
 class TestFoldedNoise:
@@ -571,6 +582,8 @@ class TestProjectionsAndExports:
     def test_csv_rejects_bad_input(self):
         with pytest.raises(ValueError):
             trajectory_from_csv("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="no rows"):
+            trajectory_from_csv("t,sq_norm\n")
         with pytest.raises(ValueError):
             trajectory_from_csv("t,sq_norm\n0.0,1.0\n")
         with pytest.raises(ValueError):
@@ -599,10 +612,6 @@ class TestProjectionsAndExports:
         path = tmp_path / "traj.npz"
         trajectory_to_npz(traj, path)
         assert trajectory_from_npz(path).grid == traj.grid
+        # A single row is a 1-step stationary draw, its time the step.
         text = trajectory_to_csv(traj)
-        if len(traj.t) == 1:
-            # One row carries no step: a 1-step stationary draw reads back from npz only.
-            with pytest.raises(ValueError, match="trajectory CSV"):
-                trajectory_from_csv(text)
-        else:
-            assert trajectory_from_csv(text).grid == replace(traj.grid, burn_in_steps=0)
+        assert trajectory_from_csv(text).grid == replace(traj.grid, burn_in_steps=0)
