@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covariance import hs_norm_lags, lag_blocks, s_n as s_n_series
+from .covariance import SUMMABLE_HURST, hs_norm_lags, lag_blocks, s_n as s_n_series
 from .models import DIAGONAL, ModelConfig
 
 __all__ = [
@@ -182,7 +182,7 @@ def xi_H(hurst: float, x: float) -> float:
     """Convergence-rate upper bound: ``x^{-1/2}`` for H <= 5/8, ``x^{4H-3}``
     for 5/8 < H < 3/4.  Undefined (raises) for H >= 3/4."""
     h = float(hurst)
-    if h >= 0.75:
+    if h >= SUMMABLE_HURST:
         raise ValueError("no Berry-Esseen regime for H >= 3/4")
     x = float(x)
     if x <= 0:

@@ -46,6 +46,7 @@ import numpy as np
 from . import __version__
 from .chaos import xi_H
 from .covariance import (
+    SUMMABLE_HURST,
     s_infty_star,
     s_n,
     trace_q,
@@ -188,7 +189,7 @@ def cmd_theory(args) -> int:
         rows.append(("qww_drift1", qww1(model, projection).value, ""))
 
     trunc_note = f"truncation N={model.n_modes}, last-mode trace share {tail_ratio:.3g}"
-    clt_regime = model.hurst < 0.75
+    clt_regime = model.hurst < SUMMABLE_HURST
     if clt_regime:
         s_lim = s_infty_star(model, dt)
         u_lim = u_infty_star(model)
@@ -238,8 +239,7 @@ def cmd_simulate(args) -> int:
     _parsed(
         _require_keys,
         cfg,
-        {"model", "model_file", "grid", "init", "method", "projection",
-         "store_modes", "observe_every", "seed"},
+        {"model", "model_file", "grid", "init", "method", "projection", "observe_every", "seed"},
         {"grid"},
         "simulate config",
     )
@@ -259,14 +259,10 @@ def cmd_simulate(args) -> int:
             _parsed(_require_keys, init, {"given"}, {"given"}, "simulate config init")
             init = _parsed(np.asarray, init["given"], dtype=float)
         observe_every = _parsed(integer, cfg.get("observe_every", 1), "observe_every")
-        store_modes = cfg.get("store_modes", True)
-        if not isinstance(store_modes, bool):
-            raise ConfigError(f"simulate config: store_modes must be true or false, "
-                              f"got {store_modes!r}")
         _parsed(check_integration, model, grid, init, observe_every)
-        traj = integrate_path(model, grid, init, seed, store_modes, observe_every)
+        traj = integrate_path(model, grid, init, seed, observe_every)
     elif method == "exact_stationary":
-        for key in ("init", "observe_every", "store_modes"):
+        for key in ("init", "observe_every"):
             if key in cfg:
                 raise ConfigError(f"simulate config: method 'exact_stationary' does not "
                                   f"use {key!r}")
@@ -313,7 +309,8 @@ def cmd_estimate(args) -> int:
     model = _model_from_config(cfg)
     traj = _load_trajectory(cfg["trajectory"])
     kind = cfg["estimator"]
-    true_alpha = _parsed(float, cfg["true_alpha"]) if "true_alpha" in cfg else None
+    true_alpha = (_parsed(lambda: positive_finite(float(cfg["true_alpha"]), "true_alpha"))
+                  if "true_alpha" in cfg else None)
     projection = _projection_from_config(cfg, model)
 
     if kind in (DISCRETE_NORM, CONTINUOUS_NORM):
@@ -329,7 +326,7 @@ def cmd_estimate(args) -> int:
 
     report = estimate(kind, values, traj.t, normalizer, model.hurst)
     sigma = None
-    if model.hurst < 0.75:
+    if model.hurst < SUMMABLE_HURST:
         sigma = asymptotic_sigma(model, kind, projection, traj.grid.dt)
     report = finish_report(report, model, sigma, true_alpha)
 

@@ -490,9 +490,6 @@ class SeriesLimit:
     tail_estimate: float  # exact to rounding: the expansion tail past the cutoff
     cutoff: float         # last lag included (sum); inf (integral)
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _require_summable(h: float, what: str) -> None:
     if h >= SUMMABLE_HURST:

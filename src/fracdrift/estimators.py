@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import (
+    SUMMABLE_HURST,
     qww,
     r_z_integral,
     r_z_sum,
@@ -159,7 +160,7 @@ def drift_scales(model: ModelConfig,
     Runs the cheap checks (H < 3/4, then the trace and ``<Q w, w>``
     degeneracy) before any series evaluation.
     """
-    if model.hurst >= 0.75:
+    if model.hurst >= SUMMABLE_HURST:
         raise ValueError("asymptotic constants exist only for H < 3/4")
     gamma = _drift_scale(model, trace_q1(model), "stationary trace")
     if w is None:

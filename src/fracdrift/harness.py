@@ -46,7 +46,7 @@ from .chaos import (
     wasserstein1_distance,
     xi_H,
 )
-from .covariance import s_infty_star, trace_q
+from .covariance import SUMMABLE_HURST, s_infty_star, trace_q
 from .estimators import (
     DISCRETE_NORM,
     DISCRETE_PROJ,
@@ -222,8 +222,8 @@ class ExperimentReport:
         ok = observed <= threshold if direction == "<=" else observed >= threshold
         self.checks.append(Check(name, bool(ok), observed, threshold, direction, note))
 
-    def to_json_dict(self, include_raw: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "kind": self.kind,
             "seed": self.seed,
@@ -235,9 +235,6 @@ class ExperimentReport:
             "checks": [asdict(c) for c in self.checks],
             "regression": self.regression,
         }
-        if include_raw:
-            out["raw"] = {k: [float(v) for v in vals] for k, vals in self.raw.items()}
-        return out
 
     def to_csv(self) -> str:
         lines = ["grid,statistic,value,mc_se,n_reps"]
@@ -544,7 +541,7 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
     """Non-Gaussian limit for H > 3/4 (and the CLT control for H < 3/4)."""
     model = spec.model
     h = model.hurst
-    noncentral = h > 0.75
+    noncentral = h > SUMMABLE_HURST
     report = spec.report(
         {"ks_floor": 0.03, "variance_ratio_max": 2.0} if noncentral else {"ks_max": 0.05}
     )

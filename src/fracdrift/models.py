@@ -27,7 +27,6 @@ __all__ = [
     "ProjectionVector",
     "build_distributed_model",
     "build_pointwise_model",
-    "custom_model",
     "projection_indicator",
     "projection_sine",
     "projection_from_coefficients",
@@ -226,26 +225,6 @@ def build_pointwise_model(y: float, n_modes: int, alpha: float, hurst: float) ->
         hurst=float(hurst),
         operator=SpectralOperator((np.pi * k) ** 2.0, basis_id="dirichlet-sine d=1 m=1"),
         noise=NoiseStructure(RANK_ONE, np.sqrt(2.0) * np.sin(k * np.pi * y)),
-    )
-
-
-def custom_model(
-    eigenvalues: np.ndarray,
-    alpha: float,
-    hurst: float,
-    loadings: float | np.ndarray = 1.0,
-    noise_kind: str = DIAGONAL,
-) -> ModelConfig:
-    """Model with explicitly given eigenvalues and loadings."""
-    ev = np.asarray(eigenvalues, dtype=float)
-    order = np.argsort(ev, kind="stable")
-    lo = np.broadcast_to(np.asarray(loadings, dtype=float), ev.shape)[order]
-    ev = ev[order]
-    return ModelConfig(
-        alpha=float(alpha),
-        hurst=float(hurst),
-        operator=SpectralOperator(ev),
-        noise=NoiseStructure(noise_kind, lo),
     )
 
 

@@ -167,6 +167,8 @@ def check_integration(model: ModelConfig, grid: TrajectoryGrid, init,
         raise ValueError(f"unknown init {init!r}")
     if kind == "given" and np.shape(init) != (model.n_modes,):
         raise ValueError("initial state must have one coordinate per mode")
+    if kind == "given" and not np.all(np.isfinite(init)):
+        raise ValueError("initial state must be finite")
     if grid.burn_in_steps and kind != "burn_in":
         raise ValueError(f"grid.burn_in_steps is run only by init 'burn_in', not {kind!r}")
     burn = 0
@@ -180,7 +182,6 @@ def integrate_path(
     grid: TrajectoryGrid,
     init,
     seed: int,
-    store_modes: bool = True,
     observe_every: int = 1,
 ) -> Trajectory:
     """Exponential-Euler path started from ``init``.
@@ -231,7 +232,7 @@ def integrate_path(
         t=np.arange(n_obs + 1) * dt_out,
         sq_norms=np.sum(kept**2, axis=0),
         init_kind=kind,
-        modes=kept if store_modes else None,
+        modes=kept,
     )
 
 
@@ -299,15 +300,17 @@ class StationaryModeSampler:
         """Sample ``n_reps`` independent draws of sequence ``b``; returns shape
         (n_reps, p, n): p = 1 for diagonal noise, N for rank-one noise.  A
         ``work`` dict is reused as :func:`fgn.sample_circulant` and
-        :func:`_ar1_scan` say; the draw may then live in it."""
+        :func:`_ar1_scan` say, and holds ``mix`` times the draw; the draw may
+        then live in it."""
+        work = {} if work is None else work
         x = stationary_draw(*self.factor(b), self.n, rng, n_reps, work)
         if not self.every:
             return x
         mix, rho, gain = self._scans[b]
-        if len(mix) > 1:
-            x = mix @ x
-        else:  # a 1 x 1 mix: the same bits without matmul's per-call cost
-            x *= mix[0, 0]
+        shape = (n_reps, len(mix), self.n)
+        if work.get("mixed") is None or work["mixed"].shape != shape:
+            work["mixed"] = np.empty(shape)
+        x = np.matmul(mix, x, out=work["mixed"])
         x *= self.dt**self.model.hurst
         return _ar1_scan(x, rho, gain, work)
 

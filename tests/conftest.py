@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import fracdrift.fgn as fgn
-from fracdrift.models import build_distributed_model, build_pointwise_model, custom_model
+from fracdrift.models import build_distributed_model, build_pointwise_model, model_from_dict
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def pointwise8():
 @pytest.fixture
 def single_mode():
     def make(a=1.0, alpha=1.0, hurst=0.55, phi=1.0):
-        return custom_model([a], alpha, hurst, loadings=phi)
+        return custom([a], alpha, hurst, loadings=phi)
 
     return make
 
@@ -41,6 +42,15 @@ def embedding_calls(monkeypatch):
 
     monkeypatch.setattr(fgn, "circulant_embedding_eigs", counted)
     return calls
+
+
+def custom(eigenvalues, alpha, hurst, loadings=1.0):
+    """A ``custom`` model with diagonal noise, built as the CLI builds it;
+    a scalar loading applies to every mode."""
+    loadings = np.broadcast_to(np.asarray(loadings, dtype=float), np.shape(eigenvalues))
+    return model_from_dict({"kind": "custom", "alpha": alpha, "hurst": hurst,
+                            "eigenvalues": list(eigenvalues),
+                            "noise": {"kind": "diagonal", "loadings": loadings.tolist()}})
 
 
 def assert_close(actual, expected, rtol, what=""):

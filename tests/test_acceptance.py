@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import custom
 from fracdrift.chaos import exact_cumulants
 from fracdrift.cli import EXIT_DEGENERATE, main
 from fracdrift.covariance import (
@@ -32,7 +33,6 @@ from fracdrift.harness import (
 from fracdrift.models import (
     build_distributed_model,
     build_pointwise_model,
-    custom_model,
     projection_indicator,
     projection_sine,
 )
@@ -169,7 +169,7 @@ class TestAcceptance:
         decays no slower than the rate function within tolerance (2000
         replications per grid point).  The single slow mode (rate 0.25) keeps
         the pre-asymptotic distance above the Monte Carlo resolution floor."""
-        model = custom_model([1.0], 0.25, h)
+        model = custom([1.0], 0.25, h)
         spec = ExperimentSpec(
             kind="moment_clt", model=model, grid=(32, 64, 128, 256, 512),
             replications=2000, seed=2007, thresholds={"slope_max": slope_max},
@@ -185,7 +185,7 @@ class TestAcceptance:
         every normal (2000 replications, n = 2^12) while the H = 0.55 control
         passes normality under CLT scaling."""
         spec = ExperimentSpec(
-            kind="rosenblatt", model=custom_model([1.0], 1.0, 0.85),
+            kind="rosenblatt", model=custom([1.0], 1.0, 0.85),
             grid=(1024, 2048, 4096), replications=2000, seed=2008,
             thresholds={"ks_floor": 0.03, "variance_ratio_max": 2.0},
         )
@@ -193,7 +193,7 @@ class TestAcceptance:
         ks_fit = [c.observed for c in report.checks if c.name == "ks_to_best_normal_floor"][0]
 
         control_spec = ExperimentSpec(
-            kind="rosenblatt", model=custom_model([1.0], 1.0, 0.55),
+            kind="rosenblatt", model=custom([1.0], 1.0, 0.55),
             grid=(4096,), replications=2000, seed=2008,
             thresholds={"ks_max": 0.05},
         )

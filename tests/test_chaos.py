@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstat, kstest, kstwo, norm
 
-from conftest import assert_close
+from conftest import assert_close, custom
 from fracdrift._rng import substream
 from fracdrift.chaos import (
     _kolmogorov,
@@ -22,19 +22,19 @@ from fracdrift.chaos import (
 )
 from fracdrift.covariance import s_n as s_n_series
 from fracdrift.covariance import trace_q
-from fracdrift.models import DIAGONAL, build_distributed_model, custom_model
+from fracdrift.models import DIAGONAL, build_distributed_model
 from fracdrift.simulate import StationaryModeSampler
 
 
 def white_model(hurst: float = 0.5, rate: float = 40.0):
     """Single mode with e^{-a} ~ 4e-18: the sampled sequence is white to
     machine precision, so iid chi-square theory applies."""
-    return custom_model([rate], 1.0, hurst)
+    return custom([rate], 1.0, hurst)
 
 
 class TestExactCumulants:
     def test_single_chi_square(self):
-        model = custom_model([1.0], 1.0, 0.55)
+        model = custom([1.0], 1.0, 0.55)
         rep = exact_cumulants(model, 1)
         assert rep.kappa3_exact == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
         assert rep.kappa4_exact == pytest.approx(12.0, rel=1e-12)
@@ -103,7 +103,7 @@ class TestExactCumulants:
         # must reproduce the trace-identity cumulants.
         from fracdrift.covariance import block_covariance
 
-        model = custom_model([1.0, 3.0], 1.0, 0.6)
+        model = custom([1.0, 3.0], 1.0, 0.6)
         n = 6
         rep = exact_cumulants(model, n)
         blocks = block_covariance(model, n)
@@ -138,7 +138,7 @@ class TestExactCumulants:
 
     def test_monte_carlo_k_statistics_match(self):
         # 2e4 replications of F_16 for a single mode; 4 SE agreement.
-        model = custom_model([1.0], 1.0, 0.6)
+        model = custom([1.0], 1.0, 0.6)
         n, reps = 16, 20_000
         rep = exact_cumulants(model, n)
         sampler = StationaryModeSampler(model, n, 1.0)
@@ -169,7 +169,7 @@ class TestBoundShapes:
     def test_slow_mode_h07_slopes(self):
         # H = 0.7 on a slow mode reaches the growth exponents at desk scale:
         # log B3 slope -> 6H - 9/2, log B4 slope -> 8H - 6 (within 0.1).
-        model = custom_model([1.0], 0.25, 0.7)
+        model = custom([1.0], 0.25, 0.7)
         ns = 2 ** np.arange(8, 13)
         b3, b4 = zip(*[cumulant_bound_shapes(model, int(n)) for n in ns])
         slope3 = np.polyfit(np.log(ns), np.log(b3), 1)[0]

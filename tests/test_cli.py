@@ -17,7 +17,7 @@ from fracdrift.models import (
     projection_from_dict,
     projection_indicator,
 )
-from fracdrift.simulate import trajectory_from_csv
+from fracdrift.simulate import project_modes, trajectory_from_csv, trajectory_from_npz
 
 HEAT3 = {"kind": "distributed", "d": 1, "m": 1, "n_modes": 3, "alpha": 1.0, "hurst": 0.55}
 POINTWISE = {"kind": "pointwise", "y": 0.5, "n_modes": 8, "alpha": 1.0, "hurst": 0.55}
@@ -188,6 +188,10 @@ class TestSimulateEstimateRoundTrip:
         pytest.param({"init": "warm"}, "unknown init 'warm'", id="init_warm"),
         pytest.param({"init": {"given": [1.0, 2.0]}}, "one coordinate per mode",
                      id="init_given_short"),
+        pytest.param({"init": {"given": [float("nan"), 1.0, 1.0]}},
+                     "initial state must be finite", id="init_given_nan"),
+        pytest.param({"init": {"given": [1.0, float("-inf"), 1.0]}},
+                     "initial state must be finite", id="init_given_inf"),
         pytest.param({"init": "zero", "grid": {"dt": 0.01, "n_steps": 100, "burn_in_steps": 500}},
                      "grid.burn_in_steps is run only by init 'burn_in'",
                      id="burn_in_steps_without_burn_in"),
@@ -207,7 +211,6 @@ class TestSimulateEstimateRoundTrip:
     @pytest.mark.parametrize("entry,key", [
         pytest.param({"init": "burn_in"}, "'init'", id="init"),
         pytest.param({"observe_every": 1}, "'observe_every'", id="observe_every"),
-        pytest.param({"store_modes": False}, "'store_modes'", id="store_modes"),
         pytest.param({"grid": {"dt": 1.0, "n_steps": 16, "burn_in_steps": 4}},
                      "'grid.burn_in_steps'", id="burn_in_steps"),
     ])
@@ -221,6 +224,20 @@ class TestSimulateEstimateRoundTrip:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert f"'exact_stationary' does not use {key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["integrate", "exact_stationary"])
+    def test_store_modes_is_an_unknown_key(self, tmp_path, capsys, method):
+        # Both methods write the mode coordinates; there is no switch to drop them.
+        sim_cfg = write(tmp_path, "sim.json", {
+            "model": HEAT3, "grid": {"dt": 1.0, "n_steps": 16}, "method": method,
+            "store_modes": False,
+        })
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "unknown keys in simulate config: ['store_modes']" in err
         assert not out.exists()
 
     def test_exact_stationary_accepts_zero_burn_in(self, tmp_path):
@@ -250,12 +267,19 @@ class TestSimulateEstimateRoundTrip:
             "grid": {"dt": 0.01, "n_steps": 200},
             "init": "burn_in",
             "observe_every": 10,
+            "projection": WINDOW,
             "seed": 3,
         })
         out = tmp_path / "sim"
         assert main(["simulate", "--config", sim_cfg, "--out", str(out)]) == EXIT_OK
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 1 + 21  # header + n/observe_every + 1 points
+        # The cache carries the mode coordinates the projection was read from.
+        traj = trajectory_from_npz(out / "trajectory.npz")
+        assert traj.modes.shape == (3, 21)
+        w = projection_from_dict(WINDOW, 3)
+        np.testing.assert_array_equal(traj.projections, project_modes(w.coefficients, traj.modes))
+        np.testing.assert_array_equal(traj.sq_norms, np.sum(traj.modes**2, axis=0))
 
     def test_degenerate_estimate_exit_code(self, tmp_path, capsys):
         sim_cfg = write(tmp_path, "sim.json", {
@@ -362,6 +386,22 @@ class TestSimulateEstimateRoundTrip:
         })
         assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "e")]) == EXIT_ERROR
         assert "error: config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("true_alpha", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_true_alpha_must_be_positive_and_finite(self, tmp_path, capsys, true_alpha):
+        # A NaN would reach estimate.json as a bare NaN, which strict JSON rejects.
+        traj_csv = self._heat3_trajectory(tmp_path, projection=False)
+        est = {"model": HEAT3, "trajectory": str(traj_csv), "estimator": "discrete_norm"}
+
+        def run(name, value):
+            cfg = write(tmp_path, f"{name}.json", dict(est, true_alpha=value))
+            return main(["estimate", "--config", cfg, "--out", str(tmp_path / name)])
+
+        assert run("good", 1.0) == EXIT_OK
+        assert run("bad", true_alpha) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: true_alpha must be positive and finite")
+        assert not (tmp_path / "bad").exists()
 
 
 class TestExperimentCommand:
@@ -786,10 +826,6 @@ class TestEntryPoint:
                      "observe_every must be an integer", id="observe_every_bool"),
         pytest.param(["simulate"], dict(SIM, seed=1.5), "seed must be an integer",
                      id="simulate_seed_fraction"),
-        pytest.param(["simulate"], dict(SIM, store_modes="false"),
-                     "store_modes must be true or false", id="store_modes_string"),
-        pytest.param(["simulate"], dict(SIM, store_modes=0),
-                     "store_modes must be true or false", id="store_modes_number"),
         pytest.param(["theory"], {"model": dict(HEAT3, n_modes=3.7)},
                      "n_modes must be an integer", id="n_modes_fraction"),
         pytest.param(["theory"], {"model": dict(HEAT3, n_modes=True)},

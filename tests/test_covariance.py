@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from conftest import assert_close
+from conftest import assert_close, custom
 from oracles import (
     _frequency_square_integral,
     norm_density_sq,
@@ -41,7 +41,6 @@ from fracdrift.models import (
     DIAGONAL,
     build_distributed_model,
     build_pointwise_model,
-    custom_model,
     projection_indicator,
     projection_sine,
 )
@@ -218,9 +217,9 @@ class TestScaling:
         # variance(alpha*lam) = alpha^{-2H} variance(lam), exactly.
         for h in (0.3, 0.55, 0.7):
             for alpha in (0.5, 1.0, 2.0):
-                lhs = stationary_covariance(custom_model([3.7], alpha, h, loadings=1.3))[0]
+                lhs = stationary_covariance(custom([3.7], alpha, h, loadings=1.3))[0]
                 rhs = alpha ** (-2 * h) * stationary_covariance(
-                    custom_model([3.7], 1.0, h, loadings=1.3))[0]
+                    custom([3.7], 1.0, h, loadings=1.3))[0]
                 assert_close(lhs, rhs, 1e-13, "mode scaling")
 
     def test_trace_scaling_law(self, heat3):
@@ -285,7 +284,7 @@ LIMIT_MODELS = [
 class TestSeriesLimits:
     def test_s_n_single_surviving_term(self):
         # Near-white model: only the lag-0 term contributes measurably.
-        model = custom_model([40.0], 1.0, 0.5)
+        model = custom([40.0], 1.0, 0.5)
         q0 = stationary_variance_mode(40.0, 1.0, 0.5)
         assert_close(s_n(model, 64), 2.0 * q0**2, 1e-10, "white s_n")
 
@@ -302,7 +301,7 @@ class TestSeriesLimits:
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
     @pytest.mark.parametrize("model,dt", [
-        pytest.param(custom_model([1.0], 1.0, 0.5), 1.0, id="one_mode"),
+        pytest.param(custom([1.0], 1.0, 0.5), 1.0, id="one_mode"),
         # 12970 lags: the longest table of the series limits' test grid.
         pytest.param(build_distributed_model(1, 1, 3, 0.05, 0.5), 0.01, id="heat3_slow"),
     ])
@@ -322,7 +321,7 @@ class TestSeriesLimits:
         # with a crude power-law tail, against the frequency-domain value.
         from scipy.integrate import quad as _quad
 
-        model = custom_model([1.0], 1.0, h)
+        model = custom([1.0], 1.0, h)
 
         def g(t):
             return closed_form(1.0, 1.0, h, t)[0] ** 2
@@ -339,13 +338,13 @@ class TestSeriesLimits:
 
     def test_u_star_markov_closed_form(self):
         # r(t) = e^{-|t|}/2 so  2 int_R r^2 = 2 * (1/4) * int e^{-2|t|} = 1/2.
-        model = custom_model([1.0], 1.0, 0.5)
+        model = custom([1.0], 1.0, 0.5)
         lim = u_infty_star(model)
         assert_close(lim.value, 0.5, 1e-7, "u* Markov")
         assert lim.tail_estimate < 1e-6
 
     def test_limits_reject_nonsummable(self):
-        model = custom_model([1.0], 1.0, 0.8)
+        model = custom([1.0], 1.0, 0.8)
         with pytest.raises(ValueError, match="non-summable"):
             s_infty_star(model)
         with pytest.raises(ValueError, match="non-summable"):

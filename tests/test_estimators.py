@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_close
+from conftest import assert_close, custom
 from fracdrift.covariance import s_infty_star
 from fracdrift.estimators import (
     CONTINUOUS_NORM,
@@ -26,7 +26,6 @@ from fracdrift.estimators import (
 )
 from fracdrift.models import (
     build_pointwise_model,
-    custom_model,
     projection_indicator,
     projection_sine,
 )
@@ -188,7 +187,7 @@ class TestAsymptoticSigma:
     def test_markov_closed_forms(self, alpha, lam):
         # H = 1/2 single mode: sigma2 = sqrt(2 alpha / lambda) and
         # sigma1 = sqrt(2) alpha sqrt(coth(alpha lambda)).
-        model = custom_model([lam], alpha, 0.5)
+        model = custom([lam], alpha, 0.5)
         assert_close(asymptotic_sigma(model, CONTINUOUS_NORM), np.sqrt(2.0 * alpha / lam),
                      1e-6, "sigma2 Markov")
         assert_close(asymptotic_sigma(model, DISCRETE_NORM),
@@ -226,7 +225,7 @@ class TestAsymptoticSigma:
             asymptotic_sigma(heat3, "discrete_nrm", w)
 
     def test_rejects_nonsummable(self):
-        model = custom_model([1.0], 1.0, 0.8)
+        model = custom([1.0], 1.0, 0.8)
         with pytest.raises(ValueError):
             asymptotic_sigma(model, DISCRETE_NORM)
         with pytest.raises(ValueError):
@@ -257,7 +256,7 @@ class TestEmpiricalConsistency:
     def test_median_error_shrinks_single_mode(self):
         # Small-scale version of the consistency experiment: exact stationary
         # samples, median |estimate - alpha| decreasing over the grid.
-        model = custom_model([1.0], 1.0, 0.55)
+        model = custom([1.0], 1.0, 0.55)
         nz = trace_q1(model)
         reps, n_max = 150, 800
         sampler = StationaryModeSampler(model, n_max, 1.0)
@@ -275,7 +274,7 @@ class TestEmpiricalConsistency:
 
         nz = trace_q1(heat3)
         grid = TrajectoryGrid(0.002, 50_000, burn_in_steps=1500)
-        fine = integrate_path(heat3, grid, "burn_in", seed=77, store_modes=False)
+        fine = integrate_path(heat3, grid, "burn_in", seed=77)
         estimates = []
         for stride in (4, 2, 1):
             estimates.append(

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import custom
 from fracdrift.estimators import DegenerateModelError
 from fracdrift.harness import (
     ExperimentSpec,
@@ -22,15 +23,20 @@ from fracdrift.models import (
     NoiseStructure,
     build_distributed_model,
     build_pointwise_model,
-    custom_model,
     projection_indicator,
     projection_sine,
 )
 
 
-def report_json(report, include_raw=False):
+def report_json(report):
     """The report's JSON text, keys sorted."""
-    return json.dumps(report.to_json_dict(include_raw=include_raw), sort_keys=True)
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+def report_bits(report):
+    """The report's JSON text and the bytes of each of its raw sample arrays."""
+    raw = {key: np.asarray(values, dtype=float).tobytes() for key, values in report.raw.items()}
+    return report_json(report), raw
 
 
 def small_spec(kind, model, **kw):
@@ -131,17 +137,13 @@ class TestSpecValidation:
 class TestReproducibility:
     def test_identical_reports_same_seed(self, heat3):
         spec = small_spec("moment_clt", heat3, grid=(16, 32, 64), replications=60)
-        a = report_json(run_moment_clt(spec), include_raw=True)
-        b = report_json(run_moment_clt(spec), include_raw=True)
-        assert a == b
+        assert report_bits(run_moment_clt(spec)) == report_bits(run_moment_clt(spec))
 
     def test_thread_count_does_not_change_results(self, heat3):
         base = small_spec("estimator_clt", heat3, grid=(128,), replications=60,
                           thresholds={"ks_localized_max": 1.0})
         threaded = ExperimentSpec(**{**base.__dict__, "threads": 8})
-        a = report_json(run_estimator_clt(base), include_raw=True)
-        b = report_json(run_estimator_clt(threaded), include_raw=True)
-        assert a == b
+        assert report_bits(run_estimator_clt(base)) == report_bits(run_estimator_clt(threaded))
 
     def test_integrated_paths_do_not_depend_on_thread_count(self, heat3):
         # Pool threads share the sampler's factors and each keeps its own batch
@@ -151,13 +153,13 @@ class TestReproducibility:
                           estimators=("discrete_norm", "discrete_projection"),
                           projection=projection_indicator(0.0, 0.5, 3),
                           thresholds={"max_median_error": 10.0})
-        a = report_json(run_consistency(base), include_raw=True)
+        a = report_bits(run_consistency(base))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so shared buffers would show
         try:
             for threads in (2, 3):
                 threaded = ExperimentSpec(**{**base.__dict__, "threads": threads})
-                assert report_json(run_consistency(threaded), include_raw=True) == a
+                assert report_bits(run_consistency(threaded)) == a
         finally:
             sys.setswitchinterval(interval)
 
@@ -233,11 +235,10 @@ class TestConsistencyExperiment:
                               thresholds={"max_median_error": 10.0})
         stepped = ExperimentSpec(**{**spec.__dict__, "sim_dt": 0.01})
         assert spec.sim_dt is None
-        assert report_json(run_consistency(spec), include_raw=True) == \
-            report_json(run_consistency(stepped), include_raw=True)
+        assert report_bits(run_consistency(spec)) == report_bits(run_consistency(stepped))
 
     def test_stationary_source_small(self):
-        model = custom_model([1.0], 1.0, 0.55)
+        model = custom([1.0], 1.0, 0.55)
         spec = ExperimentSpec("consistency", model, (100, 400, 1600), 150, seed=3,
                               thresholds={"max_median_error": 0.2})
         report = run_consistency(spec)
@@ -247,7 +248,7 @@ class TestConsistencyExperiment:
 
     def test_integrator_source_small(self):
         # Full-pipeline variant: exponential-Euler paths with burn-in init.
-        model = custom_model([1.0], 1.0, 0.55)
+        model = custom([1.0], 1.0, 0.55)
         spec = ExperimentSpec("consistency", model, (50, 200), 60, seed=5,
                               source="integrator", sim_dt=0.05,
                               thresholds={"max_median_error": 0.35})
@@ -257,7 +258,7 @@ class TestConsistencyExperiment:
     def test_separate_truths_no_crosstalk(self):
         # alpha = 1 and alpha = 2 runs each concentrate near their own truth.
         for alpha in (1.0, 2.0):
-            model = custom_model([1.0], alpha, 0.55)
+            model = custom([1.0], alpha, 0.55)
             spec = ExperimentSpec("consistency", model, (400, 1600), 80, seed=11,
                                   thresholds={"max_median_error": 0.2 * alpha})
             report = run_consistency(spec)
@@ -306,14 +307,14 @@ class TestDistributionExperiments:
 
     def test_moment_clt_markov_ks_decreasing(self):
         # H = 1/2 single mode: the KS distance decreases over n in {2^5..2^9}.
-        model = custom_model([0.5], 1.0, 0.5)
+        model = custom([0.5], 1.0, 0.5)
         spec = ExperimentSpec("moment_clt", model, (32, 64, 128, 256, 512), 600, seed=37)
         report = run_moment_clt(spec)
         byname = {c.name: c for c in report.checks}
         assert byname["ks_decreasing"].passed
 
     def test_estimator_clt_normality_small(self):
-        model = custom_model([2.0], 1.0, 0.55)
+        model = custom([2.0], 1.0, 0.55)
         spec = ExperimentSpec("estimator_clt", model, (1000,), 500, seed=17)
         report = run_estimator_clt(spec)
         assert report.passed, [c for c in report.checks if not c.passed]
@@ -326,14 +327,14 @@ class TestDistributionExperiments:
                                              estimators=("discrete_projection",)))
 
     def test_rosenblatt_control_mode(self):
-        model = custom_model([1.0], 1.0, 0.55)
+        model = custom([1.0], 1.0, 0.55)
         spec = ExperimentSpec("rosenblatt", model, (512,), 400, seed=19,
                               thresholds={"ks_max": 0.12})
         report = run_rosenblatt(spec)
         assert "control_normality_ks" in {c.name for c in report.checks}
 
     def test_rosenblatt_noncentral_mode_checks(self):
-        model = custom_model([1.0], 1.0, 0.85)
+        model = custom([1.0], 1.0, 0.85)
         spec = ExperimentSpec("rosenblatt", model, (256, 512), 400, seed=23,
                               thresholds={"ks_floor": 0.01})
         report = run_rosenblatt(spec)
@@ -448,11 +449,10 @@ class TestReportFormats:
         model = build_distributed_model(1, 1, 16, 1.0, 0.3)
         n_total = 100_000
         grid = TrajectoryGrid(0.01, n_total)
-        integrate_path(model, grid, "zero", seed=1, store_modes=False)  # warm-up
+        integrate_path(model, grid, "zero", seed=1)  # warm-up
         tracemalloc.start()
         try:
-            traj = integrate_path(model, grid, "zero", seed=2, store_modes=False,
-                                  observe_every=100)
+            traj = integrate_path(model, grid, "zero", seed=2, observe_every=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,6 @@ from fracdrift.models import (
     SpectralOperator,
     build_distributed_model,
     build_pointwise_model,
-    custom_model,
     integer,
     model_from_dict,
     model_to_dict,
@@ -160,15 +159,6 @@ class TestValidationAndSerialization:
         assert np.allclose(heat3.rates, heat3.operator.eigenvalues)
         m2 = heat3.with_alpha(2.0)
         assert np.allclose(m2.rates, 2.0 * heat3.operator.eigenvalues)
-
-    def test_custom_model_sorts(self):
-        m = custom_model([3.0, 1.0, 2.0], 1.0, 0.5)
-        assert np.allclose(m.operator.eigenvalues, [1.0, 2.0, 3.0])
-
-    def test_custom_model_sorts_loadings_with_eigenvalues(self):
-        m = custom_model([4.0, 1.0], 1.0, 0.55, loadings=[2.0, 3.0])
-        assert m.operator.eigenvalues.tolist() == [1.0, 4.0]
-        assert m.noise.loadings.tolist() == [3.0, 2.0]
 
 
 class TestInteger:

@@ -7,6 +7,7 @@ import pytest
 from scipy.signal import lfilter
 from scipy.stats import ks_2samp
 
+from conftest import custom
 from fracdrift._rng import substream
 from fracdrift.covariance import (
     block_covariance,
@@ -19,7 +20,6 @@ from fracdrift.fgn import block_toeplitz, fold_basis, folded_fgn_autocov
 from fracdrift.models import (
     build_distributed_model,
     build_pointwise_model,
-    custom_model,
     projection_from_coefficients,
     projection_indicator,
     projection_sine,
@@ -79,7 +79,7 @@ def assert_sequential_recursion(traj, model, grid, init, seed):
 
 class TestIntegratePath:
     def test_deterministic_decay_with_negligible_noise(self):
-        model = custom_model([1.0, 4.0, 9.0], 1.0, 0.55, loadings=1e-160)
+        model = custom([1.0, 4.0, 9.0], 1.0, 0.55, loadings=1e-160)
         grid = TrajectoryGrid(0.01, 200)
         x0 = np.array([1.0, -2.0, 3.0])
         traj = integrate_path(model, grid, x0, seed=1)
@@ -139,9 +139,9 @@ class TestIntegratePath:
         # H = 1/2, single mode: chain variance within 3 SE of the Euler-chain
         # oracle, which itself converges to phi^2/(2a) as dt -> 0.
         a, dt = 1.0, 0.05
-        model = custom_model([a], 1.0, 0.5)
+        model = custom([a], 1.0, 0.5)
         grid = TrajectoryGrid(dt, 60_000, burn_in_steps=400)
-        traj = integrate_path(model, grid, "burn_in", seed=13, store_modes=False)
+        traj = integrate_path(model, grid, "burn_in", seed=13)
         est = float(np.mean(traj.sq_norms))
         target = euler_chain_variance(a, 1.0, 0.5, dt)
         n_eff = grid.n_steps * dt / 2.0  # ~2/(2a) decorrelation time
@@ -163,7 +163,7 @@ class TestIntegratePath:
         reps = 500
         grid = TrajectoryGrid(dt, 1, burn_in_steps=default_burn_in_steps(model, dt))
         values = np.array([
-            integrate_path(model, grid, "burn_in", seed=s, store_modes=False).sq_norms[0]
+            integrate_path(model, grid, "burn_in", seed=s).sq_norms[0]
             for s in range(reps)
         ])
         target = trace_q(model)
@@ -403,6 +403,47 @@ class TestFoldedNoise:
                                        rtol=0, atol=1e-14)
 
 
+class TestExactZeroStart:
+    @staticmethod
+    def zero_start_covariance(model, spacing, n_obs):
+        """Covariance of ``X_k(t) = Y_k(t) - e^{-a_k t} Y_k(0)`` at ``t = spacing,
+        .., n_obs spacing``, Y the stationary solution; shape (N, n_obs, N, n_obs).
+
+        X is the mild solution from zero driven by Y's noise.  The lags come
+        from :func:`mode_lag_table`, with ``E[Y_k(s) Y_l(t)] = r_kl(s - t)``
+        and ``r_kl(-u) = r_lk(u)``.
+        """
+        n = model.n_modes
+        table = mode_lag_table(model, spacing, n_obs + 1)
+        if model.noise.kind == "diagonal":
+            table = np.eye(n)[..., None] * table[:, None]
+        steps = np.arange(n_obs + 1)
+        lag = np.subtract.outer(steps, steps)
+        c = np.where(lag >= 0, table[:, :, np.abs(lag)], table.swapaxes(0, 1)[:, :, np.abs(lag)])
+        c = c.transpose(0, 2, 1, 3)  # [k, s, l, t] = E[Y_k(s) Y_l(t)]
+        e_s = np.exp(-np.outer(model.rates, steps * spacing))[:, :, None, None]  # e^{-a_k s}
+        e_t = e_s.transpose(2, 3, 0, 1)  # e^{-a_l t}
+        cov = c - e_t * c[..., :1] - e_s * c[:, :1] + e_s * e_t * c[:, :1, :, :1]
+        return cov[:, 1:, :, 1:]
+
+    @pytest.mark.parametrize("noise", ["diagonal", "rank_one"])
+    def test_euler_states_converge_at_first_order(self, heat3, noise):
+        # At a fixed observation spacing the Euler states with S steps per
+        # interval differ from the exact zero-start law by O(1/S), cross-mode
+        # blocks included: the gap halves with each doubling of S.
+        model = heat3 if noise == "diagonal" else build_pointwise_model(0.3, 4, 1.0, 0.55)
+        spacing, n_obs = 0.02, 6
+        exact = self.zero_start_covariance(model, spacing, n_obs)
+        gaps = np.array([
+            np.abs(euler_state_covariance(model, spacing / every, every * n_obs, every)
+                   - exact).max() / np.abs(exact).max()
+            for every in (5, 10, 20, 40)
+        ])
+        assert gaps[-1] < 1e-2
+        ratios = gaps[:-1] / gaps[1:]
+        assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
+
+
 class TestStationarySampling:
     def test_marginal_variances(self, heat3):
         n, reps = 16, 10_000
@@ -428,7 +469,7 @@ class TestStationarySampling:
         # H = 1/2: the exact sampler and the AR(1) recursion draw the same law;
         # compare |Z|^2 samples with a two-sample KS test.
         a, n, reps = 1.0, 64, 60
-        model = custom_model([a], 1.0, 0.5)
+        model = custom([a], 1.0, 0.5)
         ours = np.concatenate([
             sample_stationary_sequence(model, n, 1.0, seed=s).sq_norms for s in range(reps)
         ])
