@@ -75,6 +75,7 @@ from .models import (
     model_to_dict,
     positive_finite,
     projection_from_dict,
+    real,
     seed_value,
 )
 from .simulate import (
@@ -175,7 +176,7 @@ def cmd_theory(args) -> int:
     _parsed(_require_keys, cfg, {"model", "model_file", "projection", "n_values", "dt"},
             set(), "theory config")
     model = _model_from_config(cfg)
-    dt = _parsed(lambda: positive_finite(float(cfg.get("dt", 1.0)), "dt"))
+    dt = _parsed(lambda: positive_finite(real(cfg.get("dt", 1.0), "dt"), "dt"))
     what = "each of n_values"
     n_values = _parsed(lambda: [positive_finite(integer(v, what), what)
                                 for v in cfg.get("n_values", [16, 64, 256, 1024])])
@@ -248,7 +249,7 @@ def cmd_simulate(args) -> int:
     _parsed(_require_keys, grid_cfg, {"dt", "n_steps", "burn_in_steps"}, {"dt", "n_steps"},
             "simulate config grid")
     grid = _parsed(lambda: TrajectoryGrid(
-        float(grid_cfg["dt"]), integer(grid_cfg["n_steps"], "grid.n_steps"),
+        real(grid_cfg["dt"], "grid.dt"), integer(grid_cfg["n_steps"], "grid.n_steps"),
         integer(grid_cfg.get("burn_in_steps", 0), "grid.burn_in_steps"),
     ))
     seed = _parsed(seed_value, args.seed if args.seed is not None else cfg.get("seed", 0))
@@ -309,7 +310,8 @@ def cmd_estimate(args) -> int:
     model = _model_from_config(cfg)
     traj = _load_trajectory(cfg["trajectory"])
     kind = cfg["estimator"]
-    true_alpha = (_parsed(lambda: positive_finite(float(cfg["true_alpha"]), "true_alpha"))
+    true_alpha = (_parsed(lambda: positive_finite(real(cfg["true_alpha"], "true_alpha"),
+                                                  "true_alpha"))
                   if "true_alpha" in cfg else None)
     projection = _projection_from_config(cfg, model)
 

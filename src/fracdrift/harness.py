@@ -19,10 +19,12 @@ Experiment kinds:
 :class:`ExperimentSpec` is the one schema of an experiment: its fields are the
 keys of a ``fracdrift experiment`` config, cast and validated once.
 
-All randomness derives from per-(experiment, grid point, batch, mode)
-substreams, so reports are byte-identical regardless of worker count.  Each
-batch reduces its draws to per-replication time sums, so Monte Carlo memory
-is of order threads x n x replications / n_batches.
+Each experiment draws its replications once, at its largest Monte Carlo size
+n, and reads every smaller size from their prefix sums: the first m points of
+an exact stationary draw are an exact draw of m points.  Randomness derives
+from per-(experiment, batch, sequence) substreams, so reports are
+byte-identical regardless of worker count, and Monte Carlo memory is of order
+threads x n x replications / n_batches.
 Monte Carlo standard errors are computed by batching (``n_batches``, 20 by
 default, at least 2), and all pass/fail thresholds are recorded in the report
 next to the observed values.
@@ -57,7 +59,8 @@ from .estimators import (
     trace_q1,
 )
 from .models import (
-    ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator, seed_value,
+    ModelConfig, ProjectionVector, integer, positive_finite, projection_indicator, real,
+    seed_value,
 )
 from .simulate import StationaryModeSampler, TrajectoryGrid, check_integration
 
@@ -122,11 +125,12 @@ class ExperimentSpec:
             object.__setattr__(self, name, integer(getattr(self, name), name))
         object.__setattr__(self, "seed", seed_value(self.seed))
         casts = {"grid": lambda g: tuple(integer(n, "each grid size") for n in g),
-                 "dt": float, "estimators": tuple, "thresholds": dict,
-                 "sim_dt": lambda v: v if v is None else positive_finite(float(v), "sim_dt")}
+                 "dt": lambda v: positive_finite(real(v, "dt"), "dt"),
+                 "estimators": tuple, "thresholds": dict,
+                 "sim_dt": lambda v: v if v is None else positive_finite(real(v, "sim_dt"),
+                                                                         "sim_dt")}
         for name, cast in casts.items():
             object.__setattr__(self, name, cast(getattr(self, name)))
-        positive_finite(self.dt, "dt")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.threads < 1:
@@ -256,30 +260,24 @@ def _batches(spec: ExperimentSpec) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _stationary_moment_samples(
-    spec: ExperimentSpec,
-    n: int,
-    grid_index: int,
-    need_proj: bool,
-    cuts: tuple = (),
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Replications of the source's draws reduced to per-replication prefix sums.
+def _stationary_moment_samples(spec: ExperimentSpec, sizes: tuple,
+                               need_proj: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-replication prefix sums of one set of the source's draws.
 
-    Returns ``(sq, proj)`` of shape (len(cuts), replications), ``cuts``
-    defaulting to ``(n,)``: the sums of |X(t)|^2 and <X(t), w>^2 over the
-    first ``cuts[i]`` points of exact stationary draws at spacing ``spec.dt``
-    or, for source ``"integrator"``, of Euler states at step ``sim_dt`` from
-    zero observed every ``spec.dt`` after the default burn-in.  Each task is
-    one batch: it draws through its thread's workspace, adds the modes in
-    order into the thread's (batch, n) accumulators and takes a sequential
-    cumsum along t.  Reusing them across batches keeps the batches from
-    allocating, and from page-faulting fresh memory (about 11k minor faults
-    per estimator_clt run at heat20 scale).  Deterministic in (seed, kind,
-    grid_index, batch, sequence) regardless of the thread count.
+    Returns ``(sq, proj)`` of shape (len(sizes), replications): the sums of
+    |X(t)|^2 and <X(t), w>^2 over the first ``sizes[i]`` points of draws of
+    ``n = sizes[-1]`` points, exact stationary at spacing ``spec.dt`` or, for
+    source ``"integrator"``, Euler states at step ``sim_dt`` from zero
+    observed every ``spec.dt`` after the default burn-in.  Each task is one
+    batch: it draws through its thread's workspace, adds the modes in order
+    into the thread's (batch, n) accumulators, which no batch reallocates,
+    and takes a sequential cumsum along t.  Deterministic in (seed, kind,
+    batch, sequence) regardless of the thread count.
     """
     tag = _TAGS[spec.kind]
     batches = _batches(spec)
-    at = np.asarray(cuts or (n,)) - 1
+    n = sizes[-1]
+    at = np.asarray(sizes) - 1
     sums = np.empty((2 if need_proj else 1, len(at), spec.replications))
     coeffs = spec.projection.coefficients if need_proj else None
     if spec.source == "stationary":
@@ -301,7 +299,7 @@ def _stationary_moment_samples(
         work, acc, term = local.work, local.acc, local.term
         acc.fill(0.0)
         for s in range(sampler.n_sequences):
-            x = sampler.draw(s, substream(spec.seed, tag, grid_index, b, s), n_reps, work)
+            x = sampler.draw(s, substream(spec.seed, tag, 0, b, s), n_reps, work)
             # Mode s + c: diagonal noise has one mode per sequence, rank-one
             # noise a single sequence of all modes.
             for c, mode in enumerate(x[..., burn:].swapaxes(0, 1)):
@@ -370,9 +368,9 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
     trace_alpha = trace_q(model)
     s_star = s_infty_star(model, spec.dt).value
     ks_values = []
-    for gi, n in enumerate(spec.grid):
-        sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
-        standardized = np.sqrt(n) * (sq[0] / n - trace_alpha) / np.sqrt(s_star)
+    sq, _ = _stationary_moment_samples(spec, spec.grid, need_proj=False)
+    for n, sums in zip(spec.grid, sq):
+        standardized = np.sqrt(n) * (sums / n - trace_alpha) / np.sqrt(s_star)
         ks, ks_se = _batched_statistic(standardized, spec, ks_distance)
         w1, w1_se = _batched_statistic(standardized, spec, wasserstein1_distance)
         report.add_row(n, "ks_distance", ks, ks_se, spec.replications)
@@ -390,10 +388,8 @@ def run_moment_clt(spec: ExperimentSpec) -> ExperimentReport:
             ys = [ks_distance(report.raw[f"standardized_n{n}"][sl]) for n in spec.grid]
             batch_slopes.append(_loglog_fit(np.asarray(spec.grid, float), np.asarray(ys))[0])
         slope_se = float(np.std(batch_slopes, ddof=1) / np.sqrt(len(batch_slopes)))
-        report.regression = {
-            "statistic": "ks_distance", "slope": slope, "intercept": intercept,
-            "r_squared": r2, "slope_se": slope_se,
-        }
+        report.regression = {"statistic": "ks_distance", "slope": slope, "intercept": intercept,
+                             "r_squared": r2, "slope_se": slope_se}
         report.add_check(
             "ks_slope_vs_rate", slope, report.thresholds["slope_max"], "<=",
             note="log-log KS decay no slower than the rate function within tolerance",
@@ -412,19 +408,16 @@ def run_estimator_clt(spec: ExperimentSpec) -> ExperimentReport:
     # H < 3/4 and the degeneracy of the normalizers.
     targets = {}
     if DISCRETE_NORM in spec.estimators:
-        targets[DISCRETE_NORM] = (
-            trace_q1(model), asymptotic_sigma(model, DISCRETE_NORM, None, spec.dt)
-        )
+        targets[DISCRETE_NORM] = (trace_q1(model),
+                                  asymptotic_sigma(model, DISCRETE_NORM, None, spec.dt))
     if want_proj:
-        targets[DISCRETE_PROJ] = (
-            qww1(model, spec.projection),
-            asymptotic_sigma(model, DISCRETE_PROJ, spec.projection, spec.dt),
-        )
+        targets[DISCRETE_PROJ] = (qww1(model, spec.projection),
+                                  asymptotic_sigma(model, DISCRETE_PROJ, spec.projection, spec.dt))
 
-    for gi, n in enumerate(spec.grid):
-        sq, proj = _stationary_moment_samples(spec, n, gi, need_proj=want_proj)
+    sq, proj = _stationary_moment_samples(spec, spec.grid, need_proj=want_proj)
+    for i, n in enumerate(spec.grid):
         for name, (normalizer, sigma) in targets.items():
-            moments = (sq if name == DISCRETE_NORM else proj)[0] / n
+            moments = (sq if name == DISCRETE_NORM else proj)[i] / n
             alphas = alpha_from_moment(moments, normalizer, model.hurst, name)
             z = np.sqrt(n) * (alphas - model.alpha) / sigma
             ks_loc, ks_loc_se = _batched_statistic(
@@ -460,7 +453,7 @@ def run_consistency(spec: ExperimentSpec) -> ExperimentReport:
     if want_proj and qw1.degenerate:
         raise DegenerateModelError("projected normalizer is degenerate")
 
-    sq, proj = _stationary_moment_samples(spec, spec.grid[-1], 0, want_proj, spec.grid)
+    sq, proj = _stationary_moment_samples(spec, spec.grid, want_proj)
 
     medians: dict[str, list[float]] = {}
     for i, n in enumerate(spec.grid):
@@ -491,26 +484,22 @@ def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
     """Exact cumulants vs bound shapes vs Monte Carlo k-statistics."""
     model = spec.model
     report = spec.report({"se_multiple": 4.0, "uniformity_margin": 1.5})
-    ratios3, ratios4, fit3, fit4 = [], [], [], []
-    fit_cut = spec.grid[len(spec.grid) // 2]
-    for gi, n in enumerate(spec.grid):
+    ratios3, ratios4 = [], []
+    n_fit = len(spec.grid) // 2 + 1   # the constants are fitted on the first n_fit sizes
+    mc_sizes = tuple(n for n in spec.grid if n <= spec.mc_cumulant_max_n)
+    sq = _stationary_moment_samples(spec, mc_sizes, need_proj=False)[0] if mc_sizes else ()
+    for i, n in enumerate(spec.grid):
         rep = exact_cumulants(model, n, spec.dt)
         report.add_row(n, "kappa3_exact", rep.kappa3_exact)
         report.add_row(n, "kappa4_exact", rep.kappa4_exact)
         report.add_row(n, "kappa3_bound_shape", rep.kappa3_bound_shape)
         report.add_row(n, "kappa4_bound_shape", rep.kappa4_bound_shape)
         report.add_row(n, "s_n", rep.s_n)
-        r3 = rep.kappa3_exact / rep.kappa3_bound_shape
-        r4 = rep.kappa4_exact / rep.kappa4_bound_shape
-        ratios3.append(r3)
-        ratios4.append(r4)
-        if n <= fit_cut:
-            fit3.append(r3)
-            fit4.append(r4)
+        ratios3.append(rep.kappa3_exact / rep.kappa3_bound_shape)
+        ratios4.append(rep.kappa4_exact / rep.kappa4_bound_shape)
 
-        if n <= spec.mc_cumulant_max_n:
-            sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
-            f = (sq[0] - n * trace_q(model)) / np.sqrt(n * rep.s_n)
+        if i < len(mc_sizes):
+            f = (sq[i] - n * trace_q(model)) / np.sqrt(n * rep.s_n)
             k2, k2_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[0])
             k3, k3_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[1])
             k4, k4_se = _batched_statistic(f, spec, lambda v: k_statistics(v)[2])
@@ -526,10 +515,9 @@ def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
                              note="standardized statistic has unit variance")
 
     # One fitted constant per cumulant order, uniform over the whole grid.
-    c3 = max(fit3) if fit3 else max(ratios3)
-    c4 = max(fit4) if fit4 else max(ratios4)
+    c3, c4 = max(ratios3[:n_fit]), max(ratios4[:n_fit])
     margin = report.thresholds["uniformity_margin"]
-    report.regression = {"fitted_c3": c3, "fitted_c4": c4, "fit_grid_max_n": fit_cut}
+    report.regression = {"fitted_c3": c3, "fitted_c4": c4, "fit_grid_max_n": spec.grid[n_fit - 1]}
     report.add_check("kappa3_bound_uniform", max(ratios3), margin * c3, "<=",
                      note="kappa3 <= C3 * B3(n) with one constant fitted on small n")
     report.add_check("kappa4_bound_uniform", max(ratios4), margin * c4, "<=",
@@ -549,9 +537,9 @@ def run_rosenblatt(spec: ExperimentSpec) -> ExperimentReport:
     trace_alpha = trace_q(model)
     variances = []
     ks_fit_values = []
-    for gi, n in enumerate(spec.grid):
-        sq, _ = _stationary_moment_samples(spec, n, gi, need_proj=False)
-        centered_sum = sq[0] - n * trace_alpha
+    sq, _ = _stationary_moment_samples(spec, spec.grid, need_proj=False)
+    for n, sums in zip(spec.grid, sq):
+        centered_sum = sums - n * trace_alpha
         if noncentral:
             scaled = centered_sum / n ** (2.0 * h - 1.0)
         else:

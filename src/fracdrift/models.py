@@ -34,6 +34,7 @@ __all__ = [
     "model_from_dict",
     "positive_finite",
     "integer",
+    "real",
     "seed_value",
 ]
 
@@ -60,6 +61,14 @@ def integer(value, name: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(value, name: str) -> float:
+    """``float(value)`` for Python and numpy reals; booleans and strings fail
+    instead of being cast (``float(True)`` and ``float("1")`` are 1.0)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def seed_value(value) -> int:
@@ -203,8 +212,8 @@ def build_distributed_model(
     ev = _laplacian_eigenvalues(d, m, n_modes)
     lo = np.broadcast_to(np.asarray(loadings, dtype=float), (n_modes,)).copy()
     return ModelConfig(
-        alpha=float(alpha),
-        hurst=float(hurst),
+        alpha=real(alpha, "alpha"),
+        hurst=real(hurst, "hurst"),
         operator=SpectralOperator(ev, basis_id=f"dirichlet-sine d={d} m={m}"),
         noise=NoiseStructure(DIAGONAL, lo),
     )
@@ -216,13 +225,13 @@ def build_pointwise_model(y: float, n_modes: int, alpha: float, hurst: float) ->
     Loadings are the point evaluations ``phi_k = sqrt(2) sin(k pi y)`` of the
     Dirichlet sine basis; all modes share one driving noise (rank-one).
     """
-    y = float(y)
+    y = real(y, "y")
     if not 0.0 < y < 1.0:
         raise ValueError("source location y must lie strictly inside (0, 1)")
     k = np.arange(1, integer(n_modes, "n_modes") + 1)
     return ModelConfig(
-        alpha=float(alpha),
-        hurst=float(hurst),
+        alpha=real(alpha, "alpha"),
+        hurst=real(hurst, "hurst"),
         operator=SpectralOperator((np.pi * k) ** 2.0, basis_id="dirichlet-sine d=1 m=1"),
         noise=NoiseStructure(RANK_ONE, np.sqrt(2.0) * np.sin(k * np.pi * y)),
     )
@@ -233,6 +242,7 @@ def projection_indicator(a: float, b: float, n_modes: int) -> ProjectionVector:
 
     Closed form: ``w_k = (sqrt(2)/(k pi)) (cos(k pi a) - cos(k pi b))``.
     """
+    a, b = real(a, "a"), real(b, "b")
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1 (non-empty window)")
     k = np.arange(1, int(n_modes) + 1)
@@ -312,8 +322,8 @@ def model_from_dict(obj: dict) -> ModelConfig:
         noise = obj["noise"]
         _require_keys(noise, {"kind", "loadings"}, {"kind", "loadings"}, "model.noise")
         return ModelConfig(
-            alpha=float(obj["alpha"]),
-            hurst=float(obj["hurst"]),
+            alpha=real(obj["alpha"], "alpha"),
+            hurst=real(obj["hurst"], "hurst"),
             operator=SpectralOperator(
                 np.asarray(obj["eigenvalues"], dtype=float),
                 basis_id=str(obj.get("basis_id", "custom")),

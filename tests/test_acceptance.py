@@ -167,8 +167,9 @@ class TestAcceptance:
     def test_07_berry_esseen_rate_direction(self, h, slope_max):
         """log-log slope of the Kolmogorov distance over n in {2^5..2^9}
         decays no slower than the rate function within tolerance (2000
-        replications per grid point).  The single slow mode (rate 0.25) keeps
-        the pre-asymptotic distance above the Monte Carlo resolution floor."""
+        replications, shared by every grid size).  The single slow mode
+        (rate 0.25) keeps the pre-asymptotic distance above the Monte Carlo
+        resolution floor."""
         model = custom([1.0], 0.25, h)
         spec = ExperimentSpec(
             kind="moment_clt", model=model, grid=(32, 64, 128, 256, 512),

@@ -872,6 +872,48 @@ class TestEntryPoint:
         assert message in err
         assert not out.exists()
 
+    CUSTOM = {"kind": "custom", "alpha": 1.0, "hurst": 0.55, "eigenvalues": [1.0],
+              "noise": {"kind": "diagonal", "loadings": [1.0]}}
+    EST = {"model": HEAT3, "trajectory": "traj.csv", "estimator": "discrete_norm"}
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        pytest.param(["theory"], {"model": dict(HEAT3, alpha=True)}, "alpha", id="alpha_bool"),
+        pytest.param(["theory"], {"model": dict(HEAT3, hurst="0.55")}, "hurst",
+                     id="hurst_string"),
+        pytest.param(["theory"], {"model": dict(POINTWISE, y="0.5")}, "y", id="y_string"),
+        pytest.param(["theory"], {"model": dict(POINTWISE, alpha="1")}, "alpha",
+                     id="pointwise_alpha_string"),
+        pytest.param(["theory"], {"model": dict(POINTWISE, hurst="0.55")}, "hurst",
+                     id="pointwise_hurst_string"),
+        pytest.param(["theory"], {"model": dict(CUSTOM, alpha=True)}, "alpha",
+                     id="custom_alpha_bool"),
+        pytest.param(["theory"], {"model": dict(CUSTOM, hurst="0.55")}, "hurst",
+                     id="custom_hurst_string"),
+        pytest.param(["theory"], {"model": HEAT3, "dt": "1"}, "dt", id="theory_dt_string"),
+        pytest.param(["theory"], {"model": HEAT3, "projection": dict(WINDOW, a=False, b=True)},
+                     "a", id="window_bool"),
+        pytest.param(["simulate"], dict(SIM, grid={"dt": True, "n_steps": 20}), "grid.dt",
+                     id="grid_dt_bool"),
+        pytest.param(["estimate"], dict(EST, true_alpha=True), "true_alpha",
+                     id="true_alpha_bool"),
+        pytest.param(["estimate"], dict(EST, true_alpha="1.0"), "true_alpha",
+                     id="true_alpha_string"),
+        pytest.param(["experiment", "moment_clt"], dict(EXP, dt="1"), "dt",
+                     id="experiment_dt_string"),
+        pytest.param(["experiment", "consistency"], dict(EXP, source="integrator", sim_dt=True),
+                     "sim_dt", id="sim_dt_bool"),
+    ])
+    def test_real_field_is_not_cast(self, tmp_path, capsys, monkeypatch, command, cfg, message):
+        # float() would read true as 1.0 and "1.0" as 1.0; these are config errors.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "traj.csv").write_text("t,sq_norm\n0,1.0\n1,0.5\n2,0.8\n")
+        out = tmp_path / "out"
+        argv = command + ["--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {message} must be a real number")
+        assert not out.exists()
+
     def test_integral_float_is_an_integer(self, tmp_path):
         # JSON may write 20 as 20.0: the same trajectory as the integers.
         runs = {}

@@ -169,6 +169,55 @@ class TestReproducibility:
         assert report_json(a) != report_json(b)
 
 
+class TestOneDrawPerExperiment:
+    # Every kind draws once at its largest Monte Carlo size and reads the
+    # smaller sizes from prefix sums, so a size's rows and samples do not
+    # depend on the sizes below it.
+    @pytest.mark.parametrize("kind,hurst,largest,alone_grid", [
+        ("moment_clt", 0.55, 64, (64,)),
+        ("estimator_clt", 0.55, 64, (64,)),
+        ("rosenblatt", 0.55, 64, (64,)),
+        ("rosenblatt", 0.85, 64, (64,)),
+        ("cumulants", 0.55, 32, (32, 64)),   # Monte Carlo up to 32
+    ])
+    def test_largest_size_same_alone(self, kind, hurst, largest, alone_grid):
+        model = build_distributed_model(1, 1, 3, 1.0, hurst)
+        spec = small_spec(kind, model, grid=(16, 32, 64), mc_cumulant_max_n=32,
+                          estimators=("discrete_norm", "discrete_projection"),
+                          projection=projection_indicator(0.0, 0.5, 3))
+        alone = ExperimentSpec(**{**spec.__dict__, "grid": alone_grid})
+
+        def at_largest(report):
+            rows = [r.__dict__ for r in report.rows if r.grid == largest]
+            raw = {k: v.tobytes() for k, v in report.raw.items() if k.endswith(f"_n{largest}")}
+            assert rows and (raw or kind == "cumulants")
+            return json.dumps(rows), raw
+
+        assert at_largest(run_experiment(spec)) == at_largest(run_experiment(alone))
+
+    @pytest.mark.parametrize("kind,source", [
+        ("consistency", "stationary"), ("consistency", "integrator"), ("moment_clt", "stationary"),
+        ("estimator_clt", "stationary"), ("cumulants", "stationary"),
+        ("rosenblatt", "stationary"),
+    ])
+    def test_one_sampler_per_experiment(self, heat3, monkeypatch, kind, source):
+        import fracdrift.harness as harness
+
+        built = []
+
+        class Counted(harness.StationaryModeSampler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.n)
+
+        monkeypatch.setattr(harness, "StationaryModeSampler", Counted)
+        integrated = {"sim_dt": 0.5} if source == "integrator" else {}
+        run_experiment(small_spec(kind, heat3, grid=(16, 32, 64, 128), source=source,
+                                  thresholds={"max_median_error": 10.0}, **integrated))
+        assert len(built) == 1
+        assert source == "integrator" or built == [64 if kind == "cumulants" else 128]
+
+
 class TestConsistencyExperiment:
     def test_median_and_quartiles_equal_numpy_bit_for_bit(self):
         # At every size 1..300, on continuous draws, on draws rounded to a
@@ -213,7 +262,7 @@ class TestConsistencyExperiment:
                               n_batches=3, source="integrator", projection=w,
                               estimators=("discrete_norm", "discrete_projection"))
         cuts = (20, 40)
-        sq, proj = _stationary_moment_samples(spec, 40, 0, True, cuts)
+        sq, proj = _stationary_moment_samples(spec, cuts, True)
         _, total = check_integration(model, TrajectoryGrid(0.05, 400), "burn_in", 10)
         burn = total - 40
         assert burn == -(-default_burn_in_steps(model, 0.05) // 10)
@@ -400,7 +449,7 @@ class TestReportFormats:
         n, size, cuts = 12, 3, (1, 5, 12)
         spec = ExperimentSpec("moment_clt", model, (n,), 3 * size, seed=5,
                               projection=w, n_batches=3, threads=2)
-        sq, proj = _stationary_moment_samples(spec, n, 0, need_proj=True, cuts=cuts)
+        sq, proj = _stationary_moment_samples(spec, cuts, need_proj=True)
         sampler = StationaryModeSampler(model, n, 1.0)
         modes = np.concatenate([
             np.concatenate([
@@ -430,7 +479,7 @@ class TestReportFormats:
                               projection=projection_indicator(0.0, 0.5, 3))
         tracemalloc.start()
         try:
-            sq, proj = _stationary_moment_samples(spec, n, 0, need_proj=True)
+            sq, proj = _stationary_moment_samples(spec, (n,), need_proj=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,6 +17,7 @@ from fracdrift.models import (
     projection_from_dict,
     projection_indicator,
     projection_sine,
+    real,
 )
 
 PI = np.pi
@@ -173,3 +174,16 @@ class TestInteger:
     def test_other_values_fail_instead_of_truncating(self, value):
         with pytest.raises(ValueError, match="count must be an integer"):
             integer(value, "count")
+
+
+class TestReal:
+    @pytest.mark.parametrize("value", [0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1),
+                                       float("nan")])
+    def test_reals_pass_as_float(self, value):
+        out = real(value, "step")
+        assert type(out) is float and (out == float(value) or np.isnan(out))
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, [0.5], 1j])
+    def test_other_values_fail_instead_of_casting(self, value):
+        with pytest.raises(ValueError, match="step must be a real number"):
+            real(value, "step")
