@@ -9,8 +9,10 @@ Subcommands::
 
 Every run writes its outputs under a single directory together with a
 ``manifest.json`` recording the configuration, its hash, the effective seed,
-library versions and OpenBLAS's idle timeout (see below); ``theory`` and
-``experiment`` write both JSON and CSV.
+library versions and OpenBLAS's idle timeout (see below), and for
+``experiment`` the Monte Carlo pool's thread count; ``theory`` and
+``experiment`` write both JSON and CSV.  ``--threads`` defaults to the cores
+the process may run on, at most one per batch.
 An experiment config's keys are the fields of
 :class:`fracdrift.harness.ExperimentSpec` (plus ``model_file``), passed
 through, so the spec alone sets their defaults, types and rules.  Exit codes:
@@ -76,6 +78,7 @@ from .models import (
     positive_finite,
     projection_from_dict,
     real,
+    reals,
     seed_value,
 )
 from .simulate import (
@@ -141,7 +144,9 @@ def _projection_from_config(cfg: dict, model: ModelConfig):
     return _parsed(projection_from_dict, cfg["projection"], model.n_modes)
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None,
+                    **settings) -> None:
+    """Write ``manifest.json``; ``settings`` are run settings beside the config."""
     blob = json.dumps(cfg, sort_keys=True).encode()
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -152,6 +157,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int | None) ->
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
         "openblas_thread_timeout": BLAS_THREAD_TIMEOUT,
+        **settings,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -258,7 +264,7 @@ def cmd_simulate(args) -> int:
         init = cfg.get("init", "zero")
         if isinstance(init, dict):
             _parsed(_require_keys, init, {"given"}, {"given"}, "simulate config init")
-            init = _parsed(np.asarray, init["given"], dtype=float)
+            init = _parsed(reals, init["given"], "init.given")
         observe_every = _parsed(integer, cfg.get("observe_every", 1), "observe_every")
         _parsed(check_integration, model, grid, init, observe_every)
         traj = integrate_path(model, grid, init, seed, observe_every)
@@ -363,7 +369,7 @@ def cmd_experiment(args) -> int:
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
     (out / f"experiment_{args.kind}_report.csv").write_text(report.to_csv())
-    _write_manifest(out, f"experiment {args.kind}", cfg, spec.seed)
+    _write_manifest(out, f"experiment {args.kind}", cfg, spec.seed, threads=spec.threads)
     return EXIT_OK if report.passed else EXIT_THRESHOLD
 
 
@@ -401,7 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     p_exp.add_argument("kind", choices=list(_RUNNERS))
     common(p_exp)
-    p_exp.add_argument("--threads", type=int, default=1)
+    p_exp.add_argument("--threads", type=int, default=None,
+                       help="Monte Carlo pool size (default: the available cores, "
+                            "at most n_batches)")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

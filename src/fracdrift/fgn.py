@@ -196,7 +196,9 @@ def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
     is ``amp * g`` times ``1/sqrt(2)``, the end bins ``amp * g`` unscaled:
     the former full-buffer draw, bit for bit.  The block-circulant route
     needs both halves at once for its complex product and keeps a
-    ``(2, n_reps, p, m+1)`` buffer of normals in ``work``.
+    ``(2, n_reps, p, m+1)`` buffer of normals in ``work``; the complex
+    normals go into the spectrum and the product into that buffer, so a
+    warm draw allocates no array of the spectrum's size.
     """
     m, p = len(factor) - 1, factor.shape[-1]
     shape = (n_reps, p, m + 1)
@@ -224,9 +226,13 @@ def sample_circulant(factor: np.ndarray, n: int, rng: np.random.Generator,
         rows[:, ::m] = ends
     else:
         rng.standard_normal(out=g)
-        np.divide((factor @ (g[0] + 1j * g[1]).T).T, np.sqrt(2.0), out=spec)
-        spec[..., 0] = g[0, ..., 0] @ factor[0].real.T
-        spec[..., m] = g[0, ..., m] @ factor[m].real.T
+        ends = g[0, ..., 0] @ factor[0].real.T, g[0, ..., m] @ factor[m].real.T
+        spec.real, spec.imag = g  # the complex normals
+        # The product goes into the normals' buffer, read as complex.  The
+        # operands' layout picks numpy's matmul loop, and so the bits.
+        product = g.reshape(-1).view(complex).reshape(m + 1, p, n_reps)
+        np.divide(np.matmul(factor, spec.T, out=product).T, np.sqrt(2.0), out=spec)
+        spec[..., 0], spec[..., m] = ends
     return irfft(spec, n=2 * m, out=work["x"])[..., :n]
 
 

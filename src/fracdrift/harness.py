@@ -24,7 +24,8 @@ n, and reads every smaller size from their prefix sums: the first m points of
 an exact stationary draw are an exact draw of m points.  Randomness derives
 from per-(experiment, batch, sequence) substreams, so reports are
 byte-identical regardless of worker count, and Monte Carlo memory is of order
-threads x n x replications / n_batches.
+threads x n x replications / n_batches.  The pool runs ``threads`` workers:
+by default the cores this process may run on, at most one per batch.
 Monte Carlo standard errors are computed by batching (``n_batches``, 20 by
 default, at least 2), and all pass/fail thresholds are recorded in the report
 next to the observed values.
@@ -32,6 +33,7 @@ next to the observed values.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -101,7 +103,9 @@ DEFAULT_SIM_DT = 0.01
 class ExperimentSpec:
     """Declarative description of one experiment run; the runners read its
     fields as cast here (``grid`` a tuple of ints, counts and the seed int,
-    steps float).  Integer fields must hold integers (:func:`integer`)."""
+    steps float).  Integer fields must hold integers (:func:`integer`).
+    ``threads`` is the pool's worker count: the value given, or
+    :func:`available_cores` when None, at most the number of batches."""
 
     kind: str
     model: ModelConfig
@@ -114,7 +118,7 @@ class ExperimentSpec:
     source: str = "stationary"      # "stationary" (exact); consistency also "integrator"
     sim_dt: float | None = None     # integrator step, DEFAULT_SIM_DT if unset; integrator only
     n_batches: int = 20
-    threads: int = 1
+    threads: int | None = None
     mc_cumulant_max_n: int = 64
     thresholds: dict = field(default_factory=dict)
 
@@ -133,8 +137,6 @@ class ExperimentSpec:
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         for name, value in self.thresholds.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"threshold {name!r} must be a number, got {value!r}")
@@ -146,6 +148,11 @@ class ExperimentSpec:
         # Batch-spread standard errors need two batches, k-statistics four
         # samples per batch; degenerate_projection samples nothing.
         batches = min(self.n_batches, self.replications)
+        threads = (available_cores() if self.threads is None
+                   else integer(self.threads, "threads"))
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
+        object.__setattr__(self, "threads", min(threads, batches))
         if self.kind != "degenerate_projection" and batches < 2:
             raise ValueError(f"{self.kind} needs replications >= 2 and n_batches >= 2 "
                              "for its batch standard errors")
@@ -251,6 +258,14 @@ class ExperimentReport:
 # --------------------------------------------------------------------------
 # Shared sampling machinery.
 # --------------------------------------------------------------------------
+
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports
+    one, otherwise the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _batches(spec: ExperimentSpec) -> list[slice]:
     """Replication columns of each batch; sizes differ by at most one, longer first."""
@@ -487,9 +502,12 @@ def run_cumulants(spec: ExperimentSpec) -> ExperimentReport:
     ratios3, ratios4 = [], []
     n_fit = len(spec.grid) // 2 + 1   # the constants are fitted on the first n_fit sizes
     mc_sizes = tuple(n for n in spec.grid if n <= spec.mc_cumulant_max_n)
+    # The exact traces run before the draw: memory that the pool's threads
+    # free is not all returned to the system at once, and the traces' peak
+    # would stack on it.
+    exact = [exact_cumulants(model, n, spec.dt) for n in spec.grid]
     sq = _stationary_moment_samples(spec, mc_sizes, need_proj=False)[0] if mc_sizes else ()
-    for i, n in enumerate(spec.grid):
-        rep = exact_cumulants(model, n, spec.dt)
+    for i, (n, rep) in enumerate(zip(spec.grid, exact)):
         report.add_row(n, "kappa3_exact", rep.kappa3_exact)
         report.add_row(n, "kappa4_exact", rep.kappa4_exact)
         report.add_row(n, "kappa3_bound_shape", rep.kappa3_bound_shape)

@@ -35,6 +35,7 @@ __all__ = [
     "positive_finite",
     "integer",
     "real",
+    "reals",
     "seed_value",
 ]
 
@@ -69,6 +70,15 @@ def real(value, name: str) -> float:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def reals(values, name: str) -> np.ndarray:
+    """A float array of the same shape as ``values``, a real or a list of
+    them, each checked by :func:`real`: ``np.asarray(..., dtype=float)``
+    would cast booleans and numeric strings."""
+    items = np.asarray(values, dtype=object)
+    return np.array([real(v, f"each of {name}") for v in items.flat],
+                    dtype=float).reshape(items.shape)
 
 
 def seed_value(value) -> int:
@@ -306,7 +316,7 @@ def model_from_dict(obj: dict) -> ModelConfig:
         )
         return build_distributed_model(
             obj["d"], obj["m"], obj["n_modes"], obj["alpha"], obj["hurst"],
-            loadings=np.asarray(obj.get("loadings", 1.0), dtype=float),
+            loadings=reals(obj.get("loadings", 1.0), "loadings"),
         )
     if kind == "pointwise":
         _require_keys(obj, {"kind", "y", "n_modes", "alpha", "hurst"},
@@ -325,10 +335,10 @@ def model_from_dict(obj: dict) -> ModelConfig:
             alpha=real(obj["alpha"], "alpha"),
             hurst=real(obj["hurst"], "hurst"),
             operator=SpectralOperator(
-                np.asarray(obj["eigenvalues"], dtype=float),
+                reals(obj["eigenvalues"], "eigenvalues"),
                 basis_id=str(obj.get("basis_id", "custom")),
             ),
-            noise=NoiseStructure(noise["kind"], np.asarray(noise["loadings"], dtype=float)),
+            noise=NoiseStructure(noise["kind"], reals(noise["loadings"], "loadings")),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -345,7 +355,7 @@ def projection_from_dict(obj: dict, n_modes: int) -> ProjectionVector:
         return projection_sine(obj["mode"], n_modes)
     if kind == "coefficients":
         _require_keys(obj, {"kind", "values"}, {"kind", "values"}, "projection")
-        values = np.asarray(obj["values"], dtype=float)
+        values = reals(obj["values"], "values")
         if len(values) != n_modes:
             raise ValueError("projection coefficients must match the model truncation")
         return projection_from_coefficients(values)

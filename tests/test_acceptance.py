@@ -242,7 +242,7 @@ class TestAcceptance:
     def test_10_reproducibility(self, tmp_path):
         """Re-running an experiment with identical config and seed yields
         byte-identical CSV/JSON for thread counts 1 and 8 (manifests may
-        differ only in their timestamps)."""
+        differ only in their timestamps and the thread count each records)."""
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
             "model": {"kind": "distributed", "d": 1, "m": 1, "n_modes": 3,
@@ -262,9 +262,11 @@ class TestAcceptance:
                 )
                 manifest = json.loads((out / "manifest.json").read_text())
                 manifest.pop("created_at")
-                manifests[(threads, attempt)] = manifest
+                recorded = manifest.pop("threads")
+                manifests[(threads, attempt)] = manifest, recorded == threads
         reference = blobs[(1, "a")]
         identical = all(v == reference for v in blobs.values())
-        manifests_equal = all(m == manifests[(1, "a")] for m in manifests.values())
+        manifests_equal = all(m == manifests[(1, "a")][0] and counted
+                              for m, counted in manifests.values())
         record(10, identical and manifests_equal,
                "byte-identical outputs across reruns and thread counts {1, 8}")

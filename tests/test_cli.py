@@ -10,7 +10,7 @@ import pytest
 
 from fracdrift.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, EXIT_THRESHOLD, main
 from fracdrift.estimators import asymptotic_sigma, estimate, qww1, trace_q1
-from fracdrift.harness import ExperimentSpec, run_experiment
+from fracdrift.harness import ExperimentSpec, available_cores, run_experiment
 from fracdrift.models import (
     model_from_dict,
     model_to_dict,
@@ -594,7 +594,25 @@ class TestReproducibility:
         assert outputs[1]["json"] == outputs[8]["json"]
         m1, m8 = outputs[1]["manifest"], outputs[8]["manifest"]
         m1.pop("created_at"), m8.pop("created_at")
+        # The manifests differ only in the pool size each run recorded.
+        assert (m1.pop("threads"), m8.pop("threads")) == (1, 8)
         assert m1 == m8
+
+    def test_default_threads_are_recorded_and_change_no_output(self, tmp_path):
+        cfg = write(tmp_path, "exp.json", {
+            "model": HEAT3, "grid": [16, 32], "replications": 80, "seed": 4,
+        })
+        runs = {}
+        for name, flags in (("default", []), ("one", ["--threads", "1"])):
+            out = tmp_path / name
+            assert main(["experiment", "cumulants", "--config", cfg, "--out", str(out),
+                         *flags]) == EXIT_OK
+            runs[name] = [(out / f"experiment_cumulants_{part}").read_bytes()
+                          for part in ("summary.json", "report.csv")]
+            runs[name].append(json.loads((out / "manifest.json").read_text())["threads"])
+        assert runs["default"][:2] == runs["one"][:2]
+        assert runs["default"][2] == min(available_cores(), 20)
+        assert runs["one"][2] == 1
 
     def test_rerun_identical(self, tmp_path):
         cfg = write(tmp_path, "exp.json", {
@@ -902,6 +920,19 @@ class TestEntryPoint:
                      id="experiment_dt_string"),
         pytest.param(["experiment", "consistency"], dict(EXP, source="integrator", sim_dt=True),
                      "sim_dt", id="sim_dt_bool"),
+        # Arrays: np.asarray(..., dtype=float) would cast every entry.
+        pytest.param(["theory"], {"model": dict(HEAT3, loadings=["1.0", True, "2"])},
+                     "each of loadings", id="loadings_mixed"),
+        pytest.param(["theory"], {"model": dict(CUSTOM, noise={"kind": "diagonal",
+                                                               "loadings": [True]})},
+                     "each of loadings", id="custom_loadings_bool"),
+        pytest.param(["theory"], {"model": dict(CUSTOM, eigenvalues=["1.0"])},
+                     "each of eigenvalues", id="eigenvalues_string"),
+        pytest.param(["theory"], {"model": HEAT3, "projection": {
+            "kind": "coefficients", "values": ["1", True, "0.5"]}},
+                     "each of values", id="projection_values_mixed"),
+        pytest.param(["simulate"], dict(SIM, init={"given": [True, 1.0, 1.0]}),
+                     "each of init.given", id="init_given_bool"),
     ])
     def test_real_field_is_not_cast(self, tmp_path, capsys, monkeypatch, command, cfg, message):
         # float() would read true as 1.0 and "1.0" as 1.0; these are config errors.

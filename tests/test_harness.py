@@ -1,6 +1,7 @@
 """Experiment orchestration: reproducibility, refusals, report structure."""
 
 import json
+import os
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ from fracdrift.harness import (
     ExperimentSpec,
     _batches,
     _median_and_quartiles,
+    available_cores,
     run_consistency,
     run_degenerate_projection,
     run_estimator_clt,
@@ -132,6 +134,31 @@ class TestSpecValidation:
             assert sum(sizes) == reps
             assert max(sizes) - min(sizes) <= 1
             assert sizes == sorted(sizes, reverse=True)
+
+
+class TestThreadCount:
+    # The pool's size: the cores this process may run on unless given, and
+    # never more workers than batches.
+    def test_default_is_the_affinity_at_most_the_batches(self, heat3, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert available_cores() == 3
+        assert small_spec("moment_clt", heat3).threads == 3
+        assert small_spec("moment_clt", heat3, n_batches=2).threads == 2
+        assert small_spec("moment_clt", heat3, replications=2).threads == 2
+
+    def test_default_without_affinity_is_the_cpu_count(self, heat3, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert small_spec("moment_clt", heat3).threads == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert small_spec("moment_clt", heat3).threads == 1
+
+    def test_given_count_is_capped_at_the_batches(self, heat3):
+        assert small_spec("moment_clt", heat3, threads=3).threads == 3
+        assert small_spec("moment_clt", heat3, threads=8, n_batches=4).threads == 4
+        for bad in (0, True, 1.5):
+            with pytest.raises(ValueError, match="threads"):
+                small_spec("moment_clt", heat3, threads=bad)
 
 
 class TestReproducibility:

@@ -18,6 +18,7 @@ from fracdrift.models import (
     projection_indicator,
     projection_sine,
     real,
+    reals,
 )
 
 PI = np.pi
@@ -174,6 +175,20 @@ class TestInteger:
     def test_other_values_fail_instead_of_truncating(self, value):
         with pytest.raises(ValueError, match="count must be an integer"):
             integer(value, "count")
+
+
+class TestReals:
+    def test_reals_keep_their_shape(self):
+        out = reals([0.5, 1, np.float32(2.0)], "loadings")
+        assert out.dtype == float and out.tolist() == [0.5, 1.0, 2.0]
+        assert reals(1, "loadings").shape == ()
+        assert reals([], "loadings").shape == (0,)
+
+    @pytest.mark.parametrize("values", [["1.0", True, "2"], [1.0, True], [np.bool_(True)],
+                                        "1.0", [[1.0], [2.0, 3.0]]])
+    def test_each_entry_is_a_real(self, values):
+        with pytest.raises(ValueError, match="each of loadings must be a real number"):
+            reals(values, "loadings")
 
 
 class TestReal:

@@ -547,6 +547,29 @@ class TestStationarySampling:
         assert np.all(np.isfinite(traj.sq_norms))
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("every", [0, 3])
+    def test_warm_rank_one_draw_allocates_no_spectrum(self, every):
+        # The block-circulant route writes its complex normals into the
+        # spectrum and their product into the normals' buffer: a warm draw
+        # of the point source's modes (stationary, or fGN folded over three
+        # steps into a 3-vector) allocates under two one-mode arrays, where
+        # two complex temporaries of the spectrum's size took 39 to 52.
+        import tracemalloc
+
+        model = build_pointwise_model(0.3, 4, 1.0, 0.3)
+        n = 30_000
+        sampler = StationaryModeSampler(model, n, 0.01, every)
+        work = {}
+        sampler.draw(0, substream(1, 0), 3, work)
+        tracemalloc.start()
+        try:
+            x = sampler.draw(0, substream(2, 0), 3, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (3, 4, n)
+        assert peak < 2 * n * 8
+
     def test_dense_guard(self, monkeypatch):
         # The guard sits on the dense fallback only; a negative TOL_EIG makes
         # every embedding count as negative, so n*N = 30000 reaches it.
